@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from nhbloch.analytic import CoherentField, DecayModel, damped_bloch
+from nhbloch.analytic import CoherentField, DecayModel, trajectory
 from nhbloch.fit import MagnetizationSeries, fit_decay_model
 
 
@@ -30,7 +30,7 @@ def main():
     truth = np.array([decay.delta, decay.mu, decay.nu, 1.05 * w_nominal])
 
     times = np.linspace(0.0, 500e-6, 251)
-    clean = np.array([list(damped_bloch(field, decay, t)) for t in times])
+    clean = trajectory(field, decay, times)
 
     modes = [("ratio 11.5", 11.5)] + ([("free", None)] if args.free else [])
     for label, ratio in modes:

@@ -18,6 +18,7 @@ from nhbloch.analytic import (
     damped_bloch,
     gamma_coefficients,
     purity_closed_form,
+    trajectory,
 )
 from nhbloch.core import bloch_to_density
 from nhbloch.dynamics import GammaOperator, Trajectory, integrate_bloch, integrate_density, max_deviation
@@ -51,7 +52,7 @@ def main():
     for name in SAMPLES:
         field, decay = build(name)
         times = np.linspace(1e-9, args.t_max, args.samples)
-        exact = Trajectory(times, np.array([list(damped_bloch(field, decay, t)) for t in times]))
+        exact = Trajectory(times, trajectory(field, decay, times))
 
         lam = lambda t: gamma_coefficients(field, decay, t)
         r0 = damped_bloch(field, decay, times[0])

@@ -17,6 +17,7 @@ from .analytic import (
     g_root,
     gamma_coefficients,
     purity_closed_form,
+    trajectory,
 )
 from .core import (
     BlochVector,
@@ -108,4 +109,5 @@ __all__ = [
     "rotating_frame_field",
     "rotation_pulse",
     "thermal_state",
+    "trajectory",
 ]

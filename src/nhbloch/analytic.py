@@ -17,6 +17,12 @@ lambda_k(t) = g(t) r0_k(t) with
 which diverges as 1/(2t) at the origin; g is therefore only defined for
 strictly positive times and callers needing t -> 0 use the (regular)
 trajectory itself. Purity follows as P(t) = 1/2 + f(t)^2 / 2.
+
+:func:`trajectory` is the bulk API: it evaluates f(t) r0(t) on a whole time
+grid as array expressions. The scalar functions (:func:`coherent_bloch`,
+:func:`damped_bloch`, :func:`gamma_coefficients`) serve per-step callers such
+as the ODE damping provider, where one call per time is the natural shape,
+and they are the reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -146,6 +152,32 @@ def damped_bloch(field: CoherentField, model: DecayModel, t: float) -> BlochVect
     f = float(decay_f(model, t))
     r0 = coherent_bloch(field, t)
     return BlochVector(f * r0.x, f * r0.y, f * r0.z)
+
+
+def trajectory(field: CoherentField, decay: DecayModel | None, times) -> np.ndarray:
+    """Bloch rows f(t) * r0(t) on a 1-d time grid, shape (N, 3).
+
+    The array form of :func:`damped_bloch` (or of :func:`coherent_bloch` for
+    ``decay=None``): same formulas, same operation order and the same
+    degenerate-field rule, evaluated once per grid instead of once per
+    sample.
+    """
+    times = np.asarray(times, dtype=float)
+    rows = np.empty((len(times), 3))
+    om = field.omega
+    if om <= _DEGENERATE_FIELD * max(1.0, abs(field.wx), abs(field.wy), abs(field.wz)):
+        rows[:] = (0.0, 0.0, 1.0)
+    else:
+        nx, ny, nz = field.wx / om, field.wy / om, field.wz / om
+        angle = om * times
+        s = np.sin(angle)
+        vers = 2.0 * np.sin(0.5 * angle) ** 2
+        rows[:, 0] = nx * nz * vers + ny * s
+        rows[:, 1] = ny * nz * vers - nx * s
+        rows[:, 2] = nz * nz * vers + 1.0 - vers
+    if decay is not None:
+        rows *= decay_f(decay, times)[:, None]
+    return rows
 
 
 def gamma_coefficients(

@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import tempfile
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .analytic import (
     coherent_bloch,
     damped_bloch,
     gamma_coefficients,
+    trajectory,
 )
 from .core import bloch_to_density
 from .dynamics import GammaOperator, Trajectory, integrate_bloch, integrate_density, max_deviation
@@ -44,6 +46,10 @@ _MODELS = ("analytic", "ode-bloch", "ode-density")
 # Seed time for ODE runs with decay: the damping coefficients diverge at 0.
 _SINGULAR_T0 = 1e-9
 
+# Rows per chunk when CSV tables are formatted or parsed: whole-table text
+# costs memory in proportion to the record, a few thousand rows do not.
+_CSV_CHUNK_ROWS = 4096
+
 
 class UsageError(Exception):
     pass
@@ -53,19 +59,21 @@ class CsvFormatError(Exception):
     pass
 
 
-def _float_repr(x: float) -> str:
-    return repr(float(x))
+def _write_text(path: str | None, text):
+    """Write ``text``, a string or an iterable of string chunks, to stdout or path.
 
-
-def _write_text(path: str | None, text: str):
+    A file is written to a temporary sibling and renamed into place, so it
+    appears whole or not at all however many chunks it was streamed in.
+    """
+    chunks = (text,) if isinstance(text, str) else text
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".nhbloch-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -77,27 +85,38 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _csv_text(times, mx, my, mz, purity=None) -> str:
-    lines = ["t,mx,my,mz" + (",purity" if purity is not None else "")]
-    for i in range(len(times)):
-        row = [_float_repr(times[i]), _float_repr(mx[i]), _float_repr(my[i]), _float_repr(mz[i])]
-        if purity is not None:
-            row.append(_float_repr(purity[i]))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+def _csv_text(times, mx, my, mz, purity=None):
+    """Yield the CSV table in chunks of _CSV_CHUNK_ROWS rows, each float as its repr."""
+    columns = [times, mx, my, mz] + ([purity] if purity is not None else [])
+    yield "t,mx,my,mz" + (",purity" if purity is not None else "") + "\n"
+    table = np.column_stack(columns)
+    for start in range(0, len(table), _CSV_CHUNK_ROWS):
+        rows = table[start : start + _CSV_CHUNK_ROWS].tolist()
+        yield "\n".join([",".join(map(repr, row)) for row in rows]) + "\n"
 
 
-def _read_series(path: str) -> MagnetizationSeries:
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines:
-        raise CsvFormatError(f"{path}:1: empty file, expected header 't,mx,my,mz'")
-    header = lines[0].strip()
-    if header not in ("t,mx,my,mz", "t,mx,my,mz,purity"):
-        raise CsvFormatError(f"{path}:1: bad header {header!r}, expected 't,mx,my,mz[,purity]'")
-    ncols = header.count(",") + 1
+def _next_lines(handle) -> list[str]:
+    """The next chunk of lines, split exactly as str.splitlines splits the whole file."""
+    try:
+        return "".join(islice(handle, _CSV_CHUNK_ROWS)).splitlines()
+    except UnicodeDecodeError as exc:
+        # The decoder's byte position is relative to its read buffer, not the file.
+        raise CsvFormatError(f"{handle.name}: not UTF-8 text ({exc.reason})") from None
+
+
+def _parse_rows(path: str, lines: list[str], lineno: int, ncols: int) -> np.ndarray:
+    """The (t, mx, my, mz) rows of one chunk whose first line is numbered lineno."""
+    if list(map(str.count, lines, repeat(","))).count(ncols - 1) == len(lines):
+        tokens = ",".join(lines).split(",")
+        if ncols == 5:
+            del tokens[4::5]  # the purity column is output only, never parsed
+        try:
+            return np.fromiter(map(float, tokens), float, len(tokens)).reshape(-1, 4)
+        except ValueError:
+            pass  # the per-line loop below names the line
+    # Blank lines, ragged rows and bad numbers: one line at a time.
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines, start=lineno):
         if not line.strip():
             continue
         parts = line.split(",")
@@ -107,9 +126,27 @@ def _read_series(path: str) -> MagnetizationSeries:
             rows.append([float(p) for p in parts[:4]])
         except ValueError as exc:
             raise CsvFormatError(f"{path}:{lineno}: {exc}") from None
-    if not rows:
+    return np.array(rows).reshape(-1, 4)
+
+
+def _read_series(path: str) -> MagnetizationSeries:
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = _next_lines(handle)
+        if not lines:
+            raise CsvFormatError(f"{path}:1: empty file, expected header 't,mx,my,mz'")
+        header = lines[0].strip()
+        if header not in ("t,mx,my,mz", "t,mx,my,mz,purity"):
+            raise CsvFormatError(f"{path}:1: bad header {header!r}, expected 't,mx,my,mz[,purity]'")
+        ncols = header.count(",") + 1
+        blocks = [np.empty((0, 4))]
+        lineno, lines = 2, lines[1:]
+        while lines:
+            blocks.append(_parse_rows(path, lines, lineno, ncols))
+            lineno += len(lines)
+            lines = _next_lines(handle)
+    data = np.concatenate(blocks)
+    if not len(data):
         raise CsvFormatError(f"{path}:2: no data rows")
-    data = np.array(rows)
     try:
         return MagnetizationSeries(data[:, 0], data[:, 1], data[:, 2], data[:, 3])
     except ValueError as exc:
@@ -193,11 +230,7 @@ def _grid_from_args(args, model: str, decay: DecayModel | None) -> np.ndarray:
 
 def _simulate(model: str, field: CoherentField, decay: DecayModel | None, times) -> Trajectory:
     if model == "analytic":
-        if decay is not None:
-            states = [damped_bloch(field, decay, t) for t in times]
-        else:
-            states = [coherent_bloch(field, t) for t in times]
-        return Trajectory(times, np.array([[s.x, s.y, s.z] for s in states]))
+        return Trajectory(times, trajectory(field, decay, times))
     if decay is not None:
         lam = lambda t: gamma_coefficients(field, decay, t)
         r0 = damped_bloch(field, decay, times[0])
@@ -236,11 +269,11 @@ def cmd_simulate(args) -> int:
                 "model": args.model,
                 "seed": args.seed,
                 "noise": args.noise,
-                "t": list(map(float, times)),
-                "mx": list(map(float, data[:, 0])),
-                "my": list(map(float, data[:, 1])),
-                "mz": list(map(float, data[:, 2])),
-                "purity": list(map(float, purity_col)),
+                "t": times.tolist(),
+                "mx": data[:, 0].tolist(),
+                "my": data[:, 1].tolist(),
+                "mz": data[:, 2].tolist(),
+                "purity": purity_col.tolist(),
             }
         )
     _write_text(args.out, text)

@@ -280,7 +280,12 @@ def fit_decay_model(
                 damping *= 10.0
                 continue
             candidate = theta + step
-            cand_params = _decode(candidate, delta_mu_ratio)
+            try:
+                cand_params = _decode(candidate, delta_mu_ratio)
+            except OverflowError:
+                # exp() of the trial step overflows: reject it like an uphill step.
+                damping *= 10.0
+                continue
             cand_r = residuals(cand_params, series)
             new_cost = float(cand_r @ cand_r)
             if new_cost <= cost:

@@ -17,6 +17,7 @@ from nhbloch.analytic import (
     g_root,
     gamma_coefficients,
     purity_closed_form,
+    trajectory,
 )
 from nhbloch.core import BlochVector
 
@@ -222,6 +223,50 @@ class TestDampedBloch:
             ) / (2.0 * h)
             rhs = _bloch_rhs(field, gamma_coefficients(field, d, t), damped_bloch(field, d, t).as_array())
             assert np.linalg.norm(fd - rhs) <= 1e-5 * np.linalg.norm(rhs)
+
+
+def _drive(omega1, phi=1.5, detuning_hz=0.0):
+    """Rotating-frame field of a pulse of phase phi (units of pi), as the CLI builds it."""
+    phase = math.pi * phi + math.pi
+    return CoherentField(
+        omega1 * math.cos(phase), omega1 * math.sin(phase), -2.0 * math.pi * detuning_hz
+    )
+
+
+KERNEL_FIELDS = {
+    "resonant": lambda w1: _drive(w1),
+    "phi-1.0": lambda w1: _drive(w1, phi=1.0),
+    "detuned-5khz": lambda w1: _drive(w1, detuning_hz=5000.0),
+    "odd": lambda w1: CoherentField(12.0, -5.0, 3.0),
+    "zero": lambda w1: CoherentField(0.0, 0.0, 0.0),
+}
+
+
+class TestTrajectoryKernel:
+    """The array kernel against a loop over the scalar reference functions.
+
+    The kernel keeps the scalar operation order, but numpy's vectorized sin
+    and exp may round differently from the scalar calls in the last bit, so
+    the tolerance is fixed at 1e-15 absolute (a few ulp of a unit vector).
+    """
+
+    @pytest.mark.parametrize("name", list(KERNEL_FIELDS))
+    @pytest.mark.parametrize("with_decay", [True, False])
+    @pytest.mark.parametrize(
+        "times",
+        [np.linspace(0.0, 500e-6, 251), np.linspace(0.0, 2e-3, 1001), np.linspace(0.0, 2.0, 2001)],
+        ids=["251", "2ms", "2s"],
+    )
+    def test_matches_scalar_loop(self, tpp, name, with_decay, times):
+        field = KERNEL_FIELDS[name](tpp.omega1)
+        if with_decay:
+            ref = np.array([list(damped_bloch(field, tpp.decay, t)) for t in times])
+            rows = trajectory(field, tpp.decay, times)
+        else:
+            ref = np.array([list(coherent_bloch(field, t)) for t in times])
+            rows = trajectory(field, None, times)
+        assert rows.shape == (len(times), 3)
+        np.testing.assert_allclose(rows, ref, rtol=0.0, atol=1e-15)
 
 
 class TestGammaCoefficients:

@@ -1,10 +1,12 @@
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from nhbloch import cli
 from nhbloch.analytic import decay_f
 from nhbloch.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 
@@ -203,6 +205,162 @@ class TestFit:
         assert payload["seed"] == 5
         assert payload["fixed_delta_mu_ratio"] == 11.5
         assert payload["nu"] == pytest.approx(tpp.decay.nu, rel=0.4)
+
+    @pytest.mark.parametrize("extra", [("--fix-ratio", "11.5"), ()])
+    def test_overflowing_trial_step_is_rejected(self, tpp, tmp_path, capsys, extra):
+        # On this record an LM trial step is so long that decoding it overflows
+        # exp(); the fit must treat it as a rejected step, not crash.
+        csv_path = tmp_path / "noisy.csv"
+        noise = ("--noise", "0.05", "--seed", "43", "--out", str(csv_path))
+        run(capsys, *tpp_flags(tpp, extra=noise))
+        code, out, _ = run(capsys, "fit", str(csv_path), *extra)
+        assert code in (EXIT_OK, EXIT_NUMERICAL)
+        assert json.loads(out)["command"] == "fit"
+
+
+def reference_csv(times, mx, my, mz, purity=None):
+    """The per-row repr formatter the streamed CSV writer must match byte for byte."""
+    lines = ["t,mx,my,mz" + (",purity" if purity is not None else "")]
+    for i in range(len(times)):
+        row = [repr(float(times[i])), repr(float(mx[i])), repr(float(my[i])), repr(float(mz[i]))]
+        if purity is not None:
+            row.append(repr(float(purity[i])))
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+# Values whose repr is easy to get wrong: signed zero, the smallest subnormal,
+# a float beyond 2**53 and a decimal fraction with no exact binary form.
+AWKWARD = np.array([-0.0, 5e-324, 1e16, 0.1, -1.0 / 3.0, 2.5e-300, 123456789.0])
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1])
+    @pytest.mark.parametrize("with_purity", [True, False])
+    def test_bytes_match_per_row_repr(self, offset, with_purity, tmp_path):
+        n = 1 if offset is None else cli._CSV_CHUNK_ROWS + offset
+        cols = [np.resize(np.roll(AWKWARD, k), n) for k in range(5)]
+        if not with_purity:
+            cols = cols[:4]
+        out = tmp_path / "w.csv"
+        cli._write_text(str(out), cli._csv_text(*cols))
+        assert out.read_bytes() == reference_csv(*cols).encode("utf-8")
+
+    def test_stdout_matches_per_row_repr(self, capsys):
+        cols = [np.resize(np.roll(AWKWARD, k), cli._CSV_CHUNK_ROWS + 1) for k in range(5)]
+        cli._write_text(None, cli._csv_text(*cols))
+        assert capsys.readouterr().out == reference_csv(*cols)
+
+
+def csv_rows(n, ncols):
+    """n valid data lines of an ncols-column record (t, mx, my, mz[, purity])."""
+    return [
+        ",".join([repr(i * 1e-6), repr(math.sin(i)), "0.0", repr(math.cos(i)), "1.0"][:ncols])
+        for i in range(n)
+    ]
+
+
+def with_line(lines, lineno, text):
+    """Replace the line numbered lineno (1-based, header is line 1)."""
+    lines = list(lines)
+    lines[lineno - 1] = text
+    return lines
+
+
+def reader_cases(chunk):
+    """Malformed files and the message suffix after the path, as the per-line parser gave."""
+    far = chunk + 50  # a line in the second chunk
+    rec4 = ["t,mx,my,mz"] + csv_rows(2 * chunk, 4)
+    rec5 = ["t,mx,my,mz,purity"] + csv_rows(2 * chunk, 5)
+    blank = rec4[:10] + ["", "   "] + rec4[10:20] + ["1.0,2.0,3.0"]
+    return {
+        "columns-past-chunk-4": (
+            "\n".join(with_line(rec4, far, "1.0,2.0,3.0")) + "\n",
+            f":{far}: expected 4 columns, got 3",
+        ),
+        "columns-past-chunk-5": (
+            "\n".join(with_line(rec5, far, "1.0,2.0,3.0,4.0,5.0,6.0")) + "\n",
+            f":{far}: expected 5 columns, got 6",
+        ),
+        "compensating-columns": (
+            "\n".join(with_line(with_line(rec4, far, "1.0,2.0,3.0"), far + 1, "1,2,3,4,5"))
+            + "\n",
+            f":{far}: expected 4 columns, got 3",
+        ),
+        "number-past-chunk": (
+            "\n".join(with_line(rec4, far, "1.0,oops,0.0,1.0")) + "\n",
+            f":{far}: could not convert string to float: 'oops'",
+        ),
+        "empty-field-past-chunk": (
+            "\n".join(with_line(rec5, far, "1.0,,0.0,1.0,1.0")) + "\n",
+            f":{far}: could not convert string to float: ''",
+        ),
+        "blank-lines-counted": ("\n".join(blank) + "\n", f":{len(blank)}: expected 4 columns, got 3"),
+        "crlf-past-chunk": (
+            "\r\n".join(with_line(rec4, far, "1.0,oops,0.0,1.0")) + "\r\n",
+            f":{far}: could not convert string to float: 'oops'",
+        ),
+        "form-feed-splits-lines": (
+            "\n".join(rec4[:5] + ["0.5,0.0,0.0,1.0\x0c1.0,2.0,3.0"]) + "\n",
+            ":7: expected 4 columns, got 3",
+        ),
+        "header-only": ("t,mx,my,mz\n", ":2: no data rows"),
+        "blank-lines-only": ("t,mx,my,mz,purity\n\n  \n", ":2: no data rows"),
+        "empty": ("", ":1: empty file, expected header 't,mx,my,mz'"),
+        "bad-header": ("t,x,y,z\n0,0,0,1\n", ":1: bad header 't,x,y,z', expected 't,mx,my,mz[,purity]'"),
+        "header-4-rows-5": (
+            "\n".join(["t,mx,my,mz"] + csv_rows(10, 5)) + "\n",
+            ":2: expected 4 columns, got 5",
+        ),
+        "header-5-rows-4": (
+            "\n".join(["t,mx,my,mz,purity"] + csv_rows(10, 4)) + "\n",
+            ":2: expected 5 columns, got 4",
+        ),
+        "too-short": ("\n".join(rec4[:4]) + "\n", ": need at least 8 samples, got 3"),
+    }
+
+
+READER_CASES = reader_cases(cli._CSV_CHUNK_ROWS)
+
+
+class TestCsvReader:
+    @pytest.mark.parametrize("case", list(READER_CASES))
+    def test_malformed_file_message(self, case, tmp_path, capsys):
+        text, suffix = READER_CASES[case]
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode("utf-8"))
+        code, out, err = run(capsys, "fit", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: {path}{suffix}\n"
+
+    @pytest.mark.parametrize("ncols", [4, 5])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_valid_file_across_chunks(self, ncols, newline, tmp_path):
+        header = "t,mx,my,mz" + (",purity" if ncols == 5 else "")
+        rows = csv_rows(2 * cli._CSV_CHUNK_ROWS + 3, ncols)
+        lines = [header] + rows[:7] + ["", "  "] + rows[7:]
+        path = tmp_path / "ok.csv"
+        path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+        series = cli._read_series(str(path))
+        expected = np.array([[float(x) for x in row.split(",")[:4]] for row in rows])
+        np.testing.assert_array_equal(
+            np.column_stack([series.times, series.mx, series.my, series.mz]), expected
+        )
+
+    def test_undecodable_bytes_are_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        lines = ["t,mx,my,mz"] + csv_rows(2 * cli._CSV_CHUNK_ROWS, 4)
+        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8") + b"0.5,\xff,0.0,1.0\n")
+        code, _, err = run(capsys, "fit", str(path))
+        assert code == EXIT_USAGE
+        assert err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
+
+    def test_purity_column_is_not_parsed(self, tmp_path):
+        lines = ["t,mx,my,mz,purity"] + [row[: row.rindex(",")] + ",n/a" for row in csv_rows(9, 5)]
+        path = tmp_path / "p.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert len(cli._read_series(str(path))) == 9
 
 
 class TestCompare:
