@@ -19,10 +19,12 @@ strictly positive times and callers needing t -> 0 use the (regular)
 trajectory itself. Purity follows as P(t) = 1/2 + f(t)^2 / 2.
 
 :func:`trajectory` is the bulk API: it evaluates f(t) r0(t) on a whole time
-grid as array expressions. The scalar functions (:func:`coherent_bloch`,
-:func:`damped_bloch`, :func:`gamma_coefficients`) serve per-step callers such
-as the ODE damping provider, where one call per time is the natural shape,
-and they are the reference the kernel is tested against.
+grid as array expressions. :func:`gamma_coefficients` is the per-step API: the
+ODE damping provider calls it once per distinct integrator time, so it is
+written with :mod:`math` on plain floats, in the same operation order as
+:func:`decay_g` and :func:`coherent_bloch`. The other scalar functions
+(:func:`coherent_bloch`, :func:`damped_bloch`) serve single-time callers and
+are the reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -74,24 +76,29 @@ class DecayModel:
             raise ValueError(f"residual radius nu = {self.nu} must lie in [0, 1)")
 
 
+def _north_pole_rotation(field: CoherentField, t: float) -> tuple[float, float, float]:
+    """Components of :func:`coherent_bloch` as a plain tuple."""
+    om = field.omega
+    if om <= _DEGENERATE_FIELD * max(1.0, abs(field.wx), abs(field.wy), abs(field.wz)):
+        return (0.0, 0.0, 1.0)
+    nx, ny, nz = field.wx / om, field.wy / om, field.wz / om
+    angle = om * t
+    s = math.sin(angle)
+    vers = 2.0 * math.sin(0.5 * angle) ** 2
+    return (
+        nx * nz * vers + ny * s,
+        ny * nz * vers - nx * s,
+        nz * nz * vers + 1.0 - vers,
+    )
+
+
 def coherent_bloch(field: CoherentField, t: float) -> BlochVector:
     """Lossless Bloch vector at time t, starting from the north pole.
 
     Rotation of (0, 0, 1) about the field axis by angle omega*t; 1 - cos is
     evaluated as 2 sin^2(x/2) to keep small angles accurate.
     """
-    om = field.omega
-    if om <= _DEGENERATE_FIELD * max(1.0, abs(field.wx), abs(field.wy), abs(field.wz)):
-        return BlochVector(0.0, 0.0, 1.0)
-    nx, ny, nz = field.wx / om, field.wy / om, field.wz / om
-    angle = om * t
-    s = math.sin(angle)
-    vers = 2.0 * math.sin(0.5 * angle) ** 2
-    return BlochVector(
-        nx * nz * vers + ny * s,
-        ny * nz * vers - nx * s,
-        nz * nz * vers + 1.0 - vers,
-    )
+    return BlochVector(*_north_pole_rotation(field, t))
 
 
 def coherent_propagate(field: CoherentField, r0: BlochVector, t: float) -> BlochVector:
@@ -183,10 +190,23 @@ def trajectory(field: CoherentField, decay: DecayModel | None, times) -> np.ndar
 def gamma_coefficients(
     field: CoherentField, model: DecayModel, t: float
 ) -> tuple[float, float, float]:
-    """Damping coefficients lambda_k(t) = g(t) r0_k(t), rad/s; needs t > 0."""
-    g = float(decay_g(model, t))
-    r0 = coherent_bloch(field, t)
-    return (g * r0.x, g * r0.y, g * r0.z)
+    """Damping coefficients lambda_k(t) = g(t) r0_k(t), rad/s; needs t > 0.
+
+    The scalar form of ``decay_g(model, t)`` times ``coherent_bloch(field, t)``
+    on plain floats: same formulas and operation order, :mod:`math` in place
+    of numpy, so one call costs a few microseconds.
+    """
+    if t <= 0.0:
+        raise ValueError("g(t) is defined for t > 0 only (1/(2t) divergence at 0)")
+    delta, mu, nu = model.delta, model.mu, model.nu
+    e_delta = math.exp(-delta * t)
+    e_mu = math.exp(-mu * t)
+    em1_mu = math.expm1(-mu * t)
+    one_minus_f = -math.expm1(-delta * t) + nu * em1_mu
+    f = e_delta - nu * em1_mu
+    g = (delta * e_delta - nu * mu * e_mu) / (one_minus_f * (1.0 + f))
+    x, y, z = _north_pole_rotation(field, t)
+    return (g * x, g * y, g * z)
 
 
 def purity_closed_form(model: DecayModel, t):

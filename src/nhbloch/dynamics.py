@@ -18,6 +18,16 @@ the analytic g-form they blow up like 1/(2t) toward t = 0, so integrations
 must start at a strictly positive seed time and the substep size is capped
 at ``rate_cap / max_k |lambda_k(t)|`` to resolve the ramp. Away from the
 ramp the base step 2*pi / (200 * omega) applies.
+
+The provider must be a pure function of t: the integrators call it once per
+distinct time, keyed on the exact float. Within an RK4 step the step limiter
+and k1 share the value at t, and k2 and k3 share the value at t + h/2; k4's
+value at t + h is reused by the next step only if that step starts exactly
+there (the last step of a grid interval ends at the sample time instead).
+
+Both forms run on one scalar RK4 loop that steps a tuple of Python
+numbers: 3 floats for the Bloch form and the 4 complex entries of rho, in
+row-major order, for the matrix form.
 """
 
 from __future__ import annotations
@@ -179,21 +189,43 @@ def _base_step(field: CoherentField, step: float | None) -> float:
     return (2.0 * math.pi / om) / _STEPS_PER_PERIOD if om > 0.0 else math.inf
 
 
-def _advance(rhs, t0: float, t1: float, y, step_at) -> "np.ndarray":
-    """RK4 from t0 to t1 with the step limiter ``step_at(t)``."""
-    t = t0
-    while t < t1:
-        h = min(step_at(t), t1 - t)
-        if t + h == t:
-            raise RuntimeError(f"integration step underflow at t = {t!r}")
-        half = 0.5 * h
-        k1 = rhs(t, y)
-        k2 = rhs(t + half, y + half * k1)
-        k3 = rhs(t + half, y + half * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        t = t1 if h >= t1 - t else t + h
-    return y
+def _rk4(rhs, coefficients, y: tuple, times: np.ndarray, base: float, rate_cap: float):
+    """Classical RK4 of the state tuple ``y`` across the grid; one state per sample.
+
+    ``coefficients(t)`` is evaluated once per distinct time (see the module
+    docstring); its value starts with (lambda_x, lambda_y, lambda_z), which
+    set the step limit. ``rhs(c, y)`` returns dy/dt as a tuple, given the
+    coefficients ``c`` at that time.
+    """
+    grid = times.tolist()
+    states = [y]
+    t = grid[0]
+    c_time = c = None
+    for t1 in grid[1:]:
+        while t < t1:
+            if c_time != t:
+                c = coefficients(t)
+            rate = max(abs(c[0]), abs(c[1]), abs(c[2]))
+            h = min(base, rate_cap / rate) if rate > 0.0 else base
+            h = min(h, t1 - t)
+            if t + h == t:
+                raise RuntimeError(f"integration step underflow at t = {t!r}")
+            half = 0.5 * h
+            c_half = coefficients(t + half)
+            c_time = t + h
+            c_end = coefficients(c_time)
+            k1 = rhs(c, y)
+            k2 = rhs(c_half, tuple([a + half * b for a, b in zip(y, k1)]))
+            k3 = rhs(c_half, tuple([a + half * b for a, b in zip(y, k2)]))
+            k4 = rhs(c_end, tuple([a + h * b for a, b in zip(y, k3)]))
+            w = h / 6.0
+            y = tuple(
+                [a + w * (b1 + 2.0 * (b2 + b3) + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+            )
+            c = c_end
+            t = t1 if h >= t1 - t else c_time
+        states.append(y)
+    return states
 
 
 def integrate_bloch(
@@ -209,45 +241,49 @@ def integrate_bloch(
 
     ``lambda_provider`` maps a time to the damping triple (lambda_x,
     lambda_y, lambda_z); pass ``lambda t: (0.0, 0.0, 0.0)`` for purely
-    coherent motion. ``step`` overrides the base step (useful for
-    convergence studies); ``rate_cap`` bounds h * max|lambda_k|, which is
-    what resolves the singular ramp of the analytic coefficients near the
-    seed time.
+    coherent motion. It is called once per distinct integrator time.
+    ``step`` overrides the base step (useful for convergence studies);
+    ``rate_cap`` bounds h * max|lambda_k|, which is what resolves the
+    singular ramp of the analytic coefficients near the seed time.
     """
     times = np.asarray(times, dtype=float)
     _check_grid(times)
-    y = r0.as_array() if isinstance(r0, BlochVector) else np.array(r0, dtype=float)
-    if y.shape != (3,) or not np.all(np.isfinite(y)):
+    r_init = r0.as_array() if isinstance(r0, BlochVector) else np.array(r0, dtype=float)
+    if r_init.shape != (3,) or not np.all(np.isfinite(r_init)):
         raise ValueError("initial state must be a finite length-3 vector")
     wx, wy, wz = field.wx, field.wy, field.wz
-    base = _base_step(field, step)
 
-    def rhs(t, r):
-        lx, ly, lz = lambda_provider(t)
-        dot = lx * r[0] + ly * r[1] + lz * r[2]
-        return np.array(
-            [
-                r[0] * dot + wy * r[2] - wz * r[1] - lx,
-                r[1] * dot + wz * r[0] - wx * r[2] - ly,
-                r[2] * dot + wx * r[1] - wy * r[0] - lz,
-            ]
+    def rhs(lam, r):
+        lx, ly, lz = lam
+        x, y, z = r
+        dot = lx * x + ly * y + lz * z
+        return (
+            x * dot + wy * z - wz * y - lx,
+            y * dot + wz * x - wx * z - ly,
+            z * dot + wx * y - wy * x - lz,
         )
 
-    def step_at(t):
-        lx, ly, lz = lambda_provider(t)
-        rate = max(abs(lx), abs(ly), abs(lz))
-        return min(base, rate_cap / rate) if rate > 0.0 else base
-
-    out = np.empty((len(times), 3))
-    out[0] = y
-    for i in range(1, len(times)):
-        y = _advance(rhs, times[i - 1], times[i], y, step_at)
-        out[i] = y
-
+    base = _base_step(field, step)
+    states = _rk4(rhs, lambda_provider, tuple(r_init.tolist()), times, base, rate_cap)
+    out = np.array(states)
     worst = float(np.max(np.sqrt(np.sum(out**2, axis=1))))
     if worst > 1.0 + 1e-9:
         raise RuntimeError(f"integration left the Bloch ball (|r| = {worst!r})")
     return Trajectory(times, out)
+
+
+def _gamma_entries(gamma: GammaOperator) -> tuple:
+    """(lx, ly, lz) followed by the entries g00, g01, g10, g11 of G, row-major."""
+    l0, lx, ly, lz = gamma.lambda0, gamma.lx, gamma.ly, gamma.lz
+    return (
+        lx,
+        ly,
+        lz,
+        complex(0.5 * l0 + 0.5 * lz),
+        complex(0.5 * lx, -0.5 * ly),
+        complex(0.5 * lx, 0.5 * ly),
+        complex(0.5 * l0 - 0.5 * lz),
+    )
 
 
 def integrate_density(
@@ -261,37 +297,44 @@ def integrate_density(
 ) -> Trajectory:
     """Integrate the matrix-form equation; returns Bloch rows plus rho samples.
 
-    Trace and Hermiticity are preserved by the flow on the unit-trace
-    manifold; the returned trajectory re-validates both at 1e-10 on every
-    sample.
+    ``gamma_provider`` is called once per distinct integrator time. Trace
+    and Hermiticity are preserved by the flow on the unit-trace manifold;
+    the returned trajectory re-validates both at 1e-10 on every sample.
     """
     times = np.asarray(times, dtype=float)
     _check_grid(times)
     y = np.array(rho0, dtype=complex)
     if y.shape != (2, 2) or not np.all(np.isfinite(y)):
         raise ValueError("initial state must be a finite 2x2 matrix")
-    h_mat = field_matrix(field)
-    base = _base_step(field, step)
+    (h00, h01), (h10, h11) = field_matrix(field).tolist()
 
-    def rhs(t, rho):
-        g = gamma_provider(t).matrix
-        shift = (
-            g[0, 0] * rho[0, 0] + g[0, 1] * rho[1, 0] + g[1, 0] * rho[0, 1] + g[1, 1] * rho[1, 1]
-        ).real
-        g_shifted = g - shift * _ID2
-        return -1j * (h_mat @ rho - rho @ h_mat) - (g_shifted @ rho + rho @ g_shifted)
+    def rhs(c, rho):
+        # -i [H, rho] - {G - Tr[G rho] 1, rho}, written out for 2x2.
+        g00, g01, g10, g11 = c[3], c[4], c[5], c[6]
+        r00, r01, r10, r11 = rho
+        shift = (g00 * r00 + g01 * r10 + g10 * r01 + g11 * r11).real
+        s00 = g00 - shift
+        s11 = g11 - shift
+        return (
+            -1j * ((h00 * r00 + h01 * r10) - (r00 * h00 + r01 * h10))
+            - ((s00 * r00 + g01 * r10) + (r00 * s00 + r01 * g10)),
+            -1j * ((h00 * r01 + h01 * r11) - (r00 * h01 + r01 * h11))
+            - ((s00 * r01 + g01 * r11) + (r00 * g01 + r01 * s11)),
+            -1j * ((h10 * r00 + h11 * r10) - (r10 * h00 + r11 * h10))
+            - ((g10 * r00 + s11 * r10) + (r10 * s00 + r11 * g10)),
+            -1j * ((h10 * r01 + h11 * r11) - (r10 * h01 + r11 * h11))
+            - ((g10 * r01 + s11 * r11) + (r10 * g01 + r11 * s11)),
+        )
 
-    def step_at(t):
-        g = gamma_provider(t)
-        rate = max(abs(g.lx), abs(g.ly), abs(g.lz))
-        return min(base, rate_cap / rate) if rate > 0.0 else base
-
-    rho_out = np.empty((len(times), 2, 2), dtype=complex)
-    rho_out[0] = y
-    for i in range(1, len(times)):
-        y = _advance(rhs, times[i - 1], times[i], y, step_at)
-        rho_out[i] = y
-
+    states = _rk4(
+        rhs,
+        lambda t: _gamma_entries(gamma_provider(t)),
+        tuple(y.ravel().tolist()),
+        times,
+        _base_step(field, step),
+        rate_cap,
+    )
+    rho_out = np.array(states).reshape(len(times), 2, 2)
     bloch = np.empty((len(times), 3))
     for i in range(len(times)):
         bloch[i] = density_to_bloch(rho_out[i]).as_array()

@@ -24,7 +24,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import bloch_to_density, fidelity
+# Unused here; perfbench/tracing.py wraps fit.fidelity and fit.bloch_to_density by name.
+from .core import bloch_to_density, fidelity  # noqa: F401
 from .dynamics import Trajectory
 
 _MAX_COMPONENT = 1.5  # loose physical bound for measured data
@@ -346,15 +347,17 @@ def _standard_errors(
 
 
 def fidelity_trace(theory: Trajectory, measured: Trajectory) -> np.ndarray:
-    """Per-sample state overlap of two trajectories on the same grid."""
+    """Per-sample state overlap of two trajectories on the same grid.
+
+    The :func:`~nhbloch.core.fidelity` of the two states, row-wise on the
+    Bloch rows: Tr[rho_a rho_b] = (1 + ra.rb) / 2 and Tr[rho^2] =
+    (1 + |r|^2) / 2 give (1 + ra.rb) / sqrt((1 + |ra|^2) (1 + |rb|^2)).
+    """
     if not np.array_equal(theory.times, measured.times):
         raise ValueError("trajectories are sampled on different grids")
-    values = np.empty(len(theory))
-    for i in range(len(theory)):
-        rho_a = theory.rho[i] if theory.rho is not None else bloch_to_density(theory.bloch[i])
-        rho_b = measured.rho[i] if measured.rho is not None else bloch_to_density(measured.bloch[i])
-        values[i] = fidelity(rho_a, rho_b)
-    return values
+    ra, rb = theory.bloch, measured.bloch
+    overlap = 1.0 + np.sum(ra * rb, axis=1)
+    return overlap / np.sqrt((1.0 + np.sum(ra * ra, axis=1)) * (1.0 + np.sum(rb * rb, axis=1)))
 
 
 def residual_magnetization_stats(fits: Iterable[FitResult | float]) -> tuple[float, float]:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nhbloch.analytic import CoherentField, DecayModel
+from nhbloch.core import bloch_to_density, fidelity
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,22 @@ def dsp() -> Benchmark:
 @pytest.fixture(scope="session")
 def grid_251() -> np.ndarray:
     return np.linspace(1e-9, 500e-6, 251)
+
+
+def _matrix_fidelity_trace(theory, measured) -> np.ndarray:
+    """Per-sample fidelity through 2x2 density matrices, stored rho preferred."""
+    values = np.empty(len(theory))
+    for i in range(len(theory)):
+        rho_a = theory.rho[i] if theory.rho is not None else bloch_to_density(theory.bloch[i])
+        rho_b = measured.rho[i] if measured.rho is not None else bloch_to_density(measured.bloch[i])
+        values[i] = fidelity(rho_a, rho_b)
+    return values
+
+
+@pytest.fixture(scope="session")
+def matrix_fidelity_trace():
+    """Reference for the row-wise fidelity: the density-matrix path."""
+    return _matrix_fidelity_trace
 
 
 def pytest_configure(config):

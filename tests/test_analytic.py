@@ -285,6 +285,29 @@ class TestGammaCoefficients:
         lam = np.array(gamma_coefficients(tpp.field, tpp.decay, t_star))
         assert np.max(np.abs(lam)) <= 1e-9 * tpp.decay.delta
 
+    @pytest.mark.parametrize("name", list(KERNEL_FIELDS))
+    def test_matches_numpy_decay_g_times_coherent_bloch(self, tpp, name):
+        # Same formulas on floats; math.exp and np.exp may differ in the last
+        # bit. Near the g root the numerator cancels, so the bound is a few
+        # ulp of its larger terms over the denominator.
+        field, d = KERNEL_FIELDS[name](tpp.omega1), tpp.decay
+        t_star = g_root(d)
+        for t in (1e-9, 1e-6, 0.5 * t_star, t_star, 2e-3, 1.0, 30.0):
+            g, r0 = decay_g(d, t), coherent_bloch(field, t)
+            ref = np.array([g * r0.x, g * r0.y, g * r0.z])
+            got = np.array(gamma_coefficients(field, d, t))
+            f = decay_f(d, t)
+            scale = (d.delta * math.exp(-d.delta * t) + d.nu * d.mu * math.exp(-d.mu * t)) / (
+                1.0 - f * f
+            )
+            assert np.all(np.abs(got - ref) <= 4.0 * np.spacing(scale)), t
+
+    @pytest.mark.parametrize("t", [0.0, -1e-9])
+    def test_rejects_non_positive_time(self, tpp, t):
+        with pytest.raises(ValueError) as info:
+            gamma_coefficients(tpp.field, tpp.decay, t)
+        assert str(info.value) == "g(t) is defined for t > 0 only (1/(2t) divergence at 0)"
+
 
 class TestPurityClosedForm:
     def test_starts_pure(self, tpp):

@@ -425,6 +425,29 @@ class TestCompare:
         assert payload["min_fidelity"] < 1.0 - 1e-9
         assert 0.0 <= payload["min_fidelity_time"] <= 500e-6
 
+    @pytest.mark.parametrize("model", ["ode-bloch", "ode-density"])
+    def test_min_fidelity_ties_density_matrix_path(self, tpp, capsys, model, matrix_fidelity_trace):
+        # The row-wise and matrix-path values near 1 differ by a few ulp, so the
+        # reported minimum may sit on any sample that ties the matrix-path
+        # minimum within 1e-15 (about 9 ulp at 1).
+        flags = [
+            "compare", "--a", "analytic", "--b", model, "--rabi-hz", repr(tpp.rabi_hz),
+            "--mu", repr(tpp.decay.mu), "--delta-mu-ratio", "11.5", "--nu", repr(tpp.decay.nu),
+            "--t-max", "500e-6", "--samples", "251",
+        ]  # fmt: skip
+        code, out, _ = run(capsys, *flags, "--json")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        args = cli.build_parser().parse_args(flags)
+        field, decay = cli._field_from_args(args), cli._decay_from_args(args)
+        times = cli._grid_from_args(args, model, decay)
+        theory = cli._simulate("analytic", field, decay, times)
+        ref = matrix_fidelity_trace(theory, cli._simulate(model, field, decay, times))
+        assert abs(payload["min_fidelity"] - np.min(ref)) <= 1e-15
+        i = int(np.searchsorted(times, payload["min_fidelity_time"]))
+        assert times[i] == payload["min_fidelity_time"]
+        assert ref[i] - np.min(ref) <= 1e-15
+
     def test_grid_mismatch_is_numerical_failure(self, tpp, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run(capsys, *tpp_flags(tpp, samples=51, extra=("--out", str(a))))

@@ -26,6 +26,88 @@ from nhbloch.dynamics import (
 ZERO_LAMBDA = lambda t: (0.0, 0.0, 0.0)
 
 
+def _numpy_rk4(rhs, step_at, y, times):
+    """RK4 on numpy arrays, one provider call per use: the reference for _rk4."""
+    out = [y]
+    for t0, t1 in zip(times[:-1], times[1:]):
+        t = t0
+        while t < t1:
+            h = min(step_at(t), t1 - t)
+            half = 0.5 * h
+            k1 = rhs(t, y)
+            k2 = rhs(t + half, y + half * k1)
+            k3 = rhs(t + half, y + half * k2)
+            k4 = rhs(t + h, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            t = t1 if h >= t1 - t else t + h
+        out.append(y)
+    return np.array(out)
+
+
+def _numpy_step_at(field, rates, rate_cap=0.01):
+    base = (2.0 * math.pi / field.omega) / 200
+
+    def step_at(t):
+        rate = max(abs(v) for v in rates(t))
+        return min(base, rate_cap / rate) if rate > 0.0 else base
+
+    return step_at
+
+
+def numpy_bloch(field, lam, r0, times):
+    """Bloch form on numpy length-3 arrays; a provider call per use."""
+    wx, wy, wz = field.wx, field.wy, field.wz
+
+    def rhs(t, r):
+        lx, ly, lz = lam(t)
+        dot = lx * r[0] + ly * r[1] + lz * r[2]
+        return np.array(
+            [
+                r[0] * dot + wy * r[2] - wz * r[1] - lx,
+                r[1] * dot + wz * r[0] - wx * r[2] - ly,
+                r[2] * dot + wx * r[1] - wy * r[0] - lz,
+            ]
+        )
+
+    return _numpy_rk4(rhs, _numpy_step_at(field, lam), np.array(r0, dtype=float), times)
+
+
+def numpy_density(field, gam, rho0, times):
+    """Matrix form on numpy 2x2 arrays; returns the rho samples."""
+    h_mat = field_matrix(field)
+
+    def rhs(t, rho):
+        g = gam(t).matrix
+        shift = (
+            g[0, 0] * rho[0, 0] + g[0, 1] * rho[1, 0] + g[1, 0] * rho[0, 1] + g[1, 1] * rho[1, 1]
+        ).real
+        g_shifted = g - shift * np.eye(2, dtype=complex)
+        return -1j * (h_mat @ rho - rho @ h_mat) - (g_shifted @ rho + rho @ g_shifted)
+
+    def rates(t):
+        g = gam(t)
+        return g.lx, g.ly, g.lz
+
+    return _numpy_rk4(rhs, _numpy_step_at(field, rates), np.array(rho0, dtype=complex), times)
+
+
+class CountingProvider:
+    """Damping provider that records every time it is asked for."""
+
+    def __init__(self, field, decay):
+        self.field, self.decay, self.times = field, decay, []
+
+    def __call__(self, t):
+        self.times.append(t)
+        return gamma_coefficients(self.field, self.decay, t)
+
+
+def _detuned_model():
+    w1 = 2.0 * math.pi * 22245.3
+    field = CoherentField(w1 * math.cos(2.0), w1 * math.sin(2.0), -2.0 * math.pi * 5000.0)
+    return field, DecayModel(11.5 * 525.8, 525.8, 0.0653)
+
+
 @pytest.fixture(scope="module")
 def tpp_runs(tpp, grid_251):
     """One Bloch-form and one matrix-form integration of the benchmark."""
@@ -116,6 +198,54 @@ class TestEffectiveHamiltonian:
         np.testing.assert_allclose(anti, -1j * (gamma.matrix - shift * np.eye(2)), atol=1e-12)
         # The shifted operator has zero trace contribution in the drift.
         assert abs(np.trace(anti @ rho).real) <= 1e-12 * np.max(np.abs(anti))
+
+
+class TestScalarRK4:
+    @pytest.mark.parametrize(
+        "t_max, samples, calls", [(500e-6, 251, 5323), (2e-3, 1001, 18823)]
+    )
+    @pytest.mark.parametrize("form", ["bloch", "density"])
+    def test_one_provider_call_per_distinct_time(self, tpp, form, t_max, samples, calls):
+        # Five calls per RK4 step would make 13,305 and 47,055 on these grids.
+        times = np.linspace(1e-9, t_max, samples)
+        lam = CountingProvider(tpp.field, tpp.decay)
+        r0 = damped_bloch(tpp.field, tpp.decay, times[0])
+        if form == "bloch":
+            integrate_bloch(tpp.field, lam, r0, times)
+        else:
+            gam = lambda t: GammaOperator(0.0, *lam(t))
+            integrate_density(tpp.field, gam, bloch_to_density(r0), times)
+        assert len(lam.times) == len(set(lam.times)) == calls
+
+    @pytest.mark.parametrize("model", ["tpp", "detuned"])
+    def test_bloch_is_bit_identical_to_numpy_reference(self, tpp, grid_251, model):
+        field, decay = (tpp.field, tpp.decay) if model == "tpp" else _detuned_model()
+        lam = lambda t: gamma_coefficients(field, decay, t)
+        r0 = damped_bloch(field, decay, grid_251[0])
+        traj = integrate_bloch(field, lam, r0, grid_251)
+        assert np.array_equal(traj.bloch, numpy_bloch(field, lam, r0.as_array(), grid_251))
+
+    @pytest.mark.parametrize("model", ["tpp", "detuned"])
+    def test_density_matches_numpy_reference(self, tpp, grid_251, model):
+        # numpy's 2x2 complex products go through BLAS, which may fuse
+        # multiply-adds; the written-out scalar products round differently.
+        # Over ~2,700 steps a random walk of ulp-level differences stays
+        # below sqrt(2700) * eps ~ 1e-14.
+        field, decay = (tpp.field, tpp.decay) if model == "tpp" else _detuned_model()
+        gam = lambda t: GammaOperator(0.0, *gamma_coefficients(field, decay, t))
+        rho0 = bloch_to_density(damped_bloch(field, decay, grid_251[0]))
+        traj = integrate_density(field, gam, rho0, grid_251)
+        assert np.max(np.abs(traj.rho - numpy_density(field, gam, rho0, grid_251))) <= 1e-14
+
+    def test_underflow_message(self):
+        with pytest.raises(RuntimeError) as info:
+            integrate_density(
+                CoherentField(0.0, 1.0, 0.0),
+                lambda t: GammaOperator(0.0, 0.0, 0.0, 1e300),
+                bloch_to_density((0.0, 0.0, 1.0)),
+                [1.0, 2.0],
+            )
+        assert str(info.value) == "integration step underflow at t = 1.0"
 
 
 class TestIntegrateBloch:

@@ -231,6 +231,22 @@ class TestFidelityTrace:
             fidelity_trace(with_rho, Trajectory(times, bloch)), 1.0, atol=1e-12
         )
 
+    def test_matches_density_matrix_path(self, tpp, matrix_fidelity_trace):
+        # Tr[rho_a rho_b] = (1 + ra.rb) / 2 in this basis; the row-wise form
+        # may differ from the matrix products in the last bits only.
+        times = np.linspace(0.0, 500e-6, 251)
+        bloch = np.array([list(damped_bloch(tpp.field, tpp.decay, t)) for t in times])
+        rng = np.random.default_rng(7)
+        theory = Trajectory(times, bloch)
+        pairs = [
+            (theory, Trajectory(times, bloch + rng.normal(0.0, 0.05, bloch.shape))),
+            (theory, Trajectory(times, np.zeros_like(bloch))),
+            (Trajectory(times, rng.uniform(-0.5, 0.5, bloch.shape)), theory),
+            (Trajectory(times, bloch, np.stack([bloch_to_density(b) for b in bloch])), theory),
+        ]
+        for a, b in pairs:
+            assert np.max(np.abs(fidelity_trace(a, b) - matrix_fidelity_trace(a, b))) <= 1e-15
+
 
 class TestResidualMagnetizationStats:
     def test_reference_pair(self):
