@@ -46,6 +46,10 @@ _MODELS = ("analytic", "ode-bloch", "ode-density")
 # Seed time for ODE runs with decay: the damping coefficients diverge at 0.
 _SINGULAR_T0 = 1e-9
 
+# fit refuses a record whose m_y ratio of successive differences lies this
+# many standard deviations below white noise's (see _my_signal).
+_MY_SIGNAL_Z = 5.0
+
 # Rows per chunk when CSV tables are formatted or parsed: whole-table text
 # costs memory in proportion to the record, a few thousand rows do not.
 _CSV_CHUNK_ROWS = 4096
@@ -280,8 +284,39 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _my_signal(series: MagnetizationSeries) -> str | None:
+    """Why the record's m_y rules the fit model out, or None.
+
+    The model drives on resonance along -y (phi = 1.5 pi), which keeps m_y
+    at 0; any other phase or a detuning puts signal there. The von Neumann
+    ratio eta = sum(diff(my)^2) / sum(my^2) of white noise about zero is 2
+    with variance 4/N, and smooth structure pulls it toward 0, so
+    z = (2 - eta) / sqrt(4/N) > _MY_SIGNAL_Z flags signal. An m_y below
+    sqrt(eps) of the record's amplitude is rounding residue (about 1e-16 on a
+    clean resonant record) and is never signal.
+    """
+    my = series.my
+    power = float(my @ my)
+    my_rms = math.sqrt(power / len(my))
+    amplitude = max(float(np.max(np.abs(series.mx))), float(np.max(np.abs(series.mz))))
+    if not my_rms > math.sqrt(np.finfo(float).eps) * amplitude:
+        return None
+    eta = float(np.sum(np.diff(my) ** 2)) / power
+    z = (2.0 - eta) / math.sqrt(4.0 / len(my))
+    if not z > _MY_SIGNAL_Z:
+        return None
+    return (
+        f"m_y carries signal (rms {my_rms:.3g}, von Neumann z = {z:.1f} > {_MY_SIGNAL_Z:g});"
+        " the fit model assumes a resonant drive (phi = 1.5 pi, no detuning), which keeps m_y at 0"
+    )
+
+
 def cmd_fit(args) -> int:
     series = _read_series(args.input)
+    mismatch = _my_signal(series)
+    if mismatch is not None:
+        print(f"error: {mismatch}", file=sys.stderr)
+        return EXIT_NUMERICAL
     guess = None
     if args.guess is not None:
         delta, mu, nu, rabi_hz = args.guess

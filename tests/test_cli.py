@@ -218,6 +218,88 @@ class TestFit:
         assert json.loads(out)["command"] == "fit"
 
 
+# Results of the lab-frame LM fit that fitted nu as a fourth parameter, on
+# the acceptance-7 records: (delta, mu, nu, omega1) of the clean free fit and
+# (delta, mu, nu, omega1, rms) of the sigma 0.01 ratio-pinned fits, noise
+# seeds 0-19.
+LAB_FRAME_CLEAN = (6046.774490970914, 525.806477475756, 0.06529999999999737, 139771.34211380212)
+LAB_FRAME_PINNED = (
+    (6053.509603260537, 526.3921394139597, 0.062200616668510546, 139787.4667792765, 0.009926520793291819),
+    (6081.769078835738, 528.8494851161511, 0.08026586795228116, 139788.75114485575, 0.009785544344152273),
+    (6026.535351487676, 524.0465523032761, 0.06252638343443188, 139761.01297490406, 0.009812519360748423),
+    (6076.911234638306, 528.4270638815918, 0.07609268961443368, 139783.20971282158, 0.00991931751932706),
+    (6054.646698177873, 526.4910172328586, 0.07164812403190138, 139771.03152296453, 0.010061750232784881),
+    (6012.630460190788, 522.8374313209381, 0.056847298553095324, 139787.17424477296, 0.009497150373224858),
+    (6041.161422040742, 525.3183845252819, 0.05639445062515266, 139790.80708348157, 0.009972108438911014),
+    (6045.345230405004, 525.6821939482612, 0.06341986283576814, 139770.0761855849, 0.009663028288338597),
+    (6046.621074118641, 525.7931368798819, 0.06738865589128279, 139765.5868084926, 0.010159044717451535),
+    (6018.513727398776, 523.3490197738066, 0.05276378641820588, 139780.20663975406, 0.009933822569912603),
+    (6073.559767875482, 528.1356319891723, 0.06831910051305633, 139745.54994304624, 0.010197132330302686),
+    (6082.23756955713, 528.8902234397505, 0.07557444889576671, 139762.58014116832, 0.009753874623630804),
+    (6038.803923205458, 525.1133846265616, 0.059926927208407484, 139772.54259633753, 0.009882332449703548),
+    (6057.674000026285, 526.7542608718509, 0.06841502223455159, 139769.49793785322, 0.010075736073645092),
+    (6041.148311680017, 525.3172444939146, 0.060959251161333404, 139762.92208781556, 0.009860076692956849),
+    (6070.447395949642, 527.8649909521428, 0.07169170877184405, 139779.4796403428, 0.009585118412905064),
+    (6087.675723472207, 529.3631063888876, 0.0741863708979999, 139767.90444988152, 0.009806761093902808),
+    (6043.924442319082, 525.5586471581811, 0.06993944649710832, 139762.7010393896, 0.00982448677436488),
+    (6041.113466695771, 525.3142144952844, 0.06454747516139521, 139769.6171996496, 0.010174268034667543),
+    (6016.304694605223, 523.1569299656716, 0.05702334501297441, 139771.57017845113, 0.010067873195320052),
+)
+
+
+def fit_json(capsys, record, *flags):
+    code, out, err = run(capsys, "fit", str(record), *flags)
+    assert code == EXIT_OK, err
+    payload = json.loads(out)
+    return (payload["delta"], payload["mu"], payload["nu"], payload["omega1"]), payload["rms"]
+
+
+class TestFitMatchesLabFrameFit:
+    """The rotating-frame fit lands where the lab-frame LM with a fitted nu did."""
+
+    def test_clean_free_fit(self, tpp, tmp_path, capsys):
+        record = tmp_path / "clean.csv"
+        run(capsys, *tpp_flags(tpp, extra=("--out", str(record))))
+        params, rms = fit_json(capsys, record)
+        assert params == pytest.approx(LAB_FRAME_CLEAN, rel=1e-7)
+        assert rms <= 1e-13  # rounding level, where no two fits agree to 1e-12
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_acceptance_7_pinned_fit(self, tpp, tmp_path, capsys, seed):
+        record = tmp_path / "noisy.csv"
+        noise = ("--noise", "0.01", "--seed", str(seed), "--out", str(record))
+        run(capsys, *tpp_flags(tpp, extra=noise))
+        params, rms = fit_json(capsys, record, "--fix-ratio", "11.5")
+        assert params == pytest.approx(LAB_FRAME_PINNED[seed][:4], rel=1e-7)
+        assert rms == pytest.approx(LAB_FRAME_PINNED[seed][4], rel=1e-12)
+
+
+class TestFitRefusesSignalInMy:
+    @pytest.mark.parametrize("extra", [("--phi", "1.0"), ("--detuning-hz", "5000")])
+    @pytest.mark.parametrize("mode", [("--fix-ratio", "11.5"), ()])
+    def test_off_resonance_record_exits_2(self, tpp, tmp_path, capsys, extra, mode):
+        # The model cannot describe these records. The lab-frame fit with a
+        # fitted nu died on "nu=1.0 outside [0, 1)" on the phi 1.0 record and
+        # answered rabi 22800 Hz (true 22245 Hz) with exit 0 on the detuned one.
+        record = tmp_path / "off.csv"
+        run(capsys, *tpp_flags(tpp, extra=extra + ("--out", str(record))))
+        code, out, err = run(capsys, "fit", str(record), *mode)
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert "m_y carries signal" in err and "resonant drive" in err
+
+    @pytest.mark.parametrize("samples", [251, 100_000])
+    def test_nominal_records_still_fit(self, tpp, tmp_path, capsys, samples):
+        # A clean record's m_y is cos(2.5 pi) rounding, about 1e-16, with a
+        # von Neumann z near sqrt(N): the amplitude floor must let it through.
+        for noise in (None, "0.01", "0.05"):
+            record = tmp_path / f"nominal-{noise}.csv"
+            extra = () if noise is None else ("--noise", noise, "--seed", "11")
+            run(capsys, *tpp_flags(tpp, samples=samples, extra=extra + ("--out", str(record))))
+            code, _, err = run(capsys, "fit", str(record), "--fix-ratio", "11.5")
+            assert code == EXIT_OK, (noise, err)
+
+
 def reference_csv(times, mx, my, mz, purity=None):
     """The per-row repr formatter the streamed CSV writer must match byte for byte."""
     lines = ["t,mx,my,mz" + (",purity" if purity is not None else "")]

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from nhbloch.analytic import CoherentField, DecayModel, damped_bloch, decay_f
+from nhbloch.analytic import CoherentField, DecayModel, damped_bloch, decay_f, trajectory
 from nhbloch.core import bloch_to_density
 from nhbloch.dynamics import Trajectory
 from nhbloch.fit import (
     DegenerateJacobianError,
     FitResult,
     MagnetizationSeries,
+    _demodulate,
     default_initial_guess,
     fidelity_trace,
     fit_decay_model,
@@ -159,6 +160,54 @@ class TestFit:
         )
         res = fit_decay_model(series)
         assert res.my_rms == pytest.approx(0.05, rel=1e-12)
+
+
+def _envelope_series(times, delta, mu, nu, omega1):
+    """Resonant record of the fit model itself; nu may lie outside [0, 1)."""
+    f = np.exp(-delta * times) - nu * np.expm1(-mu * times)
+    phase = omega1 * times
+    return MagnetizationSeries(times, f * np.sin(phase), np.zeros_like(times), f * np.cos(phase))
+
+
+class TestRotatingFrame:
+    def test_cost_equals_lab_frame_cost(self, tpp, tpp_series):
+        rng = np.random.default_rng(2024)
+        times = tpp_series.times
+        noisy = _series_from_model(tpp.field, tpp.decay, times, noise=0.05, seed=3)
+        for series in (tpp_series, noisy):
+            record = series.mz + 1j * series.mx
+            for _ in range(50):
+                mu = rng.uniform(50.0, 5000.0)
+                delta, nu = mu * rng.uniform(1.0, 30.0), rng.uniform(0.0, 1.0)
+                params = (delta, mu, nu, rng.uniform(0.5, 2.0) * tpp.omega1)
+                p, q, a, b = _demodulate(record, times, delta, mu, params[3])
+                r = p - a - nu * b
+                lab = residuals(params, series)
+                assert float(r @ r + q @ q) == pytest.approx(float(lab @ lab), rel=1e-13)
+
+    def test_projected_nu_below_zero_returns_zero(self, tpp):
+        times = np.linspace(0.0, 500e-6, 251)
+        series = _envelope_series(times, tpp.decay.delta, tpp.decay.mu, -0.05, tpp.omega1)
+        for ratio in (11.5, None):
+            res = fit_decay_model(series, delta_mu_ratio=ratio)
+            assert res.nu == 0.0
+
+    @pytest.mark.parametrize("nu", [1.0, 1.2])
+    def test_projected_nu_of_one_or_more_stays_below_one(self, tpp, nu):
+        times = np.linspace(0.0, 500e-6, 251)
+        series = _envelope_series(times, tpp.decay.delta, tpp.decay.mu, nu, tpp.omega1)
+        for ratio in (11.5, None):
+            res = fit_decay_model(series, delta_mu_ratio=ratio)
+            assert 0.0 < res.nu < 1.0
+
+    def test_noise_benchmark_free_fit_that_hit_nu_one(self, tpp):
+        # fit_noise_benchmark.py's record at sigma 0.05, noise seed 13: the old
+        # logistic nu rounded to 1.0 here and the free fit raised ValueError.
+        times = np.linspace(0.0, 500e-6, 251)
+        clean = trajectory(tpp.field, tpp.decay, times)
+        noisy = clean + np.random.default_rng(13).normal(0.0, 0.05, clean.shape)
+        res = fit_decay_model(MagnetizationSeries(times, noisy[:, 0], noisy[:, 1], noisy[:, 2]))
+        assert 0.0 <= res.nu < 1.0
 
 
 class TestInitialGuess:

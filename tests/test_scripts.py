@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -18,14 +19,53 @@ def run_script(name, *args):
     )
 
 
-def test_free_noise_benchmark_counts_refused_fits():
-    # Noise seed 13 at sigma 0.05 drives the free fit's nu to 1.0, which the
-    # fit refuses with a ValueError; the script must count it and go on.
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def counts(stdout, mode):
+    """(sigma, answered, refused, capped) of the rows under ``== fit mode: <mode>``."""
+    lines = stdout.splitlines()
+    start = lines.index(f"== fit mode: {mode}") + 2
+    rows = []
+    for line in lines[start:]:
+        if line.startswith("=="):
+            break
+        fields = line.split()
+        rows.append((fields[0], *(int(v) for v in fields[-3:])))
+    return rows
+
+
+def test_free_noise_benchmark_accounts_for_every_trial():
     proc = run_script("fit_noise_benchmark.py", "--free", "--trials", "20", "--noise", "0.05")
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    free = lines[lines.index("== fit mode: free") + 2].split()
-    answered, refused, capped = (int(v) for v in free[-3:])
-    assert free[0] == "0.050"
-    assert refused >= 1
-    assert answered + refused + capped == 20
+    for mode in ("ratio 11.5", "free"):
+        [(sigma, answered, refused, capped)] = counts(proc.stdout, mode)
+        assert sigma == "0.050"
+        assert answered + refused + capped == 20
+
+
+def test_free_noise_benchmark_counts_refused_fits(monkeypatch, capsys):
+    # Refusals are whatever fit_decay_model raises (the CLI's exit-2 errors);
+    # make every second fit raise one and check that each is counted.
+    script = load_script("fit_noise_benchmark.py")
+    real_fit = script.fit_decay_model
+    calls = []
+
+    def refusing_fit(series, **kwargs):
+        calls.append(kwargs)
+        if len(calls) % 4 == 2:
+            raise ValueError("refused")
+        if len(calls) % 4 == 0:
+            raise RuntimeError("refused")
+        return real_fit(series, **kwargs)
+
+    monkeypatch.setattr(script, "fit_decay_model", refusing_fit)
+    monkeypatch.setattr(sys, "argv", ["fit_noise_benchmark.py", "--trials", "4", "--noise", "0.002"])
+    script.main()
+    [(sigma, answered, refused, capped)] = counts(capsys.readouterr().out, "ratio 11.5")
+    assert len(calls) == 4
+    assert (sigma, answered, refused, capped) == ("0.002", 2, 2, 0)
