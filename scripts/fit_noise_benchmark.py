@@ -16,12 +16,12 @@ ridge, and answered ones often end at nu near 1 with a large nu error.
 """
 
 import argparse
-import math
 
 import numpy as np
 
-from nhbloch.analytic import CoherentField, DecayModel, trajectory
+from nhbloch.analytic import trajectory
 from nhbloch.fit import MagnetizationSeries, fit_decay_model
+from nhbloch.nmr import p31_sample
 
 
 def main():
@@ -31,11 +31,8 @@ def main():
     parser.add_argument("--free", action="store_true", help="also run the unconstrained fit")
     args = parser.parse_args()
 
-    w_nominal = 2.0 * math.pi * 21186.0
-    mu = 3.95e-3 * w_nominal
-    decay = DecayModel(11.5 * mu, mu, 6.53e-2)
-    field = CoherentField(0.0, 1.05 * w_nominal, 0.0)
-    truth = np.array([decay.delta, decay.mu, decay.nu, 1.05 * w_nominal])
+    field, decay = p31_sample("tpp")
+    truth = np.array([decay.delta, decay.mu, decay.nu, field.wy])
 
     times = np.linspace(0.0, 500e-6, 251)
     clean = trajectory(field, decay, times)

@@ -7,14 +7,11 @@ integrations in both representations, and writes plot-ready CSV tables.
 """
 
 import argparse
-import math
 from pathlib import Path
 
 import numpy as np
 
 from nhbloch.analytic import (
-    CoherentField,
-    DecayModel,
     damped_bloch,
     gamma_coefficients,
     purity_closed_form,
@@ -23,20 +20,7 @@ from nhbloch.analytic import (
 from nhbloch.core import bloch_to_density
 from nhbloch.dynamics import GammaOperator, Trajectory, integrate_bloch, integrate_density, max_deviation
 from nhbloch.fit import residual_magnetization_stats
-
-SAMPLES = {
-    # Tri-phenyl phosphate and di-sodium phosphate benchmark sets:
-    # (nominal rabi Hz, drive scale, mu / omega1, nu)
-    "tpp": (21186.0, 1.05, 3.95e-3, 6.53e-2),
-    "dsp": (18657.0, 1.07, 3.79e-3, 5.82e-2),
-}
-
-
-def build(name):
-    nominal_hz, scale, mu_ratio, nu = SAMPLES[name]
-    w_nominal = 2.0 * math.pi * nominal_hz
-    mu = mu_ratio * w_nominal
-    return CoherentField(0.0, scale * w_nominal, 0.0), DecayModel(11.5 * mu, mu, nu)
+from nhbloch.nmr import P31_SAMPLES, p31_sample
 
 
 def main():
@@ -49,8 +33,8 @@ def main():
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    for name in SAMPLES:
-        field, decay = build(name)
+    for name in P31_SAMPLES:
+        field, decay = p31_sample(name)
         times = np.linspace(1e-9, args.t_max, args.samples)
         exact = Trajectory(times, trajectory(field, decay, times))
 
@@ -75,7 +59,7 @@ def main():
         print(f"[{name}] closed form vs density ODE : {max_deviation(exact, ode_d).overall:.3e}")
         print(f"[{name}] purity asymptote           : {0.5 + 0.5 * decay.nu**2:.6f}")
 
-    mean, half = residual_magnetization_stats([SAMPLES[n][3] for n in SAMPLES])
+    mean, half = residual_magnetization_stats([nu for *_, nu in P31_SAMPLES.values()])
     print(f"residual magnetization across samples: {mean:.3f} +/- {half:.3f} %")
 
 

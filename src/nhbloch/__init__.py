@@ -10,7 +10,6 @@ from .analytic import (
     CoherentField,
     DecayModel,
     coherent_bloch,
-    coherent_propagate,
     damped_bloch,
     decay_f,
     decay_g,
@@ -32,6 +31,7 @@ from .dynamics import (
     GammaOperator,
     Trajectory,
     effective_hamiltonian,
+    fidelity_trace,
     field_matrix,
     integrate_bloch,
     integrate_density,
@@ -42,7 +42,6 @@ from .fit import (
     FitResult,
     MagnetizationSeries,
     default_initial_guess,
-    fidelity_trace,
     fit_decay_model,
     residual_magnetization_stats,
     residuals,
@@ -50,10 +49,12 @@ from .fit import (
 from .nmr import (
     HBAR,
     KB,
+    P31_SAMPLES,
     ROOM_TEMPERATURE_K,
     NmrContext,
     deviation_matrix,
-    dimensionless_magnetization,
+    drive_field,
+    p31_sample,
     partition_function,
     polarization_factor,
     pseudo_pure_decompose,
@@ -76,19 +77,19 @@ __all__ = [
     "KB",
     "MagnetizationSeries",
     "NmrContext",
+    "P31_SAMPLES",
     "ROOM_TEMPERATURE_K",
     "Trajectory",
     "bloch_to_density",
     "check_density_matrix",
     "coherent_bloch",
-    "coherent_propagate",
     "damped_bloch",
     "decay_f",
     "decay_g",
     "default_initial_guess",
     "density_to_bloch",
     "deviation_matrix",
-    "dimensionless_magnetization",
+    "drive_field",
     "effective_hamiltonian",
     "fidelity",
     "fidelity_trace",
@@ -99,6 +100,7 @@ __all__ = [
     "integrate_bloch",
     "integrate_density",
     "max_deviation",
+    "p31_sample",
     "partition_function",
     "polarization_factor",
     "pseudo_pure_decompose",

@@ -101,28 +101,6 @@ def coherent_bloch(field: CoherentField, t: float) -> BlochVector:
     return BlochVector(*_north_pole_rotation(field, t))
 
 
-def coherent_propagate(field: CoherentField, r0: BlochVector, t: float) -> BlochVector:
-    """Rotate an arbitrary initial vector about the field axis by omega*t.
-
-    Norm-preserving Rodrigues rotation; reduces to :func:`coherent_bloch`
-    for r0 = (0, 0, 1) and to the identity for a vanishing field.
-    """
-    om = field.omega
-    if om <= _DEGENERATE_FIELD * max(1.0, abs(field.wx), abs(field.wy), abs(field.wz)):
-        return r0
-    nx, ny, nz = field.wx / om, field.wy / om, field.wz / om
-    angle = om * t
-    s = math.sin(angle)
-    vers = 2.0 * math.sin(0.5 * angle) ** 2
-    cos = 1.0 - vers
-    dot = nx * r0.x + ny * r0.y + nz * r0.z
-    return BlochVector(
-        r0.x * cos + (ny * r0.z - nz * r0.y) * s + nx * dot * vers,
-        r0.y * cos + (nz * r0.x - nx * r0.z) * s + ny * dot * vers,
-        r0.z * cos + (nx * r0.y - ny * r0.x) * s + nz * dot * vers,
-    )
-
-
 def decay_f(model: DecayModel, t):
     """Decay envelope exp(-delta t) + nu (1 - exp(-mu t)); scalar or array."""
     t = np.asarray(t, dtype=float)

@@ -2,13 +2,14 @@
 
 Frequencies are taken in Hz on the command line and converted by 2*pi
 internally; decay rates are plain 1/s; angles are given in units of pi
-(``--phi 1.5`` means 3*pi/2). Trajectory tables use the CSV contract
+(``--phi 1.5`` means 3*pi/2). Every float flag must be finite. Trajectory
+tables use the CSV contract
 
     t,mx,my,mz[,purity]
 
 with LF line endings, '.' decimals and seconds for time; the purity column
-appears on output only. JSON results carry ``schema_version`` "1". File
-writes are whole-file atomic. Exit codes: 0 success, 1 usage or parse
+appears on output only. JSON results carry ``schema_version`` "1" and are
+strict JSON (no NaN or Infinity). File writes are whole-file atomic. Exit codes: 0 success, 1 usage or parse
 failure, 2 numerical failure.
 """
 
@@ -33,9 +34,16 @@ from .analytic import (
     trajectory,
 )
 from .core import bloch_to_density
-from .dynamics import GammaOperator, Trajectory, integrate_bloch, integrate_density, max_deviation
-from .fit import DegenerateJacobianError, MagnetizationSeries, fidelity_trace, fit_decay_model
-from .nmr import NmrContext, partition_function, polarization_factor
+from .dynamics import (
+    GammaOperator,
+    Trajectory,
+    fidelity_trace,
+    integrate_bloch,
+    integrate_density,
+    max_deviation,
+)
+from .fit import DegenerateJacobianError, MagnetizationSeries, _check_feasible, fit_decay_model
+from .nmr import NmrContext, drive_field, partition_function, polarization_factor
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -86,7 +94,7 @@ def _write_text(path: str | None, text):
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _csv_text(times, mx, my, mz, purity=None):
@@ -157,13 +165,24 @@ def _read_series(path: str) -> MagnetizationSeries:
         raise CsvFormatError(f"{path}: {exc}") from None
 
 
+def _finite(text: str) -> float:
+    """argparse type of every float flag: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("not a finite number")
+    return value
+
+
 def _add_field_args(sp: argparse.ArgumentParser):
-    sp.add_argument("--rabi-hz", type=float, help="drive strength nu_1 in Hz (omega_1 = 2 pi nu_1)")
-    sp.add_argument("--phi", type=float, default=1.5, help="drive phase in units of pi (default 1.5)")
-    sp.add_argument("--detuning-hz", type=float, default=0.0, help="larmor minus drive frequency, Hz")
+    sp.add_argument("--rabi-hz", type=_finite, help="drive strength nu_1 in Hz (omega_1 = 2 pi nu_1)")
+    sp.add_argument("--phi", type=_finite, default=1.5, help="drive phase in units of pi (default 1.5)")
+    sp.add_argument("--detuning-hz", type=_finite, default=0.0, help="larmor minus drive frequency, Hz")
     sp.add_argument(
         "--field-hz",
-        type=float,
+        type=_finite,
         nargs=3,
         metavar=("WX", "WY", "WZ"),
         help="explicit field components in Hz (overrides --rabi-hz)",
@@ -171,18 +190,18 @@ def _add_field_args(sp: argparse.ArgumentParser):
 
 
 def _add_decay_args(sp: argparse.ArgumentParser):
-    sp.add_argument("--delta", type=float, help="fast decay rate, 1/s")
-    sp.add_argument("--mu", type=float, help="slow decay rate, 1/s")
-    sp.add_argument("--nu", type=float, help="residual bloch radius (dimensionless)")
-    sp.add_argument("--delta-mu-ratio", type=float, help="set delta = ratio * mu")
+    sp.add_argument("--delta", type=_finite, help="fast decay rate, 1/s")
+    sp.add_argument("--mu", type=_finite, help="slow decay rate, 1/s")
+    sp.add_argument("--nu", type=_finite, help="residual bloch radius (dimensionless)")
+    sp.add_argument("--delta-mu-ratio", type=_finite, help="set delta = ratio * mu")
 
 
 def _add_grid_args(sp: argparse.ArgumentParser):
-    sp.add_argument("--t-max", type=float, help="last sample time, s")
+    sp.add_argument("--t-max", type=_finite, help="last sample time, s")
     sp.add_argument("--samples", type=int, default=251, help="number of samples (default 251)")
     sp.add_argument(
         "--t-start",
-        type=float,
+        type=_finite,
         help="first sample time, s (default 0; ODE models with decay default to 1e-9)",
     )
 
@@ -195,11 +214,7 @@ def _field_from_args(args) -> CoherentField:
         raise UsageError("need --rabi-hz or --field-hz")
     if args.rabi_hz <= 0.0:
         raise UsageError("--rabi-hz must be positive")
-    omega1 = two_pi * args.rabi_hz
-    phase = math.pi * args.phi + math.pi
-    return CoherentField(
-        omega1 * math.cos(phase), omega1 * math.sin(phase), -two_pi * args.detuning_hz
-    )
+    return drive_field(two_pi * args.rabi_hz, math.pi * args.phi, two_pi * args.detuning_hz)
 
 
 def _decay_from_args(args) -> DecayModel | None:
@@ -255,6 +270,10 @@ def cmd_simulate(args) -> int:
     times = _grid_from_args(args, args.model, decay)
     if args.noise is not None and args.seed is None:
         raise UsageError("--noise needs --seed for a reproducible record")
+    if args.noise is not None and args.noise < 0.0:
+        raise UsageError("--noise must be non-negative")
+    if args.seed is not None and args.seed < 0:
+        raise UsageError("--seed must be non-negative")
     traj = _simulate(args.model, field, decay, times)
     # Purity is reported for the clean model state; noise perturbs only the
     # magnetization columns.
@@ -312,15 +331,21 @@ def _my_signal(series: MagnetizationSeries) -> str | None:
 
 
 def cmd_fit(args) -> int:
+    if args.fix_ratio is not None and args.fix_ratio < 1.0:
+        raise UsageError("--fix-ratio must be at least 1")
+    guess = None
+    if args.guess is not None:
+        delta, mu, nu, rabi_hz = args.guess
+        guess = (delta, mu, nu, 2.0 * math.pi * rabi_hz)
+        try:
+            _check_feasible(guess)
+        except ValueError as exc:
+            raise UsageError(f"--guess: {exc}") from None
     series = _read_series(args.input)
     mismatch = _my_signal(series)
     if mismatch is not None:
         print(f"error: {mismatch}", file=sys.stderr)
         return EXIT_NUMERICAL
-    guess = None
-    if args.guess is not None:
-        delta, mu, nu, rabi_hz = args.guess
-        guess = (delta, mu, nu, 2.0 * math.pi * rabi_hz)
     result = fit_decay_model(series, guess, delta_mu_ratio=args.fix_ratio)
     payload = {
         "schema_version": "1",
@@ -347,42 +372,30 @@ def cmd_fit(args) -> int:
     return EXIT_OK if result.converged else EXIT_NUMERICAL
 
 
-def _resolve_source(source: str, args, other_times=None) -> Trajectory:
-    if source in _MODELS:
+def cmd_compare(args) -> int:
+    sources = (args.a, args.b)
+    records = [None if source in _MODELS else _read_series(source) for source in sources]
+    grids = [record.times for record in records if record is not None]
+    if len(grids) == 2 and not np.array_equal(*grids):
+        raise ValueError("grid mismatch between the two input files")
+    models = [source for source in sources if source in _MODELS]
+    if models:
         field = _field_from_args(args)
         decay = _decay_from_args(args)
-        if other_times is not None:
-            times = other_times
-            if decay is not None and source.startswith("ode") and times[0] <= 0.0:
+        # An ODE model, if there is one, sets the rules for the grid's start.
+        strictest = max(models, key=lambda model: model.startswith("ode"))
+        if grids:
+            times = grids[0]
+            if decay is not None and strictest.startswith("ode") and times[0] <= 0.0:
                 raise ValueError("file grid starts at t = 0; ODE models with decay need t > 0")
         else:
-            times = _grid_from_args(args, source, decay)
-        return _simulate(source, field, decay, times)
-    series = _read_series(source)
-    return Trajectory(series.times, np.column_stack([series.mx, series.my, series.mz]))
-
-
-def cmd_compare(args) -> int:
-    a_is_model = args.a in _MODELS
-    b_is_model = args.b in _MODELS
-    if not a_is_model and not b_is_model:
-        traj_a = _resolve_source(args.a, args)
-        traj_b = _resolve_source(args.b, args)
-        if not np.array_equal(traj_a.times, traj_b.times):
-            raise ValueError("grid mismatch between the two input files")
-    elif a_is_model and b_is_model:
-        field = _field_from_args(args)
-        decay = _decay_from_args(args)
-        strictest = args.a if args.a.startswith("ode") else args.b
-        times = _grid_from_args(args, strictest, decay)
-        traj_a = _simulate(args.a, field, decay, times)
-        traj_b = _simulate(args.b, field, decay, times)
-    else:
-        file_traj = _resolve_source(args.b if a_is_model else args.a, args)
-        model_traj = _resolve_source(
-            args.a if a_is_model else args.b, args, other_times=file_traj.times
-        )
-        traj_a, traj_b = (model_traj, file_traj) if a_is_model else (file_traj, model_traj)
+            times = _grid_from_args(args, strictest, decay)
+    traj_a, traj_b = [
+        _simulate(source, field, decay, times)
+        if record is None
+        else Trajectory(record.times, np.column_stack([record.mx, record.my, record.mz]))
+        for source, record in zip(sources, records)
+    ]
 
     report = max_deviation(traj_a, traj_b)
     fid = fidelity_trace(traj_a, traj_b)
@@ -455,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_args(sim)
     _add_decay_args(sim)
     _add_grid_args(sim)
-    sim.add_argument("--noise", type=float, help="additive Gaussian sigma on the output columns")
+    sim.add_argument("--noise", type=_finite, help="additive Gaussian sigma on the output columns")
     sim.add_argument("--seed", type=int, help="seed for the noise generator")
     sim.add_argument("--format", choices=("csv", "json"), default="csv")
     sim.add_argument("--out", help="output path (default stdout)")
@@ -463,10 +476,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit_p = sub.add_parser("fit", help="estimate (delta, mu, nu, omega1) from a CSV record")
     fit_p.add_argument("input", help="CSV file with header t,mx,my,mz")
-    fit_p.add_argument("--fix-ratio", type=float, help="pin delta = ratio * mu during the fit")
+    fit_p.add_argument("--fix-ratio", type=_finite, help="pin delta = ratio * mu during the fit")
     fit_p.add_argument(
         "--guess",
-        type=float,
+        type=_finite,
         nargs=4,
         metavar=("DELTA", "MU", "NU", "RABI_HZ"),
         help="starting point (rates in 1/s, drive in Hz)",
@@ -486,8 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.set_defaults(func=cmd_compare)
 
     th = sub.add_parser("thermal", help="polarization factor and thermal-state quantities")
-    th.add_argument("--larmor-hz", type=float, required=True)
-    th.add_argument("--temperature", type=float, default=297.15, help="kelvin (default 297.15)")
+    th.add_argument("--larmor-hz", type=_finite, required=True)
+    th.add_argument("--temperature", type=_finite, default=297.15, help="kelvin (default 297.15)")
     th.add_argument("--out", help="output path (default stdout)")
     th.set_defaults(func=cmd_thermal)
     return parser

@@ -96,14 +96,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.times)
 
-    def bloch_at(self, i: int) -> BlochVector:
-        return BlochVector.from_array(self.bloch[i])
-
-    def max_ball_excess(self) -> float:
-        """Largest amount by which any sample's |r| exceeds 1 (0 if none)."""
-        norms = np.sqrt(np.sum(self.bloch**2, axis=1))
-        return max(0.0, float(np.max(norms) - 1.0))
-
 
 @dataclass(frozen=True)
 class GammaOperator:
@@ -357,3 +349,17 @@ def max_deviation(a: Trajectory, b: Trajectory) -> DeviationReport:
         overall=float(diff[row, col]),
         overall_time=float(a.times[row]),
     )
+
+
+def fidelity_trace(theory: Trajectory, measured: Trajectory) -> np.ndarray:
+    """Per-sample state overlap of two trajectories on the same grid.
+
+    The :func:`~nhbloch.core.fidelity` of the two states, row-wise on the
+    Bloch rows: Tr[rho_a rho_b] = (1 + ra.rb) / 2 and Tr[rho^2] =
+    (1 + |r|^2) / 2 give (1 + ra.rb) / sqrt((1 + |ra|^2) (1 + |rb|^2)).
+    """
+    if not np.array_equal(theory.times, measured.times):
+        raise ValueError("trajectories are sampled on different grids")
+    ra, rb = theory.bloch, measured.bloch
+    overlap = 1.0 + np.sum(ra * rb, axis=1)
+    return overlap / np.sqrt((1.0 + np.sum(ra * ra, axis=1)) * (1.0 + np.sum(rb * rb, axis=1)))

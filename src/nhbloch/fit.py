@@ -28,9 +28,11 @@ feasible by construction:
 Its Jacobian is the analytic one at fixed nu with the direction b projected
 out (Kaufman's form of the variable-projection Jacobian; the exact form did
 not lower the iteration counts on noisy benchmark records), or the plain one
-while nu sits on a bound of its clip. The lab-frame :func:`residuals` and
-:func:`_jacobian` stay the reference definitions, and the standard errors
-come from the latter.
+while nu sits on a bound of its clip. The lab-frame :func:`residuals`, which
+evaluates the closed-form kernel :func:`~nhbloch.analytic.trajectory`, and
+:func:`_jacobian` stay the reference definitions: the loop and the reference
+rest on two independent formulations of the model. The standard errors come
+from :func:`_jacobian`.
 
 m_y never enters the objective, because the model pins it to zero; its rms is
 reported separately as a model-mismatch indicator.
@@ -44,9 +46,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .analytic import CoherentField, DecayModel, trajectory
+
 # Unused here; perfbench/tracing.py wraps fit.fidelity and fit.bloch_to_density by name.
 from .core import bloch_to_density, fidelity  # noqa: F401
-from .dynamics import Trajectory
 
 _MAX_COMPONENT = 1.5  # loose physical bound for measured data
 
@@ -122,21 +125,17 @@ def _check_feasible(params: Sequence[float]):
         raise ValueError(f"omega1={omega1} must be positive")
 
 
-def _model(params: Sequence[float], times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    delta, mu, nu, omega1 = params
-    f = np.exp(-delta * times) - nu * np.expm1(-mu * times)
-    phase = omega1 * times
-    return f * np.sin(phase), f * np.cos(phase)
-
-
 def residuals(params: Sequence[float], series: MagnetizationSeries) -> np.ndarray:
     """Stacked residuals [mx - model_x; mz - model_z] for feasible params.
 
-    m_y is not part of the objective; see the module docstring.
+    The model is the closed-form :func:`~nhbloch.analytic.trajectory` under
+    the resonant field (0, w1, 0). m_y is not part of the objective; see the
+    module docstring.
     """
     _check_feasible(params)
-    model_x, model_z = _model(params, series.times)
-    return np.concatenate([series.mx - model_x, series.mz - model_z])
+    delta, mu, nu, omega1 = params
+    model = trajectory(CoherentField(0.0, omega1, 0.0), DecayModel(delta, mu, nu), series.times)
+    return np.concatenate([series.mx - model[:, 0], series.mz - model[:, 2]])
 
 
 def _jacobian(params: Sequence[float], times: np.ndarray) -> np.ndarray:
@@ -444,20 +443,6 @@ def _standard_errors(
     if ratio is not None:
         return ratio * err[0], err[0], err[1], err[2]
     return err[0], err[1], err[2], err[3]
-
-
-def fidelity_trace(theory: Trajectory, measured: Trajectory) -> np.ndarray:
-    """Per-sample state overlap of two trajectories on the same grid.
-
-    The :func:`~nhbloch.core.fidelity` of the two states, row-wise on the
-    Bloch rows: Tr[rho_a rho_b] = (1 + ra.rb) / 2 and Tr[rho^2] =
-    (1 + |r|^2) / 2 give (1 + ra.rb) / sqrt((1 + |ra|^2) (1 + |rb|^2)).
-    """
-    if not np.array_equal(theory.times, measured.times):
-        raise ValueError("trajectories are sampled on different grids")
-    ra, rb = theory.bloch, measured.bloch
-    overlap = 1.0 + np.sum(ra * rb, axis=1)
-    return overlap / np.sqrt((1.0 + np.sum(ra * ra, axis=1)) * (1.0 + np.sum(rb * rb, axis=1)))
 
 
 def residual_magnetization_stats(fits: Iterable[FitResult | float]) -> tuple[float, float]:

@@ -2,16 +2,18 @@
 
 Covers the thermal equilibrium state, the polarization factor, the
 pseudo-pure decomposition used at high temperature, the deviation matrix,
-the rotating-frame drive field, the rotation pulse, and the dimensionless
-magnetization view of a trajectory.
+the rotating-frame drive field, the rotation pulse, and the phosphorus-31
+working points of the benchmark samples.
 
 Sign conventions: the drive field entering the Bloch dynamics is
 
     (w_x, w_y, w_z) = (w1 cos(phi + pi), w1 sin(phi + pi), -(w_L - w_rf)),
 
 so an on-resonance pulse with phi = 3*pi/2 drives about +y and tips the
-north pole toward +x. The pulse unitary is U = exp(i w1 t_r IY); evolving a
-state in the convention that matches this field reads rho -> U^dag rho U.
+north pole toward +x. :func:`drive_field` is the one place this formula is
+written; the CLI and :func:`rotating_frame_field` both call it. The pulse
+unitary is U = exp(i w1 t_r IY); evolving a state in the convention that
+matches this field reads rho -> U^dag rho U.
 """
 
 from __future__ import annotations
@@ -21,10 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import CoherentField
+from .analytic import CoherentField, DecayModel
 from .core import I0, IZ
-from .dynamics import Trajectory
-from .fit import MagnetizationSeries
 
 # CODATA 2018 exact values.
 HBAR = 1.054571817e-34  # J s
@@ -32,6 +32,13 @@ KB = 1.380649e-23  # J / K
 
 # Lab temperature of 24 C.
 ROOM_TEMPERATURE_K = 297.15
+
+# Phosphorus-31 benchmark samples, tri-phenyl phosphate and di-sodium
+# phosphate: (nominal rabi Hz, drive scale, mu / nominal omega1, nu).
+P31_SAMPLES = {
+    "tpp": (21186.0, 1.05, 3.95e-3, 6.53e-2),
+    "dsp": (18657.0, 1.07, 3.79e-3, 5.82e-2),
+}
 
 
 @dataclass(frozen=True)
@@ -117,27 +124,32 @@ def rotation_pulse(omega1: float, t_r: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]], dtype=complex)
 
 
+def drive_field(omega1: float, phi: float, detuning: float) -> CoherentField:
+    """Field (w1 cos(phi + pi), w1 sin(phi + pi), -detuning) of the module convention.
+
+    ``omega1`` and ``detuning`` (larmor minus drive frequency) in rad/s,
+    ``phi`` in radians.
+    """
+    return CoherentField(
+        omega1 * math.cos(phi + math.pi), omega1 * math.sin(phi + math.pi), -detuning
+    )
+
+
 def rotating_frame_field(ctx: NmrContext) -> CoherentField:
     """Drive field seen by the Bloch dynamics in the rotating frame.
 
     On resonance with phi = 3*pi/2 this is (0, omega1, 0).
     """
-    return CoherentField(
-        ctx.omega1 * math.cos(ctx.phi + math.pi),
-        ctx.omega1 * math.sin(ctx.phi + math.pi),
-        -(ctx.omega_larmor - ctx.omega_rf),
-    )
+    return drive_field(ctx.omega1, ctx.phi, ctx.omega_larmor - ctx.omega_rf)
 
 
-def dimensionless_magnetization(traj: Trajectory) -> MagnetizationSeries:
-    """Magnetization view M_k(t) = r_k(t) of a trajectory.
+def p31_sample(name: str) -> tuple[CoherentField, DecayModel]:
+    """Resonant field and decay model of the :data:`P31_SAMPLES` entry ``name``.
 
-    The map is the identity on the numbers; the value of this function is
-    the named, self-describing series used by the file formats.
+    With w = 2 pi * nominal rabi, the field is (0, scale * w, 0) and the decay
+    rates are mu = (mu / nominal omega1) * w and delta = 11.5 mu.
     """
-    return MagnetizationSeries(
-        times=traj.times.copy(),
-        mx=traj.bloch[:, 0].copy(),
-        my=traj.bloch[:, 1].copy(),
-        mz=traj.bloch[:, 2].copy(),
-    )
+    nominal_hz, scale, mu_ratio, nu = P31_SAMPLES[name]
+    w_nominal = 2.0 * math.pi * nominal_hz
+    mu = mu_ratio * w_nominal
+    return CoherentField(0.0, scale * w_nominal, 0.0), DecayModel(11.5 * mu, mu, nu)

@@ -1,4 +1,3 @@
-import math
 import time
 from dataclasses import dataclass
 
@@ -7,6 +6,7 @@ import pytest
 
 from nhbloch.analytic import CoherentField, DecayModel
 from nhbloch.core import bloch_to_density, fidelity
+from nhbloch.nmr import P31_SAMPLES, p31_sample
 
 
 @dataclass(frozen=True)
@@ -19,28 +19,22 @@ class Benchmark:
     rabi_hz: float  # the same, in Hz
 
 
-def _benchmark(nominal_hz: float, scale: float, mu_over_w1: float, nu: float) -> Benchmark:
-    w_nominal = 2.0 * math.pi * nominal_hz
-    omega1 = scale * w_nominal
-    mu = mu_over_w1 * w_nominal
-    return Benchmark(
-        field=CoherentField(0.0, omega1, 0.0),
-        decay=DecayModel(11.5 * mu, mu, nu),
-        omega1=omega1,
-        rabi_hz=scale * nominal_hz,
-    )
+def _benchmark(name: str) -> Benchmark:
+    nominal_hz, scale, _, _ = P31_SAMPLES[name]
+    field, decay = p31_sample(name)
+    return Benchmark(field=field, decay=decay, omega1=field.wy, rabi_hz=scale * nominal_hz)
 
 
 @pytest.fixture(scope="session")
 def tpp() -> Benchmark:
     # Tri-phenyl phosphate benchmark set.
-    return _benchmark(21186.0, 1.05, 3.95e-3, 6.53e-2)
+    return _benchmark("tpp")
 
 
 @pytest.fixture(scope="session")
 def dsp() -> Benchmark:
     # Di-sodium phosphate benchmark set.
-    return _benchmark(18657.0, 1.07, 3.79e-3, 5.82e-2)
+    return _benchmark("dsp")
 
 
 @pytest.fixture(scope="session")

@@ -20,11 +20,12 @@ from nhbloch.cli import EXIT_OK, main
 from nhbloch.dynamics import (
     GammaOperator,
     Trajectory,
+    fidelity_trace,
     integrate_bloch,
     integrate_density,
     max_deviation,
 )
-from nhbloch.fit import fidelity_trace, residual_magnetization_stats
+from nhbloch.fit import residual_magnetization_stats
 from nhbloch.nmr import NmrContext, polarization_factor, ROOM_TEMPERATURE_K
 from nhbloch.analytic import coherent_bloch
 

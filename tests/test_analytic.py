@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import solve_ivp
 
 from nhbloch.analytic import (
     CoherentField,
     DecayModel,
     coherent_bloch,
-    coherent_propagate,
     damped_bloch,
     decay_f,
     decay_g,
@@ -19,7 +17,6 @@ from nhbloch.analytic import (
     purity_closed_form,
     trajectory,
 )
-from nhbloch.core import BlochVector
 
 fields = st.builds(
     CoherentField,
@@ -91,47 +88,6 @@ class TestCoherentBloch:
             ) / (2.0 * h)
             rhs = _bloch_rhs(field, (0.0, 0.0, 0.0), coherent_bloch(field, t).as_array())
             assert np.linalg.norm(fd - rhs) <= 1e-5 * np.linalg.norm(rhs)
-
-
-class TestCoherentPropagate:
-    def test_quarter_rotation(self):
-        w1 = 2.0 * math.pi * 5000.0
-        t = (math.pi / 2.0) / w1
-        r = coherent_propagate(CoherentField(0.0, w1, 0.0), BlochVector(0, 0, 1), t)
-        np.testing.assert_allclose(r.as_array(), [1.0, 0.0, 0.0], atol=1e-14)
-
-    def test_zero_time_is_identity(self):
-        r0 = BlochVector(0.3, -0.5, 0.2)
-        assert coherent_propagate(CoherentField(1.0, 2.0, 3.0), r0, 0.0) == r0
-
-    def test_zero_field_is_identity(self):
-        r0 = BlochVector(0.3, -0.5, 0.2)
-        assert coherent_propagate(CoherentField(0.0, 0.0, 0.0), r0, 5.0) == r0
-
-    def test_full_period_on_diagonal_axis(self):
-        # omega * t = 2*pi / sqrt(3) per component makes a full turn.
-        w = 2.0 * math.pi * 300.0
-        field = CoherentField(w, w, w)
-        t = 2.0 * math.pi / (math.sqrt(3.0) * w)
-        r = coherent_propagate(field, BlochVector(0, 0, 1), t)
-        np.testing.assert_allclose(r.as_array(), [0.0, 0.0, 1.0], atol=1e-9)
-
-    def test_against_ode_oracle(self):
-        field = CoherentField(4.0e3, -2.5e3, 1.1e3)
-        r0 = np.array([0.2, -0.4, 0.7])
-        w = np.array([field.wx, field.wy, field.wz])
-        t_end = 2.3e-3
-        sol = solve_ivp(
-            lambda _t, r: np.cross(w, r), (0.0, t_end), r0, rtol=1e-11, atol=1e-13
-        )
-        got = coherent_propagate(field, BlochVector.from_array(r0), t_end)
-        np.testing.assert_allclose(got.as_array(), sol.y[:, -1], atol=1e-8)
-
-    @settings(max_examples=50)
-    @given(fields, st.floats(0.0, 0.05))
-    def test_preserves_initial_norm(self, field, t):
-        r0 = BlochVector(0.3, -0.5, 0.2)
-        assert coherent_propagate(field, r0, t).norm == pytest.approx(r0.norm, abs=1e-12)
 
 
 class TestDecayFunctions:

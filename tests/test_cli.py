@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from nhbloch import cli
-from nhbloch.analytic import decay_f
+from nhbloch.analytic import CoherentField, decay_f
 from nhbloch.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from nhbloch.nmr import ROOM_TEMPERATURE_K, NmrContext, rotating_frame_field
 
 
 def run(capsys, *args):
@@ -152,6 +153,75 @@ class TestSimulate:
     def test_unknown_format_rejected(self, tpp, capsys):
         code, _, _ = run(capsys, *tpp_flags(tpp, extra=("--format", "xml")))
         assert code == EXIT_USAGE
+
+
+class TestFieldConvention:
+    @pytest.mark.parametrize("rabi_hz", [1000.0, 22245.3])
+    @pytest.mark.parametrize("phi", [0.0, 0.37, 1.0, 1.5])
+    @pytest.mark.parametrize("detuning_hz", [0.0, -0.0, 5000.0])
+    def test_cli_field_is_rotating_frame_field(self, rabi_hz, phi, detuning_hz):
+        flags = ["--rabi-hz", repr(rabi_hz), "--phi", repr(phi), "--detuning-hz", repr(detuning_hz)]
+        field = cli._field_from_args(cli.build_parser().parse_args(["simulate", *flags]))
+        two_pi = 2.0 * math.pi
+        detuning = two_pi * detuning_hz
+        # 2d - d == d exactly (Sterbenz), so the context carries the same detuning.
+        omega_rf = detuning if detuning else two_pi * 161.973e6
+        ctx = NmrContext(
+            omega_larmor=2.0 * omega_rf if detuning else omega_rf,
+            omega_rf=omega_rf,
+            omega1=two_pi * rabi_hz,
+            phi=math.pi * phi,
+            temperature=ROOM_TEMPERATURE_K,
+        )
+        assert field == rotating_frame_field(ctx)
+        # The formula the CLI wrote out before it called nmr.drive_field, sign of zero included.
+        omega1 = two_pi * rabi_hz
+        phase = math.pi * phi + math.pi
+        before = CoherentField(
+            omega1 * math.cos(phase), omega1 * math.sin(phase), -two_pi * detuning_hz
+        )
+        hexes = lambda f: [w.hex() for w in (f.wx, f.wy, f.wz)]
+        assert hexes(field) == hexes(before)
+
+
+@pytest.fixture
+def record(tpp, tmp_path, capsys):
+    path = tmp_path / "record.csv"
+    run(capsys, *tpp_flags(tpp, extra=("--out", str(path))))
+    return str(path)
+
+
+class TestBadFlagValues:
+    @pytest.mark.parametrize(
+        "command, flags, flag",
+        [
+            ("simulate", ("--rabi-hz", "nan"), "--rabi-hz"),
+            ("simulate", ("--detuning-hz", "nan"), "--detuning-hz"),
+            ("simulate", ("--field-hz", "nan", "0", "0"), "--field-hz"),
+            ("simulate", ("--phi", "inf"), "--phi"),
+            ("simulate", ("--t-max", "inf"), "--t-max"),
+            ("simulate", ("--t-max", "nan"), "--t-max"),
+            ("simulate", ("--noise", "-1", "--seed", "1"), "--noise"),
+            ("simulate", ("--noise", "0.01", "--seed", "-1"), "--seed"),
+            ("fit", ("--fix-ratio", "0.5"), "--fix-ratio"),
+            ("fit", ("--fix-ratio", "nan"), "--fix-ratio"),
+            ("fit", ("--guess", "-1", "1", "0.1", "1000"), "--guess"),
+            ("thermal", ("--larmor-hz", "nan"), "--larmor-hz"),
+            ("thermal", ("--larmor-hz", "inf"), "--larmor-hz"),
+            ("thermal", ("--larmor-hz", "1e6", "--temperature", "nan"), "--temperature"),
+        ],
+    )
+    def test_is_usage_error(self, tpp, record, capsys, command, flags, flag):
+        base = {"simulate": tpp_flags(tpp), "fit": ["fit", record], "thermal": ["thermal"]}
+        code, out, err = run(capsys, *base[command], *flags)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert flag in err
+
+    def test_bad_number_text_keeps_float_message(self, tpp, capsys):
+        code, _, err = run(capsys, *tpp_flags(tpp, extra=("--rabi-hz", "abc")))
+        assert code == EXIT_USAGE
+        assert "argument --rabi-hz: invalid float value: 'abc'" in err
 
 
 class TestFit:
@@ -538,6 +608,28 @@ class TestCompare:
         assert code == EXIT_NUMERICAL
         assert "mismatch" in err
 
+    def test_file_grid_at_zero_against_ode_is_numerical_failure(self, tpp, record, capsys):
+        flags = tpp_flags(tpp)[3:]  # the field and decay flags, without the model
+        code, _, err = run(capsys, "compare", "--a", record, "--b", "ode-bloch", *flags)
+        assert code == EXIT_NUMERICAL
+        assert "file grid starts at t = 0" in err
+
+    def test_flag_grid_at_zero_against_ode_is_usage_error(self, tpp, capsys):
+        flags = tpp_flags(tpp, t_start=0.0)[3:]
+        code, _, err = run(capsys, "compare", "--a", "analytic", "--b", "ode-bloch", *flags)
+        assert code == EXIT_USAGE
+        assert "--t-start > 0" in err
+
+    def test_two_files_need_no_model_flags(self, record, capsys):
+        code, _, _ = run(capsys, "compare", "--a", record, "--b", record, "--rabi-hz", "-1")
+        assert code == EXIT_OK
+
+    def test_file_against_model_takes_the_file_grid(self, tpp, record, capsys):
+        flags = tpp_flags(tpp)[3:-4]  # without --t-max and --samples
+        code, out, _ = run(capsys, "compare", "--a", "analytic", "--b", record, *flags, "--json")
+        assert code == EXIT_OK
+        assert json.loads(out)["overall"] == 0.0
+
     def test_human_readable_output(self, tpp, tmp_path, capsys):
         csv_path = tmp_path / "h.csv"
         run(capsys, *tpp_flags(tpp, samples=51, extra=("--out", str(csv_path))))
@@ -563,6 +655,13 @@ class TestThermal:
         assert code == EXIT_USAGE
         code, _, _ = run(capsys, "thermal", "--larmor-hz", "1e6", "--temperature", "0.0")
         assert code == EXIT_USAGE
+
+    def test_non_finite_result_is_not_written_as_json(self, capsys):
+        # hbar w_L / 2 kB T overflows to inf, and so does the high-T epsilon.
+        code, out, err = run(capsys, "thermal", "--larmor-hz", "1e300", "--temperature", "1e-300")
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert "numerical failure" in err
 
 
 class TestEntryPoints:

@@ -320,7 +320,7 @@ class TestIntegrateDensity:
         rho0 = bloch_to_density((0.3, 0.0, 0.4))
         gam = lambda t: GammaOperator(0.0, 0.0, 0.0, 0.0)
         traj = integrate_density(tpp.field, gam, rho0, times, step=8e-8)
-        purities = np.array([purity(traj.bloch_at(i)) for i in range(len(traj))])
+        purities = np.array([purity(r) for r in traj.bloch])
         assert np.max(np.abs(purities - purities[0])) <= 1e-10
 
     def test_benchmark_matches_bloch_form(self, tpp_runs):
@@ -407,5 +407,3 @@ class TestTrajectoryAndDeviation:
         times = np.array([0.0, 1.0])
         traj = Trajectory(times, np.array([[0.0, 0.0, 1.0], [1.1, 0.0, 0.0]]))
         assert len(traj) == 2
-        assert traj.bloch_at(0) == BlochVector(0.0, 0.0, 1.0)
-        assert traj.max_ball_excess() == pytest.approx(0.1)

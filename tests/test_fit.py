@@ -5,14 +5,13 @@ import pytest
 
 from nhbloch.analytic import CoherentField, DecayModel, damped_bloch, decay_f, trajectory
 from nhbloch.core import bloch_to_density
-from nhbloch.dynamics import Trajectory
+from nhbloch.dynamics import Trajectory, fidelity_trace
 from nhbloch.fit import (
     DegenerateJacobianError,
     FitResult,
     MagnetizationSeries,
     _demodulate,
     default_initial_guess,
-    fidelity_trace,
     fit_decay_model,
     residual_magnetization_stats,
     residuals,

@@ -12,7 +12,6 @@ from nhbloch.nmr import (
     ROOM_TEMPERATURE_K,
     NmrContext,
     deviation_matrix,
-    dimensionless_magnetization,
     partition_function,
     polarization_factor,
     pseudo_pure_decompose,
@@ -240,32 +239,6 @@ class TestRotatingFrameField:
             p31_context.temperature,
         )
         assert rotating_frame_field(ctx).wz == pytest.approx(-detuning, rel=1e-12)
-
-
-class TestDimensionlessMagnetization:
-    def test_identity_on_north_pole(self):
-        from nhbloch.dynamics import Trajectory
-
-        times = np.linspace(0.0, 1.0, 9)
-        traj = Trajectory(times, np.tile([0.0, 0.0, 1.0], (9, 1)))
-        series = dimensionless_magnetization(traj)
-        np.testing.assert_array_equal(series.mz, np.ones(9))
-        np.testing.assert_array_equal(series.mx, np.zeros(9))
-
-    def test_benchmark_series_form(self, tpp):
-        from nhbloch.analytic import damped_bloch, decay_f
-        from nhbloch.dynamics import Trajectory
-
-        times = np.linspace(0.0, 500e-6, 11)
-        bloch = np.array([list(damped_bloch(tpp.field, tpp.decay, t)) for t in times])
-        series = dimensionless_magnetization(Trajectory(times, bloch))
-        f = decay_f(tpp.decay, times)
-        np.testing.assert_allclose(series.mx, f * np.sin(tpp.omega1 * times), atol=1e-13)
-        np.testing.assert_allclose(series.my, 0.0, atol=1e-12)
-        np.testing.assert_allclose(series.mz, f * np.cos(tpp.omega1 * times), atol=1e-13)
-        norm2 = series.mx**2 + series.my**2 + series.mz**2
-        np.testing.assert_allclose(norm2, f * f, atol=1e-12)
-        assert np.all(norm2 <= 1.0 + 1e-12)
 
 
 def test_context_validation():

@@ -69,3 +69,17 @@ def test_free_noise_benchmark_counts_refused_fits(monkeypatch, capsys):
     [(sigma, answered, refused, capped)] = counts(capsys.readouterr().out, "ratio 11.5")
     assert len(calls) == 4
     assert (sigma, answered, refused, capped) == ("0.002", 2, 2, 0)
+
+
+def test_decay_study_writes_tables_and_cross_checks(tmp_path):
+    proc = run_script("run_decay_study.py", "--samples", "51", "--outdir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    for name in ("tpp", "dsp"):
+        lines = (tmp_path / f"{name}_magnetization.csv").read_text().splitlines()
+        assert lines[0] == "t,mx,my,mz,purity"
+        assert len(lines) == 1 + 51
+    deviations = [
+        float(line.rsplit(":", 1)[1]) for line in proc.stdout.splitlines() if "closed form vs" in line
+    ]
+    assert len(deviations) == 4  # bloch and density ODE, both samples
+    assert max(deviations) <= 1e-6
