@@ -19,9 +19,7 @@ from .analytic import (
     trajectory,
 )
 from .core import (
-    BlochVector,
     bloch_to_density,
-    check_density_matrix,
     density_to_bloch,
     fidelity,
     purity,
@@ -66,7 +64,6 @@ from .nmr import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlochVector",
     "CoherentField",
     "DecayModel",
     "DegenerateJacobianError",
@@ -81,7 +78,6 @@ __all__ = [
     "ROOM_TEMPERATURE_K",
     "Trajectory",
     "bloch_to_density",
-    "check_density_matrix",
     "coherent_bloch",
     "damped_bloch",
     "decay_f",

@@ -24,7 +24,9 @@ ODE damping provider calls it once per distinct integrator time, so it is
 written with :mod:`math` on plain floats, in the same operation order as
 :func:`decay_g` and :func:`coherent_bloch`. The other scalar functions
 (:func:`coherent_bloch`, :func:`damped_bloch`) serve single-time callers and
-are the reference the kernel is tested against.
+are the reference the kernel is tested against. A single state is a float
+triple (r_x, r_y, r_z) and a trajectory is (N, 3) rows, as in
+:mod:`nhbloch.core`; this module imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .core import BlochVector
 
 # Relative scale below which the field is treated as exactly zero: the
 # rotation axis is then undefined and the state simply stays put.
@@ -68,6 +68,11 @@ class DecayModel:
     nu: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.delta, self.mu, self.nu)):
+            raise ValueError(
+                f"decay parameters must be finite, got delta = {self.delta},"
+                f" mu = {self.mu}, nu = {self.nu}"
+            )
         if not (self.delta > 0.0 and self.mu > 0.0):
             raise ValueError("decay rates must be positive")
         if self.delta < self.mu:
@@ -76,8 +81,12 @@ class DecayModel:
             raise ValueError(f"residual radius nu = {self.nu} must lie in [0, 1)")
 
 
-def _north_pole_rotation(field: CoherentField, t: float) -> tuple[float, float, float]:
-    """Components of :func:`coherent_bloch` as a plain tuple."""
+def coherent_bloch(field: CoherentField, t: float) -> tuple[float, float, float]:
+    """Lossless Bloch vector at time t, starting from the north pole.
+
+    Rotation of (0, 0, 1) about the field axis by angle omega*t; 1 - cos is
+    evaluated as 2 sin^2(x/2) to keep small angles accurate.
+    """
     om = field.omega
     if om <= _DEGENERATE_FIELD * max(1.0, abs(field.wx), abs(field.wy), abs(field.wz)):
         return (0.0, 0.0, 1.0)
@@ -90,15 +99,6 @@ def _north_pole_rotation(field: CoherentField, t: float) -> tuple[float, float, 
         ny * nz * vers - nx * s,
         nz * nz * vers + 1.0 - vers,
     )
-
-
-def coherent_bloch(field: CoherentField, t: float) -> BlochVector:
-    """Lossless Bloch vector at time t, starting from the north pole.
-
-    Rotation of (0, 0, 1) about the field axis by angle omega*t; 1 - cos is
-    evaluated as 2 sin^2(x/2) to keep small angles accurate.
-    """
-    return BlochVector(*_north_pole_rotation(field, t))
 
 
 def decay_f(model: DecayModel, t):
@@ -132,11 +132,11 @@ def g_root(model: DecayModel) -> float:
     return math.log(model.delta / (model.nu * model.mu)) / (model.delta - model.mu)
 
 
-def damped_bloch(field: CoherentField, model: DecayModel, t: float) -> BlochVector:
+def damped_bloch(field: CoherentField, model: DecayModel, t: float) -> tuple[float, float, float]:
     """Damped Bloch vector f(t) * r0(t); its norm equals f(t)."""
     f = float(decay_f(model, t))
-    r0 = coherent_bloch(field, t)
-    return BlochVector(f * r0.x, f * r0.y, f * r0.z)
+    x, y, z = coherent_bloch(field, t)
+    return (f * x, f * y, f * z)
 
 
 def trajectory(field: CoherentField, decay: DecayModel | None, times) -> np.ndarray:
@@ -183,7 +183,7 @@ def gamma_coefficients(
     one_minus_f = -math.expm1(-delta * t) + nu * em1_mu
     f = e_delta - nu * em1_mu
     g = (delta * e_delta - nu * mu * e_mu) / (one_minus_f * (1.0 + f))
-    x, y, z = _north_pole_rotation(field, t)
+    x, y, z = coherent_bloch(field, t)
     return (g * x, g * y, g * z)
 
 

@@ -43,7 +43,7 @@ from .dynamics import (
     max_deviation,
 )
 from .fit import DegenerateJacobianError, MagnetizationSeries, _check_feasible, fit_decay_model
-from .nmr import NmrContext, drive_field, partition_function, polarization_factor
+from .nmr import ROOM_TEMPERATURE_K, NmrContext, drive_field, partition_function, polarization_factor
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -206,15 +206,26 @@ def _add_grid_args(sp: argparse.ArgumentParser):
     )
 
 
+def _rad_per_s(flag: str, hz: float) -> float:
+    """The angular frequency 2*pi*hz of the Hz flag ``flag``; overflow is a usage error."""
+    omega = 2.0 * math.pi * hz
+    if not math.isfinite(omega):
+        raise UsageError(f"{flag} {hz!r} Hz is out of range (2*pi times it overflows)")
+    return omega
+
+
 def _field_from_args(args) -> CoherentField:
-    two_pi = 2.0 * math.pi
     if args.field_hz is not None:
-        return CoherentField(*(two_pi * w for w in args.field_hz))
+        return CoherentField(*(_rad_per_s("--field-hz", w) for w in args.field_hz))
     if args.rabi_hz is None:
         raise UsageError("need --rabi-hz or --field-hz")
     if args.rabi_hz <= 0.0:
         raise UsageError("--rabi-hz must be positive")
-    return drive_field(two_pi * args.rabi_hz, math.pi * args.phi, two_pi * args.detuning_hz)
+    return drive_field(
+        _rad_per_s("--rabi-hz", args.rabi_hz),
+        math.pi * args.phi,
+        _rad_per_s("--detuning-hz", args.detuning_hz),
+    )
 
 
 def _decay_from_args(args) -> DecayModel | None:
@@ -433,7 +444,7 @@ def cmd_compare(args) -> int:
 def cmd_thermal(args) -> int:
     if args.larmor_hz <= 0.0 or args.temperature <= 0.0:
         raise UsageError("larmor frequency and temperature must be positive")
-    omega_larmor = 2.0 * math.pi * args.larmor_hz
+    omega_larmor = _rad_per_s("--larmor-hz", args.larmor_hz)
     ctx = NmrContext(
         omega_larmor=omega_larmor,
         omega_rf=omega_larmor,
@@ -500,7 +511,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     th = sub.add_parser("thermal", help="polarization factor and thermal-state quantities")
     th.add_argument("--larmor-hz", type=_finite, required=True)
-    th.add_argument("--temperature", type=_finite, default=297.15, help="kelvin (default 297.15)")
+    th.add_argument(
+        "--temperature",
+        type=_finite,
+        default=ROOM_TEMPERATURE_K,
+        help=f"kelvin (default {ROOM_TEMPERATURE_K})",
+    )
     th.add_argument("--out", help="output path (default stdout)")
     th.set_defaults(func=cmd_thermal)
     return parser

@@ -1,18 +1,18 @@
 """Two-level state algebra: Bloch vectors, density matrices, purity and overlap.
 
-A state is carried either as a Bloch triple (r_x, r_y, r_z) or as the 2x2
-density matrix
+A state is carried either as a Bloch triple (r_x, r_y, r_z) of floats, or
+(N, 3) rows of them in bulk, or as the 2x2 density matrix
 
     rho = I0 + r_x*IX + r_y*IY + r_z*IZ,
 
 where I0 is half the identity and IX, IY, IZ are the Pauli halves. The Bloch
 triple is the canonical representation; density matrices are derived views.
+Functions taking a state accept any length-3 real sequence.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,40 +28,11 @@ for _op in (I0, IX, IY, IZ):
 # Slack on |r|^2 <= 1 membership; integrators may overshoot by float noise.
 BALL_TOL = 1e-9
 
-
-@dataclass(frozen=True)
-class BlochVector:
-    """Dimensionless Bloch components of a two-level state."""
-
-    x: float
-    y: float
-    z: float
-
-    @classmethod
-    def from_array(cls, arr) -> BlochVector:
-        x, y, z = np.asarray(arr, dtype=float)
-        return cls(float(x), float(y), float(z))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-
-    def is_physical(self, tol: float = BALL_TOL) -> bool:
-        """True if the vector lies in the Bloch ball, up to ``tol`` slack."""
-        return self.x * self.x + self.y * self.y + self.z * self.z <= 1.0 + tol
-
-    def __iter__(self):
-        yield self.x
-        yield self.y
-        yield self.z
+# Slack on Tr[rho] = 1 in density_to_bloch; a larger defect is a corrupt state.
+_TRACE_TOL = 1e-9
 
 
 def _as_components(r) -> tuple[float, float, float]:
-    if isinstance(r, BlochVector):
-        return r.x, r.y, r.z
     x, y, z = np.asarray(r, dtype=float)
     return float(x), float(y), float(z)
 
@@ -69,8 +40,8 @@ def _as_components(r) -> tuple[float, float, float]:
 def bloch_to_density(r) -> np.ndarray:
     """Assemble the density matrix I0 + r_x*IX + r_y*IY + r_z*IZ.
 
-    Accepts a BlochVector or any length-3 real sequence. Unit trace holds by
-    construction; physicality (|r| <= 1) is not checked here.
+    Unit trace holds by construction; physicality (|r| <= 1) is not checked
+    here.
     """
     x, y, z = _as_components(r)
     return np.array(
@@ -81,51 +52,23 @@ def bloch_to_density(r) -> np.ndarray:
     )
 
 
-def density_to_bloch(rho, *, trace_tol: float = 1e-9) -> BlochVector:
-    """Extract r_k = 2 Tr[I_k rho] from a unit-trace density matrix.
+def density_to_bloch(rho) -> tuple[float, float, float]:
+    """Extract the triple r_k = 2 Tr[I_k rho] from a unit-trace density matrix.
 
-    Raises ValueError if the trace deviates from one by more than
-    ``trace_tol`` (a corrupt-state signal, not float noise).
+    Raises ValueError if the trace deviates from one by more than 1e-9 (a
+    corrupt-state signal, not float noise).
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {rho.shape}")
     trace = rho[0, 0] + rho[1, 1]
-    if abs(trace - 1.0) > trace_tol:
-        raise ValueError(f"density matrix trace {trace} is not 1 within {trace_tol}")
-    return BlochVector(
+    if abs(trace - 1.0) > _TRACE_TOL:
+        raise ValueError(f"density matrix trace {trace} is not 1 within {_TRACE_TOL}")
+    return (
         float(2.0 * rho[1, 0].real),
         float(2.0 * rho[1, 0].imag),
         float((rho[0, 0] - rho[1, 1]).real),
     )
-
-
-def check_density_matrix(
-    rho,
-    *,
-    herm_tol: float = 1e-12,
-    trace_tol: float = 1e-12,
-    psd_tol: float = 1e-9,
-) -> np.ndarray:
-    """Validate Hermiticity, unit trace and positive semidefiniteness.
-
-    Returns the input as a complex ndarray for chaining. The eigenvalue
-    tolerance is looser than the algebraic ones because numerically
-    integrated states can dip marginally below zero.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {rho.shape}")
-    herm = np.max(np.abs(rho - rho.conj().T))
-    if herm > herm_tol:
-        raise ValueError(f"matrix is not Hermitian (defect {herm:.3e})")
-    trace = (rho[0, 0] + rho[1, 1]).real
-    if abs(trace - 1.0) > trace_tol:
-        raise ValueError(f"trace {trace!r} differs from 1 beyond {trace_tol}")
-    eigs = np.linalg.eigvalsh(rho)
-    if eigs[0] < -psd_tol:
-        raise ValueError(f"matrix has a negative eigenvalue {eigs[0]:.3e}")
-    return rho
 
 
 def purity(r) -> float:

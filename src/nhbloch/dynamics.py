@@ -16,8 +16,8 @@ consistency check rather than an independent method.
 Damping coefficients are supplied as a callable of time; when they follow
 the analytic g-form they blow up like 1/(2t) toward t = 0, so integrations
 must start at a strictly positive seed time and the substep size is capped
-at ``rate_cap / max_k |lambda_k(t)|`` to resolve the ramp. Away from the
-ramp the base step 2*pi / (200 * omega) applies.
+at ``_RATE_CAP / max_k |lambda_k(t)|`` (``_RATE_CAP`` = 0.01) to resolve the
+ramp. Away from the ramp the base step 2*pi / (200 * omega) applies.
 
 The provider must be a pure function of t: the integrators call it once per
 distinct time, keyed on the exact float. Within an RK4 step the step limiter
@@ -39,12 +39,15 @@ from typing import Callable
 import numpy as np
 
 from .analytic import CoherentField
-from .core import I0, IX, IY, IZ, BlochVector, density_to_bloch
+from .core import I0, IX, IY, IZ, density_to_bloch
 
 _ID2 = np.eye(2, dtype=complex)
 
 # Steps per field period for the base fixed step.
 _STEPS_PER_PERIOD = 200
+
+# Largest h * max_k |lambda_k| of a step: resolves the 1/(2t) damping ramp.
+_RATE_CAP = 0.01
 
 # Trace / Hermiticity slack accepted for numerically produced matrices.
 _MATRIX_TOL = 1e-10
@@ -118,21 +121,6 @@ class GammaOperator:
     def matrix(self) -> np.ndarray:
         return self.lambda0 * I0 + self.lx * IX + self.ly * IY + self.lz * IZ
 
-    @classmethod
-    def from_matrix(cls, m) -> GammaOperator:
-        """Recover coefficients from a Hermitian 2x2 matrix (exact round trip)."""
-        m = np.asarray(m, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > 1e-12:
-            raise ValueError("damping operator must be Hermitian")
-        return cls(
-            float((m[0, 0] + m[1, 1]).real),
-            float(2.0 * m[1, 0].real),
-            float(2.0 * m[1, 0].imag),
-            float((m[0, 0] - m[1, 1]).real),
-        )
-
 
 @dataclass(frozen=True)
 class DeviationReport:
@@ -181,7 +169,7 @@ def _base_step(field: CoherentField, step: float | None) -> float:
     return (2.0 * math.pi / om) / _STEPS_PER_PERIOD if om > 0.0 else math.inf
 
 
-def _rk4(rhs, coefficients, y: tuple, times: np.ndarray, base: float, rate_cap: float):
+def _rk4(rhs, coefficients, y: tuple, times: np.ndarray, base: float):
     """Classical RK4 of the state tuple ``y`` across the grid; one state per sample.
 
     ``coefficients(t)`` is evaluated once per distinct time (see the module
@@ -198,7 +186,7 @@ def _rk4(rhs, coefficients, y: tuple, times: np.ndarray, base: float, rate_cap: 
             if c_time != t:
                 c = coefficients(t)
             rate = max(abs(c[0]), abs(c[1]), abs(c[2]))
-            h = min(base, rate_cap / rate) if rate > 0.0 else base
+            h = min(base, _RATE_CAP / rate) if rate > 0.0 else base
             h = min(h, t1 - t)
             if t + h == t:
                 raise RuntimeError(f"integration step underflow at t = {t!r}")
@@ -227,20 +215,20 @@ def integrate_bloch(
     times,
     *,
     step: float | None = None,
-    rate_cap: float = 0.01,
 ) -> Trajectory:
     """Integrate the Bloch-form equations over ``times``; r(times[0]) = r0.
 
-    ``lambda_provider`` maps a time to the damping triple (lambda_x,
-    lambda_y, lambda_z); pass ``lambda t: (0.0, 0.0, 0.0)`` for purely
-    coherent motion. It is called once per distinct integrator time.
-    ``step`` overrides the base step (useful for convergence studies);
-    ``rate_cap`` bounds h * max|lambda_k|, which is what resolves the
-    singular ramp of the analytic coefficients near the seed time.
+    ``r0`` is any length-3 real sequence. ``lambda_provider`` maps a time to
+    the damping triple (lambda_x, lambda_y, lambda_z); pass
+    ``lambda t: (0.0, 0.0, 0.0)`` for purely coherent motion. It is called
+    once per distinct integrator time. ``step`` overrides the base step
+    (useful for convergence studies); either way h * max|lambda_k| is at
+    most ``_RATE_CAP``, which is what resolves the singular ramp of the
+    analytic coefficients near the seed time.
     """
     times = np.asarray(times, dtype=float)
     _check_grid(times)
-    r_init = r0.as_array() if isinstance(r0, BlochVector) else np.array(r0, dtype=float)
+    r_init = np.array(r0, dtype=float)
     if r_init.shape != (3,) or not np.all(np.isfinite(r_init)):
         raise ValueError("initial state must be a finite length-3 vector")
     wx, wy, wz = field.wx, field.wy, field.wz
@@ -256,7 +244,7 @@ def integrate_bloch(
         )
 
     base = _base_step(field, step)
-    states = _rk4(rhs, lambda_provider, tuple(r_init.tolist()), times, base, rate_cap)
+    states = _rk4(rhs, lambda_provider, tuple(r_init.tolist()), times, base)
     out = np.array(states)
     worst = float(np.max(np.sqrt(np.sum(out**2, axis=1))))
     if worst > 1.0 + 1e-9:
@@ -285,7 +273,6 @@ def integrate_density(
     times,
     *,
     step: float | None = None,
-    rate_cap: float = 0.01,
 ) -> Trajectory:
     """Integrate the matrix-form equation; returns Bloch rows plus rho samples.
 
@@ -324,12 +311,11 @@ def integrate_density(
         tuple(y.ravel().tolist()),
         times,
         _base_step(field, step),
-        rate_cap,
     )
     rho_out = np.array(states).reshape(len(times), 2, 2)
     bloch = np.empty((len(times), 3))
     for i in range(len(times)):
-        bloch[i] = density_to_bloch(rho_out[i]).as_array()
+        bloch[i] = density_to_bloch(rho_out[i])
     return Trajectory(times, bloch, rho_out)
 
 

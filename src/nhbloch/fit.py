@@ -53,6 +53,9 @@ from .core import bloch_to_density, fidelity  # noqa: F401
 
 _MAX_COMPONENT = 1.5  # loose physical bound for measured data
 
+# LM iteration cap of fit_decay_model.
+_MAX_ITERATIONS = 200
+
 
 class DegenerateJacobianError(RuntimeError):
     """Raised when the fit design has no usable signal (rank-deficient)."""
@@ -339,7 +342,6 @@ def fit_decay_model(
     guess: Sequence[float] | None = None,
     *,
     delta_mu_ratio: float | None = None,
-    max_iterations: int = 200,
 ) -> FitResult:
     """Weighted-free least squares on the decaying-oscillation model.
 
@@ -348,8 +350,8 @@ def fit_decay_model(
     module docstring), so the iteration runs over two or three coordinates.
     Deterministic for a fixed input and guess; the guess's nu is used only
     for the rank check at the start. Returns with ``converged=False`` when
-    the iteration cap is hit; raises DegenerateJacobianError when the design
-    matrix carries no information.
+    the cap of 200 LM iterations (``_MAX_ITERATIONS``) is hit; raises
+    DegenerateJacobianError when the design matrix carries no information.
     """
     if guess is None:
         guess = default_initial_guess(series, delta_mu_ratio=delta_mu_ratio or 11.5)
@@ -366,7 +368,7 @@ def fit_decay_model(
     iterations = 0
     converged = False
 
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, _MAX_ITERATIONS + 1):
         normal, grad = _normal_equations(times, params, frame, delta_mu_ratio)
         if not all(math.isfinite(v) for v in grad + [v for row in normal for v in row]):
             raise DegenerateJacobianError("non-finite Jacobian")

@@ -15,7 +15,7 @@ import pytest
 
 from nhbloch.analytic import damped_bloch, gamma_coefficients, purity_closed_form
 from nhbloch.analytic import CoherentField
-from nhbloch.core import BlochVector, bloch_to_density
+from nhbloch.core import bloch_to_density
 from nhbloch.cli import EXIT_OK, main
 from nhbloch.dynamics import (
     GammaOperator,
@@ -178,7 +178,7 @@ def test_criterion_8_convergence_order():
     errors = []
     for step in (0.5, 0.25, 0.125):
         traj = integrate_bloch(
-            field, lambda t: (0.0, 0.0, 0.0), BlochVector(0, 0, 1), grid, step=step
+            field, lambda t: (0.0, 0.0, 0.0), (0.0, 0.0, 1.0), grid, step=step
         )
         errors.append(max_deviation(traj, exact).overall)
     r1, r2 = errors[0] / errors[1], errors[1] / errors[2]

@@ -50,10 +50,10 @@ class TestCoherentBloch:
         w1 = 2.0 * math.pi * 1000.0
         field = CoherentField(0.0, w1, 0.0)
         for t in (0.0, 1e-4, 3.7e-4, 1e-3):
-            r = coherent_bloch(field, t)
-            assert r.x == pytest.approx(math.sin(w1 * t), abs=1e-14)
-            assert r.y == 0.0
-            assert r.z == pytest.approx(math.cos(w1 * t), abs=1e-14)
+            x, y, z = coherent_bloch(field, t)
+            assert x == pytest.approx(math.sin(w1 * t), abs=1e-14)
+            assert y == 0.0
+            assert z == pytest.approx(math.cos(w1 * t), abs=1e-14)
 
     def test_initial_state_is_north_pole(self):
         assert tuple(coherent_bloch(CoherentField(12.0, -5.0, 3.0), 0.0)) == (0.0, 0.0, 1.0)
@@ -67,7 +67,7 @@ class TestCoherentBloch:
     @settings(max_examples=100)
     @given(fields, st.floats(0.0, 0.1))
     def test_norm_conserved(self, field, t):
-        assert coherent_bloch(field, t).norm == pytest.approx(1.0, abs=1e-12)
+        assert math.hypot(*coherent_bloch(field, t)) == pytest.approx(1.0, abs=1e-12)
 
     @settings(max_examples=50)
     @given(fields, st.floats(0.0, 0.1))
@@ -75,8 +75,8 @@ class TestCoherentBloch:
         if field.omega < 1e-2:
             return
         period = 2.0 * math.pi / field.omega
-        a = coherent_bloch(field, t).as_array()
-        b = coherent_bloch(field, t + period).as_array()
+        a = np.array(coherent_bloch(field, t))
+        b = np.array(coherent_bloch(field, t + period))
         assert np.max(np.abs(a - b)) <= 1e-10
 
     def test_satisfies_coherent_ode(self):
@@ -84,9 +84,9 @@ class TestCoherentBloch:
         h = 1e-9 * 2.0 * math.pi / field.omega
         for t in (1e-5, 7.3e-5, 4.1e-4):
             fd = (
-                coherent_bloch(field, t + h).as_array() - coherent_bloch(field, t - h).as_array()
+                np.array(coherent_bloch(field, t + h)) - np.array(coherent_bloch(field, t - h))
             ) / (2.0 * h)
-            rhs = _bloch_rhs(field, (0.0, 0.0, 0.0), coherent_bloch(field, t).as_array())
+            rhs = _bloch_rhs(field, (0.0, 0.0, 0.0), np.array(coherent_bloch(field, t)))
             assert np.linalg.norm(fd - rhs) <= 1e-5 * np.linalg.norm(rhs)
 
 
@@ -153,21 +153,21 @@ class TestDampedBloch:
 
     def test_components_are_enveloped_rotation(self, tpp):
         for t in (2e-6, 5e-5, 2.1e-4, 5e-4):
-            r = damped_bloch(tpp.field, tpp.decay, t)
+            x, y, z = damped_bloch(tpp.field, tpp.decay, t)
             f = decay_f(tpp.decay, t)
-            assert r.x == pytest.approx(f * math.sin(tpp.omega1 * t), abs=1e-13)
-            assert abs(r.y) <= 1e-12
-            assert r.z == pytest.approx(f * math.cos(tpp.omega1 * t), abs=1e-13)
+            assert x == pytest.approx(f * math.sin(tpp.omega1 * t), abs=1e-13)
+            assert abs(y) <= 1e-12
+            assert z == pytest.approx(f * math.cos(tpp.omega1 * t), abs=1e-13)
 
     def test_norm_equals_envelope(self, tpp):
         for t in (1e-6, 1e-4, 1e-3):
             r = damped_bloch(tpp.field, tpp.decay, t)
-            assert r.norm == pytest.approx(decay_f(tpp.decay, t), abs=1e-12)
+            assert math.hypot(*r) == pytest.approx(decay_f(tpp.decay, t), abs=1e-12)
 
     def test_long_time_residual_oscillation(self, tpp):
         t = 20.0 / tpp.decay.mu
-        r = damped_bloch(tpp.field, tpp.decay, t).as_array()
-        ref = tpp.decay.nu * coherent_bloch(tpp.field, t).as_array()
+        r = np.array(damped_bloch(tpp.field, tpp.decay, t))
+        ref = tpp.decay.nu * np.array(coherent_bloch(tpp.field, t))
         assert np.max(np.abs(r - ref)) <= 1e-8
 
     def test_satisfies_nonlinear_ode(self, tpp):
@@ -175,9 +175,9 @@ class TestDampedBloch:
         h = 1e-9 * 2.0 * math.pi / field.omega
         for t in (1e-3 / d.delta, 5e-5, 3.3e-4):
             fd = (
-                damped_bloch(field, d, t + h).as_array() - damped_bloch(field, d, t - h).as_array()
+                np.array(damped_bloch(field, d, t + h)) - np.array(damped_bloch(field, d, t - h))
             ) / (2.0 * h)
-            rhs = _bloch_rhs(field, gamma_coefficients(field, d, t), damped_bloch(field, d, t).as_array())
+            rhs = _bloch_rhs(field, gamma_coefficients(field, d, t), np.array(damped_bloch(field, d, t)))
             assert np.linalg.norm(fd - rhs) <= 1e-5 * np.linalg.norm(rhs)
 
 
@@ -250,7 +250,7 @@ class TestGammaCoefficients:
         t_star = g_root(d)
         for t in (1e-9, 1e-6, 0.5 * t_star, t_star, 2e-3, 1.0, 30.0):
             g, r0 = decay_g(d, t), coherent_bloch(field, t)
-            ref = np.array([g * r0.x, g * r0.y, g * r0.z])
+            ref = g * np.array(r0)
             got = np.array(gamma_coefficients(field, d, t))
             f = decay_f(d, t)
             scale = (d.delta * math.exp(-d.delta * t) + d.nu * d.mu * math.exp(-d.mu * t)) / (
@@ -302,6 +302,14 @@ class TestValidation:
             DecayModel(2.0, 1.0, 1.0)  # nu not below 1
         with pytest.raises(ValueError):
             DecayModel(2.0, 1.0, -0.1)
+
+    @pytest.mark.parametrize(
+        "params", [(math.inf, 1.0, 0.1), (math.inf, math.inf, 0.1), (2.0, 1.0, math.nan)]
+    )
+    def test_decay_model_must_be_finite(self, params):
+        # inf passes delta > 0 and delta >= mu, so finiteness is checked first.
+        with pytest.raises(ValueError, match="must be finite"):
+            DecayModel(*params)
 
     def test_field_must_be_finite(self):
         with pytest.raises(ValueError):

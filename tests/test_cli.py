@@ -209,14 +209,36 @@ class TestBadFlagValues:
             ("thermal", ("--larmor-hz", "nan"), "--larmor-hz"),
             ("thermal", ("--larmor-hz", "inf"), "--larmor-hz"),
             ("thermal", ("--larmor-hz", "1e6", "--temperature", "nan"), "--temperature"),
+            # Finite, but 2*pi times the value overflows.
+            ("simulate", ("--rabi-hz", "1e308"), "--rabi-hz"),
+            ("simulate", ("--detuning-hz", "1e308"), "--detuning-hz"),
+            ("simulate", ("--field-hz", "1e308", "0", "0"), "--field-hz"),
+            ("compare", ("--rabi-hz", "1e308"), "--rabi-hz"),
+            ("thermal", ("--larmor-hz", "1e308"), "--larmor-hz"),
         ],
     )
     def test_is_usage_error(self, tpp, record, capsys, command, flags, flag):
-        base = {"simulate": tpp_flags(tpp), "fit": ["fit", record], "thermal": ["thermal"]}
+        base = {
+            "simulate": tpp_flags(tpp),
+            "fit": ["fit", record],
+            "compare": ["compare", "--a", "analytic", "--b", "ode-bloch", "--t-max", "5e-4"],
+            "thermal": ["thermal"],
+        }
         code, out, err = run(capsys, *base[command], *flags)
         assert code == EXIT_USAGE
         assert out == ""
         assert flag in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_decay_rate_is_usage_error(self, capsys):
+        # delta = 10 * 1e308 overflows; the model refuses it before numpy warns.
+        flags = ["--mu", "1e308", "--delta-mu-ratio", "10", "--nu", "0.1"]
+        code, out, err = run(
+            capsys, "simulate", "--rabi-hz", "100", "--t-max", "1e-3", "--samples", "5", *flags
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: decay parameters must be finite") and err.count("\n") == 1
 
     def test_bad_number_text_keeps_float_message(self, tpp, capsys):
         code, _, err = run(capsys, *tpp_flags(tpp, extra=("--rabi-hz", "abc")))
@@ -655,6 +677,11 @@ class TestThermal:
         assert code == EXIT_USAGE
         code, _, _ = run(capsys, "thermal", "--larmor-hz", "1e6", "--temperature", "0.0")
         assert code == EXIT_USAGE
+
+    def test_default_temperature_is_room_temperature(self, capsys):
+        code, out, _ = run(capsys, "thermal", "--larmor-hz", "1e6")
+        assert code == EXIT_OK
+        assert json.loads(out)["temperature_k"] == ROOM_TEMPERATURE_K
 
     def test_non_finite_result_is_not_written_as_json(self, capsys):
         # hbar w_L / 2 kB T overflows to inf, and so does the high-T epsilon.

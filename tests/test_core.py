@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from nhbloch.core import (
     I0,
     IZ,
-    BlochVector,
     bloch_to_density,
-    check_density_matrix,
     density_to_bloch,
     fidelity,
     purity,
@@ -34,10 +32,10 @@ def test_bloch_to_density_x_state():
 
 
 def test_density_to_bloch_trivial_states():
-    assert tuple(density_to_bloch(np.diag([1.0, 0.0]))) == (0.0, 0.0, 1.0)
-    assert tuple(density_to_bloch(np.diag([0.5, 0.5]))) == (0.0, 0.0, 0.0)
+    assert density_to_bloch(np.diag([1.0, 0.0])) == (0.0, 0.0, 1.0)
+    assert density_to_bloch(np.diag([0.5, 0.5])) == (0.0, 0.0, 0.0)
     rho_y = np.array([[0.5, -0.5j], [0.5j, 0.5]])
-    np.testing.assert_allclose(density_to_bloch(rho_y).as_array(), [0, 1, 0], atol=1e-15)
+    np.testing.assert_allclose(density_to_bloch(rho_y), [0, 1, 0], atol=1e-15)
 
 
 def test_density_to_bloch_rejects_bad_trace():
@@ -48,7 +46,7 @@ def test_density_to_bloch_rejects_bad_trace():
 @given(ball_points)
 def test_round_trip_is_identity(r):
     back = density_to_bloch(bloch_to_density(r))
-    assert max(abs(back.x - r[0]), abs(back.y - r[1]), abs(back.z - r[2])) <= 1e-12
+    assert max(abs(b - a) for a, b in zip(r, back)) <= 1e-12
 
 
 def test_purity_bounds():
@@ -118,23 +116,13 @@ def test_fidelity_below_one_for_distinct_states():
         assert fidelity(bloch_to_density(ra), bloch_to_density(rb)) < 1.0 - 1e-12
 
 
-def test_check_density_matrix_accepts_valid():
-    check_density_matrix(bloch_to_density((0.1, 0.2, -0.3)))
-
-
-def test_check_density_matrix_rejections():
-    with pytest.raises(ValueError, match="Hermitian"):
-        check_density_matrix(np.array([[0.5, 0.1], [0.3, 0.5]]))
-    with pytest.raises(ValueError, match="trace"):
-        check_density_matrix(np.diag([0.7, 0.7]))
-    with pytest.raises(ValueError, match="eigenvalue"):
-        check_density_matrix(bloch_to_density((1.2, 0.0, 0.0)), trace_tol=1e-9)
-
-
 def test_bloch_vector_helpers():
-    r = BlochVector(0.6, 0.0, 0.8)
-    assert r.norm == pytest.approx(1.0)
-    assert r.is_physical()
-    assert not BlochVector(1.2, 0.0, 0.0).is_physical()
-    np.testing.assert_array_equal(BlochVector.from_array([1, 2, 3]).as_array(), [1.0, 2.0, 3.0])
+    # A state is a float triple: density_to_bloch returns one, and the
+    # helpers taking a state accept any length-3 sequence.
+    r = density_to_bloch(bloch_to_density([0.6, 0.0, 0.8]))
+    assert type(r) is tuple and all(type(c) is float for c in r)
+    assert r == pytest.approx((0.6, 0.0, 0.8), abs=1e-15)
+    assert purity(np.array(r)) == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="outside the Bloch ball"):
+        purity((1.2, 0.0, 0.0))
     assert I0[0, 0] == 0.5 and IZ[1, 1] == -0.5

@@ -12,7 +12,7 @@ from nhbloch.analytic import (
     g_root,
     gamma_coefficients,
 )
-from nhbloch.core import IX, IY, IZ, BlochVector, bloch_to_density, purity
+from nhbloch.core import IX, IY, IZ, bloch_to_density, purity
 from nhbloch.dynamics import (
     GammaOperator,
     Trajectory,
@@ -44,12 +44,13 @@ def _numpy_rk4(rhs, step_at, y, times):
     return np.array(out)
 
 
-def _numpy_step_at(field, rates, rate_cap=0.01):
+def _numpy_step_at(field, rates):
+    # The integrators' rule: 200 steps per field period, h * max|lambda_k| <= 0.01.
     base = (2.0 * math.pi / field.omega) / 200
 
     def step_at(t):
         rate = max(abs(v) for v in rates(t))
-        return min(base, rate_cap / rate) if rate > 0.0 else base
+        return min(base, 0.01 / rate) if rate > 0.0 else base
 
     return step_at
 
@@ -132,14 +133,6 @@ class TestGammaOperator:
             GammaOperator(0.0, 0.0, 0.0, 3.0).matrix, np.diag([1.5, -1.5]), atol=0
         )
 
-    def test_coefficient_round_trip(self):
-        g = GammaOperator(0.7, -1.3, 2.2, 0.4)
-        back = GammaOperator.from_matrix(g.matrix)
-        for a, b in zip(
-            (g.lambda0, g.lx, g.ly, g.lz), (back.lambda0, back.lx, back.ly, back.lz)
-        ):
-            assert a == pytest.approx(b, abs=1e-14)
-
     def test_matrix_is_hermitian(self):
         m = GammaOperator(0.1, 0.2, 0.3, 0.4).matrix
         assert np.max(np.abs(m - m.conj().T)) <= 1e-15
@@ -148,10 +141,6 @@ class TestGammaOperator:
         t_star = g_root(tpp.decay)
         g = GammaOperator(0.0, *gamma_coefficients(tpp.field, tpp.decay, t_star))
         assert np.max(np.abs(g.matrix)) <= 1e-9 * tpp.decay.delta
-
-    def test_from_matrix_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            GammaOperator.from_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestEffectiveHamiltonian:
@@ -176,12 +165,13 @@ class TestEffectiveHamiltonian:
         h_eff = effective_hamiltonian(tpp.field, gamma, rho)
         drho = -1j * (h_eff @ rho - rho @ h_eff.conj().T)
 
-        dot = lam[0] * r.x + lam[1] * r.y + lam[2] * r.z
+        x, y, z = r
+        dot = lam[0] * x + lam[1] * y + lam[2] * z
         rhs = np.array(
             [
-                r.x * dot + tpp.field.wy * r.z - tpp.field.wz * r.y - lam[0],
-                r.y * dot + tpp.field.wz * r.x - tpp.field.wx * r.z - lam[1],
-                r.z * dot + tpp.field.wx * r.y - tpp.field.wy * r.x - lam[2],
+                x * dot + tpp.field.wy * z - tpp.field.wz * y - lam[0],
+                y * dot + tpp.field.wz * x - tpp.field.wx * z - lam[1],
+                z * dot + tpp.field.wx * y - tpp.field.wy * x - lam[2],
             ]
         )
         expected = rhs[0] * IX + rhs[1] * IY + rhs[2] * IZ
@@ -223,7 +213,7 @@ class TestScalarRK4:
         lam = lambda t: gamma_coefficients(field, decay, t)
         r0 = damped_bloch(field, decay, grid_251[0])
         traj = integrate_bloch(field, lam, r0, grid_251)
-        assert np.array_equal(traj.bloch, numpy_bloch(field, lam, r0.as_array(), grid_251))
+        assert np.array_equal(traj.bloch, numpy_bloch(field, lam, np.array(r0), grid_251))
 
     @pytest.mark.parametrize("model", ["tpp", "detuned"])
     def test_density_matches_numpy_reference(self, tpp, grid_251, model):
@@ -253,7 +243,7 @@ class TestIntegrateBloch:
         # Step chosen so the h^4 phase error sits well below the 1e-8 bound.
         field = CoherentField(0.0, 2.0 * math.pi * 5000.0, 0.0)
         times = np.linspace(0.0, 1e-3, 41)
-        traj = integrate_bloch(field, ZERO_LAMBDA, BlochVector(0, 0, 1), times, step=2.5e-7)
+        traj = integrate_bloch(field, ZERO_LAMBDA, (0.0, 0.0, 1.0), times, step=2.5e-7)
         exact = np.array([list(coherent_bloch(field, t)) for t in times])
         assert np.max(np.abs(traj.bloch - exact)) <= 1e-8
 
@@ -264,7 +254,7 @@ class TestIntegrateBloch:
     def test_free_and_undriven_state_is_constant(self):
         field = CoherentField(0.0, 0.0, 0.0)
         times = np.linspace(0.0, 1.0, 11)
-        traj = integrate_bloch(field, ZERO_LAMBDA, BlochVector(0.1, 0.2, 0.3), times)
+        traj = integrate_bloch(field, ZERO_LAMBDA, (0.1, 0.2, 0.3), times)
         assert np.max(np.abs(traj.bloch - traj.bloch[0])) == 0.0
 
     def test_against_independent_adaptive_oracle(self):
@@ -284,7 +274,7 @@ class TestIntegrateBloch:
             ]
 
         sol = solve_ivp(
-            rhs, (times[0], times[-1]), r0.as_array(), t_eval=times, rtol=1e-10, atol=1e-12
+            rhs, (times[0], times[-1]), np.array(r0), t_eval=times, rtol=1e-10, atol=1e-12
         )
         assert np.max(np.abs(traj.bloch - sol.y.T)) <= 1e-7
 
@@ -292,13 +282,13 @@ class TestIntegrateBloch:
         field = CoherentField(0.0, 1.0, 0.0)
         with pytest.raises(RuntimeError, match="underflow at t"):
             integrate_bloch(
-                field, lambda t: (1e300, 0.0, 0.0), BlochVector(0, 0, 1), [1.0, 2.0]
+                field, lambda t: (1e300, 0.0, 0.0), (0.0, 0.0, 1.0), [1.0, 2.0]
             )
 
     def test_unphysical_start_is_reported(self):
         field = CoherentField(0.0, 1.0, 0.0)
         with pytest.raises(RuntimeError, match="Bloch ball"):
-            integrate_bloch(field, ZERO_LAMBDA, BlochVector(1.5, 0, 0), [0.0, 1.0])
+            integrate_bloch(field, ZERO_LAMBDA, (1.5, 0.0, 0.0), [0.0, 1.0])
 
     def test_convergence_is_fourth_order(self):
         # Frozen configuration; measured halving factors are ~16.9 and ~16.8.
@@ -307,7 +297,7 @@ class TestIntegrateBloch:
         exact = Trajectory(grid, np.array([list(coherent_bloch(field, t)) for t in grid]))
         errors = []
         for step in (0.5, 0.25, 0.125):
-            traj = integrate_bloch(field, ZERO_LAMBDA, BlochVector(0, 0, 1), grid, step=step)
+            traj = integrate_bloch(field, ZERO_LAMBDA, (0.0, 0.0, 1.0), grid, step=step)
             errors.append(max_deviation(traj, exact).overall)
         assert errors[0] / errors[1] >= 16.0
         assert errors[1] / errors[2] >= 16.0
