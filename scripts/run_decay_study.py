@@ -13,7 +13,7 @@ import numpy as np
 
 from nhbloch.analytic import (
     damped_bloch,
-    gamma_coefficients,
+    damping_provider,
     purity_closed_form,
     trajectory,
 )
@@ -38,7 +38,7 @@ def main():
         times = np.linspace(1e-9, args.t_max, args.samples)
         exact = Trajectory(times, trajectory(field, decay, times))
 
-        lam = lambda t: gamma_coefficients(field, decay, t)
+        lam = damping_provider(field, decay)
         r0 = damped_bloch(field, decay, times[0])
         ode_b = integrate_bloch(field, lam, r0, times)
         ode_d = integrate_density(

@@ -11,6 +11,7 @@ from .analytic import (
     DecayModel,
     coherent_bloch,
     damped_bloch,
+    damping_provider,
     decay_f,
     decay_g,
     g_root,
@@ -80,6 +81,7 @@ __all__ = [
     "bloch_to_density",
     "coherent_bloch",
     "damped_bloch",
+    "damping_provider",
     "decay_f",
     "decay_g",
     "default_initial_guess",

@@ -19,14 +19,16 @@ strictly positive times and callers needing t -> 0 use the (regular)
 trajectory itself. Purity follows as P(t) = 1/2 + f(t)^2 / 2.
 
 :func:`trajectory` is the bulk API: it evaluates f(t) r0(t) on a whole time
-grid as array expressions. :func:`gamma_coefficients` is the per-step API: the
-ODE damping provider calls it once per distinct integrator time, so it is
-written with :mod:`math` on plain floats, in the same operation order as
-:func:`decay_g` and :func:`coherent_bloch`. The other scalar functions
-(:func:`coherent_bloch`, :func:`damped_bloch`) serve single-time callers and
-are the reference the kernel is tested against. A single state is a float
-triple (r_x, r_y, r_z) and a trajectory is (N, 3) rows, as in
-:mod:`nhbloch.core`; this module imports nothing from the package.
+grid as array expressions. :func:`damping_provider` is the per-step API: it
+fixes the field axis and the rates once and returns the ODE damping provider,
+which the integrators call once per distinct time, so it is written with
+:mod:`math` on plain floats, in the same operation order as :func:`decay_g`
+and :func:`coherent_bloch`. The other scalar functions
+(:func:`coherent_bloch`, :func:`damped_bloch`, :func:`gamma_coefficients`)
+serve single-time callers and are the reference the kernel is tested
+against. A single state is a float triple (r_x, r_y, r_z) and a trajectory
+is (N, 3) rows, as in :mod:`nhbloch.core`; this module imports nothing from
+the package.
 """
 
 from __future__ import annotations
@@ -165,26 +167,57 @@ def trajectory(field: CoherentField, decay: DecayModel | None, times) -> np.ndar
     return rows
 
 
+def damping_provider(field: CoherentField, model: DecayModel):
+    """The damping coefficients as a function of time: t -> (lambda_x, lambda_y, lambda_z).
+
+    lambda_k(t) = g(t) r0_k(t) in rad/s, for t > 0. The field norm, the unit
+    axis, the degenerate-field decision and the rates are fixed here, once;
+    each call then evaluates ``decay_g(model, t)`` times
+    ``coherent_bloch(field, t)`` with :mod:`math` on plain floats, in the same
+    operation order, so one call costs a couple of microseconds and its
+    value is bit-identical to those formulas evaluated per call.
+    """
+    exp, expm1, sin = math.exp, math.expm1, math.sin
+    delta, mu, nu = model.delta, model.mu, model.nu
+    neg_delta, neg_mu, nu_mu = -delta, -mu, nu * mu
+    om = field.omega
+    degenerate = om <= _DEGENERATE_FIELD * max(1.0, abs(field.wx), abs(field.wy), abs(field.wz))
+    if not degenerate:
+        nx, ny, nz = field.wx / om, field.wy / om, field.wz / om
+        nxz, nyz, nzz = nx * nz, ny * nz, nz * nz
+
+    def provider(t: float) -> tuple[float, float, float]:
+        if t <= 0.0:
+            raise ValueError("g(t) is defined for t > 0 only (1/(2t) divergence at 0)")
+        e_delta = exp(neg_delta * t)
+        em1_mu = expm1(neg_mu * t)
+        one_minus_f = -expm1(neg_delta * t) + nu * em1_mu
+        f = e_delta - nu * em1_mu
+        g = (delta * e_delta - nu_mu * exp(neg_mu * t)) / (one_minus_f * (1.0 + f))
+        if degenerate:
+            # coherent_bloch's north pole (0, 0, 1), signed zeros included.
+            return (g * 0.0, g * 0.0, g)
+        angle = om * t
+        s = sin(angle)
+        vers = 2.0 * sin(0.5 * angle) ** 2
+        return (
+            g * (nxz * vers + ny * s),
+            g * (nyz * vers - nx * s),
+            g * (nzz * vers + 1.0 - vers),
+        )
+
+    return provider
+
+
 def gamma_coefficients(
     field: CoherentField, model: DecayModel, t: float
 ) -> tuple[float, float, float]:
     """Damping coefficients lambda_k(t) = g(t) r0_k(t), rad/s; needs t > 0.
 
-    The scalar form of ``decay_g(model, t)`` times ``coherent_bloch(field, t)``
-    on plain floats: same formulas and operation order, :mod:`math` in place
-    of numpy, so one call costs a few microseconds.
+    A single-time view of :func:`damping_provider`; callers that need many
+    times build the provider once.
     """
-    if t <= 0.0:
-        raise ValueError("g(t) is defined for t > 0 only (1/(2t) divergence at 0)")
-    delta, mu, nu = model.delta, model.mu, model.nu
-    e_delta = math.exp(-delta * t)
-    e_mu = math.exp(-mu * t)
-    em1_mu = math.expm1(-mu * t)
-    one_minus_f = -math.expm1(-delta * t) + nu * em1_mu
-    f = e_delta - nu * em1_mu
-    g = (delta * e_delta - nu * mu * e_mu) / (one_minus_f * (1.0 + f))
-    x, y, z = coherent_bloch(field, t)
-    return (g * x, g * y, g * z)
+    return damping_provider(field, model)(t)
 
 
 def purity_closed_form(model: DecayModel, t):

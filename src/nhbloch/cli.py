@@ -30,7 +30,8 @@ from .analytic import (
     DecayModel,
     coherent_bloch,
     damped_bloch,
-    gamma_coefficients,
+    damping_provider,
+    gamma_coefficients,  # noqa: F401 -- unused; perfbench/tracing.py wraps it by name
     trajectory,
 )
 from .core import bloch_to_density
@@ -216,16 +217,27 @@ def _rad_per_s(flag: str, hz: float) -> float:
 
 def _field_from_args(args) -> CoherentField:
     if args.field_hz is not None:
-        return CoherentField(*(_rad_per_s("--field-hz", w) for w in args.field_hz))
-    if args.rabi_hz is None:
-        raise UsageError("need --rabi-hz or --field-hz")
-    if args.rabi_hz <= 0.0:
-        raise UsageError("--rabi-hz must be positive")
-    return drive_field(
-        _rad_per_s("--rabi-hz", args.rabi_hz),
-        math.pi * args.phi,
-        _rad_per_s("--detuning-hz", args.detuning_hz),
-    )
+        field = CoherentField(*(_rad_per_s("--field-hz", w) for w in args.field_hz))
+        flags = "--field-hz " + " ".join(map(repr, args.field_hz))
+    else:
+        if args.rabi_hz is None:
+            raise UsageError("need --rabi-hz or --field-hz")
+        if args.rabi_hz <= 0.0:
+            raise UsageError("--rabi-hz must be positive")
+        omega1 = _rad_per_s("--rabi-hz", args.rabi_hz)
+        phase = math.pi * args.phi
+        if not math.isfinite(phase):
+            raise UsageError(f"--phi {args.phi!r} is out of range (pi times it overflows)")
+        field = drive_field(omega1, phase, _rad_per_s("--detuning-hz", args.detuning_hz))
+        flags = f"--rabi-hz {args.rabi_hz!r} and --detuning-hz {args.detuning_hz!r}"
+    # Squares above ~1.8e308 overflow: ** raises, a sum goes to inf.
+    try:
+        norm_ok = math.isfinite(field.omega)
+    except OverflowError:
+        norm_ok = False
+    if not norm_ok:
+        raise UsageError(f"the field of {flags} Hz is out of range (its norm overflows)")
+    return field
 
 
 def _decay_from_args(args) -> DecayModel | None:
@@ -262,7 +274,7 @@ def _simulate(model: str, field: CoherentField, decay: DecayModel | None, times)
     if model == "analytic":
         return Trajectory(times, trajectory(field, decay, times))
     if decay is not None:
-        lam = lambda t: gamma_coefficients(field, decay, t)
+        lam = damping_provider(field, decay)
         r0 = damped_bloch(field, decay, times[0])
     else:
         lam = lambda t: (0.0, 0.0, 0.0)
@@ -453,6 +465,13 @@ def cmd_thermal(args) -> int:
         temperature=args.temperature,
     )
     eps_exact = polarization_factor(ctx, "exact")
+    try:
+        z = partition_function(ctx)
+    except OverflowError:
+        raise UsageError(
+            f"--larmor-hz {args.larmor_hz!r} Hz is out of range at --temperature"
+            f" {args.temperature!r} K (cosh(hbar w_L / 2 kB T) overflows)"
+        ) from None
     payload = {
         "schema_version": "1",
         "command": "thermal",
@@ -460,7 +479,7 @@ def cmd_thermal(args) -> int:
         "temperature_k": args.temperature,
         "epsilon_exact": eps_exact,
         "epsilon_high_t": polarization_factor(ctx, "high_t"),
-        "partition_function": partition_function(ctx),
+        "partition_function": z,
         "eigenvalues": [0.5 * (1.0 + eps_exact), 0.5 * (1.0 - eps_exact)],
     }
     _write_text(args.out, _json_text(payload))

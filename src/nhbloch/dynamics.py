@@ -25,9 +25,13 @@ and k1 share the value at t, and k2 and k3 share the value at t + h/2; k4's
 value at t + h is reused by the next step only if that step starts exactly
 there (the last step of a grid interval ends at the sample time instead).
 
-Both forms run on one scalar RK4 loop that steps a tuple of Python
-numbers: 3 floats for the Bloch form and the 4 complex entries of rho, in
-row-major order, for the matrix form.
+Both forms run on one scalar RK4 driver, which owns the step control, the
+provider reuse, the underflow check and the sampling. Each form hands it an
+``advance(c, c_half, c_end, y, h)`` that takes one RK4 step of a tuple of
+Python numbers: the Bloch form writes its four stages out on 3 local floats,
+the matrix form calls its 2x2 right-hand side on the 4 complex entries of
+rho, in row-major order. Before stepping, the driver estimates the step count
+as the horizon over the base step and refuses more than ``_MAX_STEPS``.
 """
 
 from __future__ import annotations
@@ -48,6 +52,11 @@ _STEPS_PER_PERIOD = 200
 
 # Largest h * max_k |lambda_k| of a step: resolves the 1/(2t) damping ramp.
 _RATE_CAP = 0.01
+
+# Most base steps an integration may take. A million is about 6 s of
+# Bloch-form or 30 s of matrix-form stepping on a 2-vCPU Xeon; the 500 us
+# benchmark grid takes ~2.2k, a 2 ms grid ~9k.
+_MAX_STEPS = 1_000_000
 
 # Trace / Hermiticity slack accepted for numerically produced matrices.
 _MATRIX_TOL = 1e-10
@@ -114,7 +123,9 @@ class GammaOperator:
     lz: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.lambda0, self.lx, self.ly, self.lz)):
+        # Written out: the density integrator builds one per distinct time.
+        finite = math.isfinite
+        if not (finite(self.lambda0) and finite(self.lx) and finite(self.ly) and finite(self.lz)):
             raise ValueError("damping coefficients must be finite")
 
     @property
@@ -169,15 +180,24 @@ def _base_step(field: CoherentField, step: float | None) -> float:
     return (2.0 * math.pi / om) / _STEPS_PER_PERIOD if om > 0.0 else math.inf
 
 
-def _rk4(rhs, coefficients, y: tuple, times: np.ndarray, base: float):
+def _rk4(advance, coefficients, y: tuple, times: np.ndarray, base: float):
     """Classical RK4 of the state tuple ``y`` across the grid; one state per sample.
 
     ``coefficients(t)`` is evaluated once per distinct time (see the module
     docstring); its value starts with (lambda_x, lambda_y, lambda_z), which
-    set the step limit. ``rhs(c, y)`` returns dy/dt as a tuple, given the
-    coefficients ``c`` at that time.
+    set the step limit. ``advance(c, c_half, c_end, y, h)`` returns the state
+    one RK4 step of size h later, given the coefficients at the step's
+    start, midpoint and end. Raises RuntimeError, before stepping, when the
+    grid would take more than ``_MAX_STEPS`` base steps.
     """
     grid = times.tolist()
+    steps = (grid[-1] - grid[0]) / base
+    if steps > _MAX_STEPS:
+        raise RuntimeError(
+            f"integrating to t = {grid[-1]!r} s would take about {steps:.3g} RK4 steps,"
+            f" over the budget of {_MAX_STEPS}; the closed form (--model analytic) has no"
+            " step cost"
+        )
     states = [y]
     t = grid[0]
     c_time = c = None
@@ -190,18 +210,10 @@ def _rk4(rhs, coefficients, y: tuple, times: np.ndarray, base: float):
             h = min(h, t1 - t)
             if t + h == t:
                 raise RuntimeError(f"integration step underflow at t = {t!r}")
-            half = 0.5 * h
-            c_half = coefficients(t + half)
+            c_half = coefficients(t + 0.5 * h)
             c_time = t + h
             c_end = coefficients(c_time)
-            k1 = rhs(c, y)
-            k2 = rhs(c_half, tuple([a + half * b for a, b in zip(y, k1)]))
-            k3 = rhs(c_half, tuple([a + half * b for a, b in zip(y, k2)]))
-            k4 = rhs(c_end, tuple([a + h * b for a, b in zip(y, k3)]))
-            w = h / 6.0
-            y = tuple(
-                [a + w * (b1 + 2.0 * (b2 + b3) + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-            )
+            y = advance(c, c_half, c_end, y, h)
             c = c_end
             t = t1 if h >= t1 - t else c_time
         states.append(y)
@@ -219,7 +231,8 @@ def integrate_bloch(
     """Integrate the Bloch-form equations over ``times``; r(times[0]) = r0.
 
     ``r0`` is any length-3 real sequence. ``lambda_provider`` maps a time to
-    the damping triple (lambda_x, lambda_y, lambda_z); pass
+    the damping triple (lambda_x, lambda_y, lambda_z), such as
+    :func:`~nhbloch.analytic.damping_provider`; pass
     ``lambda t: (0.0, 0.0, 0.0)`` for purely coherent motion. It is called
     once per distinct integrator time. ``step`` overrides the base step
     (useful for convergence studies); either way h * max|lambda_k| is at
@@ -233,18 +246,41 @@ def integrate_bloch(
         raise ValueError("initial state must be a finite length-3 vector")
     wx, wy, wz = field.wx, field.wy, field.wz
 
-    def rhs(lam, r):
-        lx, ly, lz = lam
+    def advance(c, c_half, c_end, r, h):
+        # dr_k/dt = r_k (lambda . r) + (w x r)_k - lambda_k, four stages.
         x, y, z = r
+        half = 0.5 * h
+        lx, ly, lz = c
         dot = lx * x + ly * y + lz * z
+        ax = x * dot + wy * z - wz * y - lx
+        ay = y * dot + wz * x - wx * z - ly
+        az = z * dot + wx * y - wy * x - lz
+        sx, sy, sz = x + half * ax, y + half * ay, z + half * az
+        lx, ly, lz = c_half
+        dot = lx * sx + ly * sy + lz * sz
+        bx = sx * dot + wy * sz - wz * sy - lx
+        by = sy * dot + wz * sx - wx * sz - ly
+        bz = sz * dot + wx * sy - wy * sx - lz
+        sx, sy, sz = x + half * bx, y + half * by, z + half * bz
+        dot = lx * sx + ly * sy + lz * sz
+        cx = sx * dot + wy * sz - wz * sy - lx
+        cy = sy * dot + wz * sx - wx * sz - ly
+        cz = sz * dot + wx * sy - wy * sx - lz
+        sx, sy, sz = x + h * cx, y + h * cy, z + h * cz
+        lx, ly, lz = c_end
+        dot = lx * sx + ly * sy + lz * sz
+        dx = sx * dot + wy * sz - wz * sy - lx
+        dy = sy * dot + wz * sx - wx * sz - ly
+        dz = sz * dot + wx * sy - wy * sx - lz
+        w = h / 6.0
         return (
-            x * dot + wy * z - wz * y - lx,
-            y * dot + wz * x - wx * z - ly,
-            z * dot + wx * y - wy * x - lz,
+            x + w * (ax + 2.0 * (bx + cx) + dx),
+            y + w * (ay + 2.0 * (by + cy) + dy),
+            z + w * (az + 2.0 * (bz + cz) + dz),
         )
 
     base = _base_step(field, step)
-    states = _rk4(rhs, lambda_provider, tuple(r_init.tolist()), times, base)
+    states = _rk4(advance, lambda_provider, tuple(r_init.tolist()), times, base)
     out = np.array(states)
     worst = float(np.max(np.sqrt(np.sum(out**2, axis=1))))
     if worst > 1.0 + 1e-9:
@@ -287,10 +323,9 @@ def integrate_density(
         raise ValueError("initial state must be a finite 2x2 matrix")
     (h00, h01), (h10, h11) = field_matrix(field).tolist()
 
-    def rhs(c, rho):
+    def rhs(c, r00, r01, r10, r11):
         # -i [H, rho] - {G - Tr[G rho] 1, rho}, written out for 2x2.
         g00, g01, g10, g11 = c[3], c[4], c[5], c[6]
-        r00, r01, r10, r11 = rho
         shift = (g00 * r00 + g01 * r10 + g10 * r01 + g11 * r11).real
         s00 = g00 - shift
         s11 = g11 - shift
@@ -305,8 +340,27 @@ def integrate_density(
             - ((g10 * r01 + s11 * r11) + (r10 * g01 + r11 * s11)),
         )
 
+    def advance(c, c_half, c_end, rho, h):
+        r00, r01, r10, r11 = rho
+        half = 0.5 * h
+        a00, a01, a10, a11 = rhs(c, r00, r01, r10, r11)
+        b00, b01, b10, b11 = rhs(
+            c_half, r00 + half * a00, r01 + half * a01, r10 + half * a10, r11 + half * a11
+        )
+        d00, d01, d10, d11 = rhs(
+            c_half, r00 + half * b00, r01 + half * b01, r10 + half * b10, r11 + half * b11
+        )
+        e00, e01, e10, e11 = rhs(c_end, r00 + h * d00, r01 + h * d01, r10 + h * d10, r11 + h * d11)
+        w = h / 6.0
+        return (
+            r00 + w * (a00 + 2.0 * (b00 + d00) + e00),
+            r01 + w * (a01 + 2.0 * (b01 + d01) + e01),
+            r10 + w * (a10 + 2.0 * (b10 + d10) + e10),
+            r11 + w * (a11 + 2.0 * (b11 + d11) + e11),
+        )
+
     states = _rk4(
-        rhs,
+        advance,
         lambda t: _gamma_entries(gamma_provider(t)),
         tuple(y.ravel().tolist()),
         times,

@@ -10,6 +10,7 @@ from nhbloch.analytic import (
     DecayModel,
     coherent_bloch,
     damped_bloch,
+    damping_provider,
     decay_f,
     decay_g,
     g_root,
@@ -262,6 +263,55 @@ class TestGammaCoefficients:
     def test_rejects_non_positive_time(self, tpp, t):
         with pytest.raises(ValueError) as info:
             gamma_coefficients(tpp.field, tpp.decay, t)
+        assert str(info.value) == "g(t) is defined for t > 0 only (1/(2t) divergence at 0)"
+
+
+def _gamma_reference(field, model, t):
+    """g(t) * coherent_bloch(field, t) as gamma_coefficients computed it per call."""
+    delta, mu, nu = model.delta, model.mu, model.nu
+    e_delta = math.exp(-delta * t)
+    e_mu = math.exp(-mu * t)
+    em1_mu = math.expm1(-mu * t)
+    one_minus_f = -math.expm1(-delta * t) + nu * em1_mu
+    f = e_delta - nu * em1_mu
+    g = (delta * e_delta - nu * mu * e_mu) / (one_minus_f * (1.0 + f))
+    om = math.sqrt(field.wx**2 + field.wy**2 + field.wz**2)
+    if om <= 1e-12 * max(1.0, abs(field.wx), abs(field.wy), abs(field.wz)):
+        x, y, z = 0.0, 0.0, 1.0
+    else:
+        nx, ny, nz = field.wx / om, field.wy / om, field.wz / om
+        angle = om * t
+        s = math.sin(angle)
+        vers = 2.0 * math.sin(0.5 * angle) ** 2
+        x, y, z = nx * nz * vers + ny * s, ny * nz * vers - nx * s, nz * nz * vers + 1.0 - vers
+    return (g * x, g * y, g * z)
+
+
+PROVIDER_FIELDS = dict(KERNEL_FIELDS, degenerate=lambda w1: CoherentField(0.0, 5e-13, 0.0))
+
+
+class TestDampingProvider:
+    """The factory's provider against the per-call formulas, bit for bit.
+
+    Hoisting the rates, the field norm and the unit axis out of the call
+    keeps each operation and its order, so every triple (signed zeros of
+    the degenerate field included) must match exactly.
+    """
+
+    @pytest.mark.parametrize("name", list(PROVIDER_FIELDS))
+    def test_bit_identical_to_per_call_formulas(self, tpp, name):
+        field, d = PROVIDER_FIELDS[name](tpp.omega1), tpp.decay
+        provider = damping_provider(field, d)
+        for t in (1e-9, g_root(d), 2e-3, 1.0, 30.0):
+            ref = [float.hex(v) for v in _gamma_reference(field, d, t)]
+            assert [float.hex(v) for v in provider(t)] == ref, t
+            assert [float.hex(v) for v in gamma_coefficients(field, d, t)] == ref, t
+
+    @pytest.mark.parametrize("t", [0.0, -1e-9])
+    def test_rejects_non_positive_time(self, tpp, t):
+        provider = damping_provider(tpp.field, tpp.decay)
+        with pytest.raises(ValueError) as info:
+            provider(t)
         assert str(info.value) == "g(t) is defined for t > 0 only (1/(2t) divergence at 0)"
 
 

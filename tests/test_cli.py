@@ -215,6 +215,16 @@ class TestBadFlagValues:
             ("simulate", ("--field-hz", "1e308", "0", "0"), "--field-hz"),
             ("compare", ("--rabi-hz", "1e308"), "--rabi-hz"),
             ("thermal", ("--larmor-hz", "1e308"), "--larmor-hz"),
+            # Finite in rad/s, but the field norm or cosh overflows.
+            ("simulate", ("--rabi-hz", "1e200"), "--rabi-hz"),
+            ("simulate", ("--detuning-hz", "1e200"), "--detuning-hz"),
+            ("simulate", ("--field-hz", "1e160", "0", "0"), "--field-hz"),
+            ("simulate", ("--field-hz", "2e153", "2e153", "0"), "--field-hz"),
+            ("compare", ("--rabi-hz", "1e200"), "--rabi-hz"),
+            ("thermal", ("--larmor-hz", "1e200"), "--larmor-hz"),
+            # pi times the phase overflows.
+            ("simulate", ("--phi", "1e308"), "--phi"),
+            ("compare", ("--rabi-hz", "100", "--phi=-1e308"), "--phi"),
         ],
     )
     def test_is_usage_error(self, tpp, record, capsys, command, flags, flag):
@@ -697,6 +707,21 @@ class TestEntryPoints:
 
     def test_help_exits_cleanly(self, capsys):
         assert run(capsys, "--help")[0] == EXIT_OK
+
+    def test_long_ode_horizon_is_refused_quickly(self, tpp):
+        # ~4.4M RK4 steps would run for minutes; the step budget refuses first.
+        # A subprocess with a timeout, so a missing budget fails the test.
+        argv = tpp_flags(tpp, model="ode-bloch", extra=("--t-max", "1"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "nhbloch.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == EXIT_NUMERICAL
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("numerical failure: integrating to t = 1.0 s")
+        assert "--model analytic" in proc.stderr
 
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -92,6 +92,94 @@ def numpy_density(field, gam, rho0, times):
     return _numpy_rk4(rhs, _numpy_step_at(field, rates), np.array(rho0, dtype=complex), times)
 
 
+def _tuple_rk4(rhs, coefficients, y, times, base):
+    """The generic tuple RK4 that once stepped both forms: the reference for the
+    written-out steps. Same step control and provider reuse as the driver."""
+    grid = times.tolist()
+    states = [y]
+    t = grid[0]
+    c_time = c = None
+    for t1 in grid[1:]:
+        while t < t1:
+            if c_time != t:
+                c = coefficients(t)
+            rate = max(abs(c[0]), abs(c[1]), abs(c[2]))
+            h = min(base, 0.01 / rate) if rate > 0.0 else base
+            h = min(h, t1 - t)
+            half = 0.5 * h
+            c_half = coefficients(t + half)
+            c_time = t + h
+            c_end = coefficients(c_time)
+            k1 = rhs(c, y)
+            k2 = rhs(c_half, tuple([a + half * b for a, b in zip(y, k1)]))
+            k3 = rhs(c_half, tuple([a + half * b for a, b in zip(y, k2)]))
+            k4 = rhs(c_end, tuple([a + h * b for a, b in zip(y, k3)]))
+            w = h / 6.0
+            y = tuple(
+                [a + w * (b1 + 2.0 * (b2 + b3) + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+            )
+            c = c_end
+            t = t1 if h >= t1 - t else c_time
+        states.append(y)
+    return np.array(states)
+
+
+def tuple_bloch(field, lam, r0, times):
+    """Bloch form on the tuple reference; returns the Bloch rows."""
+    wx, wy, wz = field.wx, field.wy, field.wz
+
+    def rhs(c, r):
+        lx, ly, lz = c
+        x, y, z = r
+        dot = lx * x + ly * y + lz * z
+        return (
+            x * dot + wy * z - wz * y - lx,
+            y * dot + wz * x - wx * z - ly,
+            z * dot + wx * y - wy * x - lz,
+        )
+
+    base = (2.0 * math.pi / field.omega) / 200
+    return _tuple_rk4(rhs, lam, tuple(r0), times, base)
+
+
+def tuple_density(field, gam, rho0, times):
+    """Matrix form on the tuple reference; returns the rho samples."""
+    (h00, h01), (h10, h11) = field_matrix(field).tolist()
+
+    def entries(t):
+        g = gam(t)
+        return (
+            g.lx,
+            g.ly,
+            g.lz,
+            complex(0.5 * g.lambda0 + 0.5 * g.lz),
+            complex(0.5 * g.lx, -0.5 * g.ly),
+            complex(0.5 * g.lx, 0.5 * g.ly),
+            complex(0.5 * g.lambda0 - 0.5 * g.lz),
+        )
+
+    def rhs(c, rho):
+        g00, g01, g10, g11 = c[3], c[4], c[5], c[6]
+        r00, r01, r10, r11 = rho
+        shift = (g00 * r00 + g01 * r10 + g10 * r01 + g11 * r11).real
+        s00 = g00 - shift
+        s11 = g11 - shift
+        return (
+            -1j * ((h00 * r00 + h01 * r10) - (r00 * h00 + r01 * h10))
+            - ((s00 * r00 + g01 * r10) + (r00 * s00 + r01 * g10)),
+            -1j * ((h00 * r01 + h01 * r11) - (r00 * h01 + r01 * h11))
+            - ((s00 * r01 + g01 * r11) + (r00 * g01 + r01 * s11)),
+            -1j * ((h10 * r00 + h11 * r10) - (r10 * h00 + r11 * h10))
+            - ((g10 * r00 + s11 * r10) + (r10 * s00 + r11 * g10)),
+            -1j * ((h10 * r01 + h11 * r11) - (r10 * h01 + r11 * h11))
+            - ((g10 * r01 + s11 * r11) + (r10 * g01 + r11 * s11)),
+        )
+
+    base = (2.0 * math.pi / field.omega) / 200
+    y = tuple(np.asarray(rho0, dtype=complex).ravel().tolist())
+    return _tuple_rk4(rhs, entries, y, times, base).reshape(len(times), 2, 2)
+
+
 class CountingProvider:
     """Damping provider that records every time it is asked for."""
 
@@ -136,6 +224,14 @@ class TestGammaOperator:
     def test_matrix_is_hermitian(self):
         m = GammaOperator(0.1, 0.2, 0.3, 0.4).matrix
         assert np.max(np.abs(m - m.conj().T)) <= 1e-15
+
+    @pytest.mark.parametrize("index", range(4))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_coefficient(self, index, bad):
+        values = [0.0, 1.0, -2.0, 0.5]
+        values[index] = bad
+        with pytest.raises(ValueError, match="damping coefficients must be finite"):
+            GammaOperator(*values)
 
     def test_vanishes_at_damping_sign_change(self, tpp):
         t_star = g_root(tpp.decay)
@@ -227,6 +323,30 @@ class TestScalarRK4:
         traj = integrate_density(field, gam, rho0, grid_251)
         assert np.max(np.abs(traj.rho - numpy_density(field, gam, rho0, grid_251))) <= 1e-14
 
+    @pytest.mark.parametrize(
+        "t_max, samples", [(500e-6, 251), (2e-3, 1001)], ids=["251", "2ms"]
+    )
+    @pytest.mark.parametrize("model", ["tpp", "detuned"])
+    def test_bloch_is_bit_identical_to_tuple_reference(self, tpp, model, t_max, samples):
+        field, decay = (tpp.field, tpp.decay) if model == "tpp" else _detuned_model()
+        times = np.linspace(1e-9, t_max, samples)
+        lam = lambda t: gamma_coefficients(field, decay, t)
+        r0 = damped_bloch(field, decay, times[0])
+        traj = integrate_bloch(field, lam, r0, times)
+        assert np.array_equal(traj.bloch, tuple_bloch(field, lam, r0, times))
+
+    @pytest.mark.parametrize(
+        "t_max, samples", [(500e-6, 251), (2e-3, 1001)], ids=["251", "2ms"]
+    )
+    @pytest.mark.parametrize("model", ["tpp", "detuned"])
+    def test_density_is_bit_identical_to_tuple_reference(self, tpp, model, t_max, samples):
+        field, decay = (tpp.field, tpp.decay) if model == "tpp" else _detuned_model()
+        times = np.linspace(1e-9, t_max, samples)
+        gam = lambda t: GammaOperator(0.0, *gamma_coefficients(field, decay, t))
+        rho0 = bloch_to_density(damped_bloch(field, decay, times[0]))
+        traj = integrate_density(field, gam, rho0, times)
+        assert np.array_equal(traj.rho, tuple_density(field, gam, rho0, times))
+
     def test_underflow_message(self):
         with pytest.raises(RuntimeError) as info:
             integrate_density(
@@ -284,6 +404,16 @@ class TestIntegrateBloch:
             integrate_bloch(
                 field, lambda t: (1e300, 0.0, 0.0), (0.0, 0.0, 1.0), [1.0, 2.0]
             )
+
+    def test_step_budget_refuses_long_horizon(self, tpp):
+        # One second at the benchmark drive is ~4.4M base steps; refused before stepping.
+        lam = CountingProvider(tpp.field, tpp.decay)
+        with pytest.raises(RuntimeError) as info:
+            integrate_bloch(tpp.field, lam, (0.0, 0.0, 1.0), [1e-9, 1.0])
+        message = str(info.value)
+        assert message.startswith("integrating to t = 1.0 s would take about 4.45e+06 RK4 steps")
+        assert "budget of 1000000" in message and "--model analytic" in message
+        assert lam.times == []
 
     def test_unphysical_start_is_reported(self):
         field = CoherentField(0.0, 1.0, 0.0)
