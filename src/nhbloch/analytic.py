@@ -106,7 +106,9 @@ def coherent_bloch(field: CoherentField, t: float) -> tuple[float, float, float]
 def decay_f(model: DecayModel, t):
     """Decay envelope exp(-delta t) + nu (1 - exp(-mu t)); scalar or array."""
     t = np.asarray(t, dtype=float)
-    value = np.exp(-model.delta * t) - model.nu * np.expm1(-model.mu * t)
+    # delta * t may overflow to inf, where exp(-inf) = 0 is the right value.
+    with np.errstate(over="ignore"):
+        value = np.exp(-model.delta * t) - model.nu * np.expm1(-model.mu * t)
     return value if value.ndim else float(value)
 
 
@@ -175,7 +177,9 @@ def damping_provider(field: CoherentField, model: DecayModel):
     each call then evaluates ``decay_g(model, t)`` times
     ``coherent_bloch(field, t)`` with :mod:`math` on plain floats, in the same
     operation order, so one call costs a couple of microseconds and its
-    value is bit-identical to those formulas evaluated per call.
+    value is bit-identical to those formulas evaluated per call. Where those
+    divide by zero (1 - f(t) rounds to 0 for subnormal delta t), it takes the
+    small-time limit g = 1/(2t).
     """
     exp, expm1, sin = math.exp, math.expm1, math.sin
     delta, mu, nu = model.delta, model.mu, model.nu
@@ -193,7 +197,12 @@ def damping_provider(field: CoherentField, model: DecayModel):
         em1_mu = expm1(neg_mu * t)
         one_minus_f = -expm1(neg_delta * t) + nu * em1_mu
         f = e_delta - nu * em1_mu
-        g = (delta * e_delta - nu_mu * exp(neg_mu * t)) / (one_minus_f * (1.0 + f))
+        try:
+            g = (delta * e_delta - nu_mu * exp(neg_mu * t)) / (one_minus_f * (1.0 + f))
+        except ZeroDivisionError:
+            # 1 - f rounds to 0 only when delta t and mu t are subnormal or 0,
+            # where g = 1/(2t) (1 + O(delta t)) holds to rounding.
+            g = 0.5 / t
         if degenerate:
             # coherent_bloch's north pole (0, 0, 1), signed zeros included.
             return (g * 0.0, g * 0.0, g)

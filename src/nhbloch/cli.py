@@ -16,6 +16,7 @@ failure, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -215,10 +216,16 @@ def _rad_per_s(flag: str, hz: float) -> float:
     return omega
 
 
+def _field_flags(args) -> str:
+    """The flags that set the field, with their values, for messages."""
+    if args.field_hz is not None:
+        return "--field-hz " + " ".join(map(repr, args.field_hz))
+    return f"--rabi-hz {args.rabi_hz!r} and --detuning-hz {args.detuning_hz!r}"
+
+
 def _field_from_args(args) -> CoherentField:
     if args.field_hz is not None:
         field = CoherentField(*(_rad_per_s("--field-hz", w) for w in args.field_hz))
-        flags = "--field-hz " + " ".join(map(repr, args.field_hz))
     else:
         if args.rabi_hz is None:
             raise UsageError("need --rabi-hz or --field-hz")
@@ -229,13 +236,13 @@ def _field_from_args(args) -> CoherentField:
         if not math.isfinite(phase):
             raise UsageError(f"--phi {args.phi!r} is out of range (pi times it overflows)")
         field = drive_field(omega1, phase, _rad_per_s("--detuning-hz", args.detuning_hz))
-        flags = f"--rabi-hz {args.rabi_hz!r} and --detuning-hz {args.detuning_hz!r}"
     # Squares above ~1.8e308 overflow: ** raises, a sum goes to inf.
     try:
         norm_ok = math.isfinite(field.omega)
     except OverflowError:
         norm_ok = False
     if not norm_ok:
+        flags = _field_flags(args)
         raise UsageError(f"the field of {flags} Hz is out of range (its norm overflows)")
     return field
 
@@ -255,6 +262,16 @@ def _decay_from_args(args) -> DecayModel | None:
         raise UsageError(str(exc)) from None
 
 
+def _check_angle(args, field: CoherentField, times: np.ndarray, grid: str):
+    """Refuse times at which the rotation angle omega * t overflows (sin(inf) is nan)."""
+    reach = max(-float(times[0]), float(times[-1]))
+    if not math.isfinite(field.omega * reach):
+        raise UsageError(
+            f"the field of {_field_flags(args)} Hz is out of range over {grid}"
+            f" (the rotation angle omega * t overflows at |t| = {reach!r} s)"
+        )
+
+
 def _grid_from_args(args, model: str, decay: DecayModel | None) -> np.ndarray:
     if args.t_max is None:
         raise UsageError("need --t-max")
@@ -267,7 +284,15 @@ def _grid_from_args(args, model: str, decay: DecayModel | None) -> np.ndarray:
         raise UsageError("--t-max must exceed the start time")
     if decay is not None and model.startswith("ode") and t_start <= 0.0:
         raise UsageError("ODE models with decay need --t-start > 0 (damping diverges at t = 0)")
-    return np.linspace(t_start, args.t_max, args.samples)
+    if model.startswith("ode") and t_start < 0.0:
+        raise UsageError(f"--t-start {t_start!r} is negative; the ODE models start at t >= 0")
+    grid = f"--t-start {t_start!r} and --t-max {args.t_max!r} s"
+    if not math.isfinite(args.t_max - t_start):
+        raise UsageError(f"the span of {grid} overflows")
+    times = np.linspace(t_start, args.t_max, args.samples)
+    if not np.all(np.diff(times) > 0.0):
+        raise UsageError(f"--samples {args.samples} distinct times do not fit between {grid}")
+    return times
 
 
 def _simulate(model: str, field: CoherentField, decay: DecayModel | None, times) -> Trajectory:
@@ -297,6 +322,7 @@ def cmd_simulate(args) -> int:
         raise UsageError("--noise must be non-negative")
     if args.seed is not None and args.seed < 0:
         raise UsageError("--seed must be non-negative")
+    _check_angle(args, field, times, "--t-start and --t-max")
     traj = _simulate(args.model, field, decay, times)
     # Purity is reported for the clean model state; noise perturbs only the
     # magnetization columns.
@@ -411,8 +437,11 @@ def cmd_compare(args) -> int:
             times = grids[0]
             if decay is not None and strictest.startswith("ode") and times[0] <= 0.0:
                 raise ValueError("file grid starts at t = 0; ODE models with decay need t > 0")
+            grid = "the times of " + next(source for source in sources if source not in _MODELS)
         else:
             times = _grid_from_args(args, strictest, decay)
+            grid = "--t-start and --t-max"
+        _check_angle(args, field, times, grid)
     traj_a, traj_b = [
         _simulate(source, field, decay, times)
         if record is None
@@ -464,6 +493,15 @@ def cmd_thermal(args) -> int:
         phi=1.5 * math.pi,
         temperature=args.temperature,
     )
+    try:
+        eps_high_t = polarization_factor(ctx, "high_t")
+    except ZeroDivisionError:  # 2 kB T underflows to 0
+        eps_high_t = math.inf
+    if not math.isfinite(eps_high_t):
+        raise ValueError(
+            f"hbar w_L / 2 kB T overflows at --larmor-hz {args.larmor_hz!r} Hz"
+            f" and --temperature {args.temperature!r} K"
+        )
     eps_exact = polarization_factor(ctx, "exact")
     try:
         z = partition_function(ctx)
@@ -478,7 +516,7 @@ def cmd_thermal(args) -> int:
         "larmor_hz": args.larmor_hz,
         "temperature_k": args.temperature,
         "epsilon_exact": eps_exact,
-        "epsilon_high_t": polarization_factor(ctx, "high_t"),
+        "epsilon_high_t": eps_high_t,
         "partition_function": z,
         "eigenvalues": [0.5 * (1.0 + eps_exact), 0.5 * (1.0 - eps_exact)],
     }
@@ -486,7 +524,16 @@ def cmd_thermal(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every subcommand, built on the first call only.
+
+    Every later call returns the same parser, so that repeated in-process
+    calls of :func:`main` do not rebuild it. It is shared: callers must not
+    mutate it. It holds no per-call state, since each parse makes a fresh
+    namespace and help text is formatted (at the terminal width of that
+    moment) when it is printed.
+    """
     parser = argparse.ArgumentParser(
         prog="nhbloch",
         description="Simulate, cross-check and fit damped two-level magnetization dynamics.",
@@ -542,9 +589,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:

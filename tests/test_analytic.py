@@ -105,6 +105,12 @@ class TestDecayFunctions:
         assert f == pytest.approx(0.0637324928652201, abs=1e-13)
         assert f == pytest.approx(0.0638, abs=1e-4)
 
+    @pytest.mark.filterwarnings("error")
+    def test_f_when_delta_t_overflows(self):
+        # delta * t = 1e453 overflows to inf, and exp(-inf) = 0 is the value.
+        model = DecayModel(1e303, 1e3, 0.25)
+        np.testing.assert_array_equal(decay_f(model, np.array([0.0, 1e150])), [1.0, 0.25])
+
     @settings(max_examples=100)
     @given(decay_models, st.floats(0.0, 10.0))
     def test_f_bounded(self, model, t_scaled):
@@ -313,6 +319,22 @@ class TestDampingProvider:
         with pytest.raises(ValueError) as info:
             provider(t)
         assert str(info.value) == "g(t) is defined for t > 0 only (1/(2t) divergence at 0)"
+
+    @pytest.mark.parametrize(
+        "decay, t",
+        [
+            (DecayModel(5e-324, 5e-324, 0.999), 1e-9),
+            (DecayModel(5e-324, 5e-324, 0.999), 1.5),
+            # Subnormal delta t and mu t round to equal multiples of 5e-324.
+            (DecayModel(1.5e-323, 1e-323, 0.9), 0.75),
+        ],
+    )
+    def test_underflowed_one_minus_f_takes_the_small_time_limit(self, decay, t):
+        # 1 - f rounds to 0, and g(t) = 1/(2t) (1 + O(delta t)).
+        field = CoherentField(0.0, 1e4, 0.0)
+        assert damping_provider(field, decay)(t) == tuple(
+            (0.5 / t) * r for r in coherent_bloch(field, t)
+        )
 
 
 class TestPurityClosedForm:

@@ -154,6 +154,31 @@ class TestSimulate:
         code, _, _ = run(capsys, *tpp_flags(tpp, extra=("--format", "xml")))
         assert code == EXIT_USAGE
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_decay_exponent_keeps_the_table(self, capsys):
+        # delta * t overflows to inf in the envelope, where exp(-inf) = 0 is right.
+        code, out, err = run(
+            capsys,
+            *("simulate", "--rabi-hz", "1e-9", "--t-max", "1e150", "--samples", "2"),
+            *("--mu", "1e3", "--delta-mu-ratio", "1e300", "--nu", "0"),
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert out == "t,mx,my,mz,purity\n0.0,0.0,-0.0,1.0,1.0\n1e+150,-0.0,0.0,-0.0,0.5\n"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("model", ["ode-bloch", "ode-density"])
+    def test_ode_with_underflowing_decay_matches_closed_form(self, model, capsys):
+        # delta t underflows, so 1 - f(t) rounds to 0 in the damping g(t).
+        flags = (
+            *("--rabi-hz", "1e-300", "--t-max", "1.5", "--samples", "5", "--detuning-hz", "1e-300"),
+            *("--phi", "-1", "--mu", "5e-324", "--delta-mu-ratio", "1", "--nu", "0.999"),
+        )
+        code, out, err = run(capsys, "simulate", "--model", model, *flags)
+        assert (code, err) == (EXIT_OK, "")
+        _, closed_form, _ = run(capsys, "simulate", *flags, "--t-start", "1e-9")
+        rows = lambda text: [[float(x) for x in line.split(",")] for line in text.splitlines()[1:]]
+        np.testing.assert_allclose(rows(out), rows(closed_form), rtol=0.0, atol=1e-12)
+
 
 class TestFieldConvention:
     @pytest.mark.parametrize("rabi_hz", [1000.0, 22245.3])
@@ -249,6 +274,38 @@ class TestBadFlagValues:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith("error: decay parameters must be finite") and err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            # linspace collapses: 5e-324 leaves no room for 5 distinct times.
+            ("simulate --rabi-hz 1e3 --t-max 5e-324 --samples 5", "--t-max --samples"),
+            ("simulate --model ode-bloch --rabi-hz 1e3 --t-max 1e-3 --t-start -1", "--t-start"),
+            # t-max - t-start overflows in linspace.
+            ("simulate --rabi-hz 1e-9 --t-start=-1e308 --t-max 1e308", "--t-start --t-max"),
+            # omega * t overflows, and sin(inf) is nan.
+            ("simulate --rabi-hz 1e150 --t-max 1e200 --samples 3", "--rabi-hz --t-max"),
+            ("compare --a analytic --b ode-bloch --rabi-hz 1e150 --t-max 1e200", "--rabi-hz --t-max"),
+            ("simulate --field-hz 1e150 0 0 --t-max 1e200", "--field-hz --t-max"),
+        ],
+    )
+    def test_bad_grid_is_usage_error(self, capsys, argv, named):
+        code, out, err = run(capsys, *argv.split())
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert all(flag in err for flag in named.split()), err
+
+    @pytest.mark.filterwarnings("error")
+    def test_file_grid_whose_angle_overflows_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        run(capsys, *"simulate --rabi-hz 1e-9 --t-max 1e200 --samples 9 --out".split(), str(path))
+        code, out, err = run(capsys, "compare", "--a", "analytic", "--b", str(path), "--rabi-hz", "1e150")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--rabi-hz" in err and str(path) in err
 
     def test_bad_number_text_keeps_float_message(self, tpp, capsys):
         code, _, err = run(capsys, *tpp_flags(tpp, extra=("--rabi-hz", "abc")))
@@ -693,12 +750,54 @@ class TestThermal:
         assert code == EXIT_OK
         assert json.loads(out)["temperature_k"] == ROOM_TEMPERATURE_K
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("larmor_hz, temperature", [("1e6", "1e-320"), ("1e300", "1e-300")])
+    def test_overflowing_thermal_argument_names_the_flags(self, capsys, larmor_hz, temperature):
+        # hbar w_L / 2 kB T is not finite: 2 kB T underflows to 0, or the quotient overflows.
+        flags = ("--larmor-hz", larmor_hz, "--temperature", temperature)
+        code, out, err = run(capsys, "thermal", *flags)
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert "--larmor-hz" in err and "--temperature" in err
+
     def test_non_finite_result_is_not_written_as_json(self, capsys):
         # hbar w_L / 2 kB T overflows to inf, and so does the high-T epsilon.
         code, out, err = run(capsys, "thermal", "--larmor-hz", "1e300", "--temperature", "1e-300")
         assert code == EXIT_NUMERICAL
         assert out == ""
         assert "numerical failure" in err
+
+
+class TestSharedParser:
+    """main() parses with one parser per process; no call may leave state in it."""
+
+    def _run_calls(self, tpp, directory, capsys, fresh):
+        directory.mkdir()
+        record = str(directory / "record.csv")
+        calls = [
+            tpp_flags(tpp, extra=("--noise", "0.01", "--seed", "7", "--out", record)),
+            tpp_flags(tpp, samples=31, extra=("--format", "json")),
+            ["fit", record, "--fix-ratio", "11.5", "--seed", "7"],
+            ["fit", record, "--out", str(directory / "free.json")],
+            tpp_flags(tpp, extra=("--rabi-hz", "abc")),
+            ["--help"],
+            ["simulate", "--help"],
+            ["thermal", "--larmor-hz", "1e6"],
+        ]
+        results = []
+        for argv in calls:
+            if fresh:
+                cli.build_parser.cache_clear()
+            results.append(run(capsys, *argv))
+        files = {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+        return results, files
+
+    def test_calls_match_a_fresh_parser(self, tpp, tmp_path, capsys):
+        fresh = self._run_calls(tpp, tmp_path / "fresh", capsys, fresh=True)
+        assert [code for code, _, _ in fresh[0]] == [0, 0, 0, 0, EXIT_USAGE, 0, 0, 0]
+        for name in ("shared-1", "shared-2"):
+            assert self._run_calls(tpp, tmp_path / name, capsys, fresh=False) == fresh
 
 
 class TestEntryPoints:
