@@ -18,7 +18,7 @@ from nhbloch.analytic import (
     trajectory,
 )
 from nhbloch.core import bloch_to_density
-from nhbloch.dynamics import GammaOperator, Trajectory, integrate_bloch, integrate_density, max_deviation
+from nhbloch.dynamics import Trajectory, integrate_bloch, integrate_density, max_deviation
 from nhbloch.fit import residual_magnetization_stats
 from nhbloch.nmr import P31_SAMPLES, p31_sample
 
@@ -41,9 +41,7 @@ def main():
         lam = damping_provider(field, decay)
         r0 = damped_bloch(field, decay, times[0])
         ode_b = integrate_bloch(field, lam, r0, times)
-        ode_d = integrate_density(
-            field, lambda t: GammaOperator(0.0, *lam(t)), bloch_to_density(r0), times
-        )
+        ode_d = integrate_density(field, lam, bloch_to_density(r0), times)
 
         purity = purity_closed_form(decay, times)
         path = outdir / f"{name}_magnetization.csv"

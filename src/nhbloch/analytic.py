@@ -117,6 +117,8 @@ def decay_g(model: DecayModel, t):
 
     The denominator is formed from 1 - f = -expm1(-delta t) + nu expm1(-mu t)
     so that no cancellation occurs for small arguments, where g ~ 1/(2t).
+    Where 1 - f still rounds to 0 (delta t and mu t subnormal or 0), g takes
+    that limit 1/(2t), as :func:`damping_provider` does.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0.0):
@@ -125,7 +127,10 @@ def decay_g(model: DecayModel, t):
     e_mu = np.exp(-model.mu * t)
     one_minus_f = -np.expm1(-model.delta * t) + model.nu * np.expm1(-model.mu * t)
     f = e_delta - model.nu * np.expm1(-model.mu * t)
-    value = (model.delta * e_delta - model.nu * model.mu * e_mu) / (one_minus_f * (1.0 + f))
+    denominator = one_minus_f * (1.0 + f)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = (model.delta * e_delta - model.nu * model.mu * e_mu) / denominator
+    value = np.where(denominator == 0.0, 0.5 / t, value)
     return value if value.ndim else float(value)
 
 

@@ -37,7 +37,7 @@ from .analytic import (
 )
 from .core import bloch_to_density
 from .dynamics import (
-    GammaOperator,
+    GammaOperator,  # noqa: F401 -- unused; perfbench/tracing.py wraps it by name
     Trajectory,
     fidelity_trace,
     integrate_bloch,
@@ -55,6 +55,9 @@ _MODELS = ("analytic", "ode-bloch", "ode-density")
 
 # Seed time for ODE runs with decay: the damping coefficients diverge at 0.
 _SINGULAR_T0 = 1e-9
+
+# Why a decay refuses negative times: f(t) > 1 there, so |r| > 1.
+_DECAY_FROM_ZERO = "the decay f(t) holds for t >= 0 only (|r| > 1 before t = 0)"
 
 # fit refuses a record whose m_y ratio of successive differences lies this
 # many standard deviations below white noise's (see _my_signal).
@@ -286,6 +289,8 @@ def _grid_from_args(args, model: str, decay: DecayModel | None) -> np.ndarray:
         raise UsageError("ODE models with decay need --t-start > 0 (damping diverges at t = 0)")
     if model.startswith("ode") and t_start < 0.0:
         raise UsageError(f"--t-start {t_start!r} is negative; the ODE models start at t >= 0")
+    if decay is not None and t_start < 0.0:
+        raise UsageError(f"--t-start {t_start!r} is negative; {_DECAY_FROM_ZERO}")
     grid = f"--t-start {t_start!r} and --t-max {args.t_max!r} s"
     if not math.isfinite(args.t_max - t_start):
         raise UsageError(f"the span of {grid} overflows")
@@ -307,8 +312,7 @@ def _simulate(model: str, field: CoherentField, decay: DecayModel | None, times)
     if model == "ode-bloch":
         return integrate_bloch(field, lam, r0, times)
     if model == "ode-density":
-        gam = lambda t: GammaOperator(0.0, *lam(t))
-        return integrate_density(field, gam, bloch_to_density(r0), times)
+        return integrate_density(field, lam, bloch_to_density(r0), times)
     raise UsageError(f"unknown model {model!r}")
 
 
@@ -438,6 +442,8 @@ def cmd_compare(args) -> int:
             if decay is not None and strictest.startswith("ode") and times[0] <= 0.0:
                 raise ValueError("file grid starts at t = 0; ODE models with decay need t > 0")
             grid = "the times of " + next(source for source in sources if source not in _MODELS)
+            if decay is not None and times[0] < 0.0:
+                raise UsageError(f"{grid} start at t = {float(times[0])!r} s; {_DECAY_FROM_ZERO}")
         else:
             times = _grid_from_args(args, strictest, decay)
             grid = "--t-start and --t-max"

@@ -13,10 +13,15 @@ with a classical fixed-step Runge-Kutta 4 scheme. The two forms are affinely
 equivalent, so integrating both and comparing is a representation-level
 consistency check rather than an independent method.
 
-Damping coefficients are supplied as a callable of time; when they follow
-the analytic g-form they blow up like 1/(2t) toward t = 0, so integrations
-must start at a strictly positive seed time and the substep size is capped
-at ``_RATE_CAP / max_k |lambda_k(t)|`` (``_RATE_CAP`` = 0.01) to resolve the
+Both forms take the damping as one provider contract: a callable
+``t -> (lambda_x, lambda_y, lambda_z)`` of finite rates in rad/s, such as
+:func:`~nhbloch.analytic.damping_provider`. The matrix form builds
+G = lambda_x IX + lambda_y IY + lambda_z IZ from the triple; an identity part
+lambda0 I0 would be cancelled exactly by the Tr[G rho] shift, so the
+contract has no place for it. When the coefficients follow the analytic
+g-form they blow up like 1/(2t) toward t = 0, so integrations must start at
+a strictly positive seed time and the substep size is capped at
+``_RATE_CAP / max_k |lambda_k(t)|`` (``_RATE_CAP`` = 0.01) to resolve the
 ramp. Away from the ramp the base step 2*pi / (200 * omega) applies.
 
 The provider must be a pure function of t: the integrators call it once per
@@ -30,7 +35,8 @@ provider reuse, the underflow check and the sampling. Each form hands it an
 ``advance(c, c_half, c_end, y, h)`` that takes one RK4 step of a tuple of
 Python numbers: the Bloch form writes its four stages out on 3 local floats,
 the matrix form calls its 2x2 right-hand side on the 4 complex entries of
-rho, in row-major order. Before stepping, the driver estimates the step count
+rho, in row-major order, and computes each product the right-hand side
+needs once. Before stepping, the driver estimates the step count
 as the horizon over the base step and refuses more than ``_MAX_STEPS``.
 """
 
@@ -113,8 +119,10 @@ class Trajectory:
 class GammaOperator:
     """Damping operator lambda0*I0 + lx*IX + ly*IY + lz*IZ, rates in rad/s.
 
-    The lambda0 part is cancelled exactly by the Tr[G rho] shift and never
-    contributes to the dynamics; it is carried for completeness.
+    The argument of :func:`effective_hamiltonian`. The lambda0 part is
+    cancelled exactly by the Tr[G rho] shift and never contributes to the
+    dynamics; it is carried for completeness. The integrators take the
+    triple (lx, ly, lz) instead.
     """
 
     lambda0: float
@@ -123,7 +131,6 @@ class GammaOperator:
     lz: float
 
     def __post_init__(self):
-        # Written out: the density integrator builds one per distinct time.
         finite = math.isfinite
         if not (finite(self.lambda0) and finite(self.lx) and finite(self.ly) and finite(self.lz)):
             raise ValueError("damping coefficients must be finite")
@@ -205,9 +212,24 @@ def _rk4(advance, coefficients, y: tuple, times: np.ndarray, base: float):
         while t < t1:
             if c_time != t:
                 c = coefficients(t)
-            rate = max(abs(c[0]), abs(c[1]), abs(c[2]))
-            h = min(base, _RATE_CAP / rate) if rate > 0.0 else base
-            h = min(h, t1 - t)
+            # h = min(min(base, _RATE_CAP / rate), t1 - t) for rate =
+            # max(|lx|, |ly|, |lz|), as comparisons in the builtins' order,
+            # so a NaN rate picks the same value.
+            rate = abs(c[0])
+            v = abs(c[1])
+            if v > rate:
+                rate = v
+            v = abs(c[2])
+            if v > rate:
+                rate = v
+            h = base
+            if rate > 0.0:
+                v = _RATE_CAP / rate
+                if v < base:
+                    h = v
+            span = t1 - t
+            if span < h:
+                h = span
             if t + h == t:
                 raise RuntimeError(f"integration step underflow at t = {t!r}")
             c_half = coefficients(t + 0.5 * h)
@@ -215,7 +237,7 @@ def _rk4(advance, coefficients, y: tuple, times: np.ndarray, base: float):
             c_end = coefficients(c_time)
             y = advance(c, c_half, c_end, y, h)
             c = c_end
-            t = t1 if h >= t1 - t else c_time
+            t = t1 if h >= span else c_time
         states.append(y)
     return states
 
@@ -288,23 +310,9 @@ def integrate_bloch(
     return Trajectory(times, out)
 
 
-def _gamma_entries(gamma: GammaOperator) -> tuple:
-    """(lx, ly, lz) followed by the entries g00, g01, g10, g11 of G, row-major."""
-    l0, lx, ly, lz = gamma.lambda0, gamma.lx, gamma.ly, gamma.lz
-    return (
-        lx,
-        ly,
-        lz,
-        complex(0.5 * l0 + 0.5 * lz),
-        complex(0.5 * lx, -0.5 * ly),
-        complex(0.5 * lx, 0.5 * ly),
-        complex(0.5 * l0 - 0.5 * lz),
-    )
-
-
 def integrate_density(
     field: CoherentField,
-    gamma_provider: Callable[[float], GammaOperator],
+    lambda_provider: Callable[[float], tuple[float, float, float]],
     rho0,
     times,
     *,
@@ -312,9 +320,12 @@ def integrate_density(
 ) -> Trajectory:
     """Integrate the matrix-form equation; returns Bloch rows plus rho samples.
 
-    ``gamma_provider`` is called once per distinct integrator time. Trace
-    and Hermiticity are preserved by the flow on the unit-trace manifold;
-    the returned trajectory re-validates both at 1e-10 on every sample.
+    ``lambda_provider`` is the same ``t -> (lambda_x, lambda_y, lambda_z)``
+    provider that :func:`integrate_bloch` takes, called once per distinct
+    integrator time; G = lambda_x IX + lambda_y IY + lambda_z IZ is built
+    from each triple, and a non-finite rate raises ValueError. Trace and
+    Hermiticity are preserved by the flow on the unit-trace manifold; the
+    returned trajectory re-validates both at 1e-10 on every sample.
     """
     times = np.asarray(times, dtype=float)
     _check_grid(times)
@@ -322,22 +333,48 @@ def integrate_density(
     if y.shape != (2, 2) or not np.all(np.isfinite(y)):
         raise ValueError("initial state must be a finite 2x2 matrix")
     (h00, h01), (h10, h11) = field_matrix(field).tolist()
+    finite = math.isfinite
+
+    def coefficients(t):
+        # (lx, ly, lz) followed by G's entries g00, g01, g10, g11, row-major.
+        # 0.0 +/- 0.5 * lz is 0.5 * lambda0 +/- 0.5 * lz at lambda0 = 0: it
+        # keeps G's diagonal free of -0.0.
+        lx, ly, lz = lambda_provider(t)
+        if not (finite(lx) and finite(ly) and finite(lz)):
+            raise ValueError("damping coefficients must be finite")
+        return (
+            lx,
+            ly,
+            lz,
+            complex(0.0 + 0.5 * lz),
+            complex(0.5 * lx, -0.5 * ly),
+            complex(0.5 * lx, 0.5 * ly),
+            complex(0.0 - 0.5 * lz),
+        )
 
     def rhs(c, r00, r01, r10, r11):
-        # -i [H, rho] - {G - Tr[G rho] 1, rho}, written out for 2x2.
-        g00, g01, g10, g11 = c[3], c[4], c[5], c[6]
-        shift = (g00 * r00 + g01 * r10 + g10 * r01 + g11 * r11).real
+        # -i [H, rho] - {G - Tr[G rho] 1, rho}, written out for 2x2. Complex
+        # products commute bit for bit, so each one is computed once; no sum
+        # is reordered.
+        _, _, _, g00, g01, g10, g11 = c
+        g01r10 = g01 * r10
+        g10r01 = g10 * r01
+        shift = (g00 * r00 + g01r10 + g10r01 + g11 * r11).real
         s00 = g00 - shift
         s11 = g11 - shift
+        h00r00 = h00 * r00
+        h11r11 = h11 * r11
+        s00r00 = s00 * r00
+        s11r11 = s11 * r11
         return (
-            -1j * ((h00 * r00 + h01 * r10) - (r00 * h00 + r01 * h10))
-            - ((s00 * r00 + g01 * r10) + (r00 * s00 + r01 * g10)),
+            -1j * ((h00r00 + h01 * r10) - (h00r00 + r01 * h10))
+            - ((s00r00 + g01r10) + (s00r00 + g10r01)),
             -1j * ((h00 * r01 + h01 * r11) - (r00 * h01 + r01 * h11))
             - ((s00 * r01 + g01 * r11) + (r00 * g01 + r01 * s11)),
             -1j * ((h10 * r00 + h11 * r10) - (r10 * h00 + r11 * h10))
             - ((g10 * r00 + s11 * r10) + (r10 * s00 + r11 * g10)),
-            -1j * ((h10 * r01 + h11 * r11) - (r10 * h01 + r11 * h11))
-            - ((g10 * r01 + s11 * r11) + (r10 * g01 + r11 * s11)),
+            -1j * ((h10 * r01 + h11r11) - (r10 * h01 + h11r11))
+            - ((g10r01 + s11r11) + (g01r10 + s11r11)),
         )
 
     def advance(c, c_half, c_end, rho, h):
@@ -359,13 +396,7 @@ def integrate_density(
             r11 + w * (a11 + 2.0 * (b11 + d11) + e11),
         )
 
-    states = _rk4(
-        advance,
-        lambda t: _gamma_entries(gamma_provider(t)),
-        tuple(y.ravel().tolist()),
-        times,
-        _base_step(field, step),
-    )
+    states = _rk4(advance, coefficients, tuple(y.ravel().tolist()), times, _base_step(field, step))
     rho_out = np.array(states).reshape(len(times), 2, 2)
     bloch = np.empty((len(times), 3))
     for i in range(len(times)):

@@ -18,7 +18,6 @@ from nhbloch.analytic import CoherentField
 from nhbloch.core import bloch_to_density
 from nhbloch.cli import EXIT_OK, main
 from nhbloch.dynamics import (
-    GammaOperator,
     Trajectory,
     fidelity_trace,
     integrate_bloch,
@@ -40,12 +39,11 @@ def _report(number: int, label: str, ok: bool, detail: str = ""):
 @pytest.fixture(scope="module")
 def benchmark_runs(tpp, grid_251):
     lam = lambda t: gamma_coefficients(tpp.field, tpp.decay, t)
-    gam = lambda t: GammaOperator(0.0, *lam(t))
     r0 = damped_bloch(tpp.field, tpp.decay, grid_251[0])
     start = time.perf_counter()
     traj_b = integrate_bloch(tpp.field, lam, r0, grid_251)
     bloch_runtime = time.perf_counter() - start
-    traj_d = integrate_density(tpp.field, gam, bloch_to_density(r0), grid_251)
+    traj_d = integrate_density(tpp.field, lam, bloch_to_density(r0), grid_251)
     exact = Trajectory(
         grid_251, np.array([list(damped_bloch(tpp.field, tpp.decay, t)) for t in grid_251])
     )

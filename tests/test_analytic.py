@@ -124,6 +124,24 @@ class TestDecayFunctions:
         with pytest.raises(ValueError, match="t > 0"):
             decay_g(tpp.decay, -1e-6)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "decay, t",
+        [
+            (DecayModel(5e-324, 5e-324, 0.999), 1e-9),
+            (DecayModel(5e-324, 5e-324, 0.999), 1.5),
+            (DecayModel(1.5e-323, 1e-323, 0.9), 0.75),
+        ],
+    )
+    def test_g_where_one_minus_f_underflows_is_the_small_time_limit(self, decay, t):
+        # 1 - f rounds to 0; the limit g = 1/(2t) is the provider's, and
+        # the other entries of an array keep their values.
+        provider = damping_provider(CoherentField(0.0, 0.0, 0.0), decay)
+        assert decay_g(decay, t) == 0.5 / t == provider(t)[2]
+        late = 1e300
+        got = decay_g(decay, np.array([t, late]))
+        np.testing.assert_array_equal(got, [0.5 / t, decay_g(decay, late)])
+
     def test_g_small_time_divergence(self, tpp):
         # g ~ 1/(2t) toward the origin.
         for t in (1e-9 / tpp.decay.delta, 1e-8 / tpp.decay.delta, 1e-6 / tpp.decay.delta):

@@ -288,6 +288,17 @@ class TestBadFlagValues:
             ("simulate --rabi-hz 1e150 --t-max 1e200 --samples 3", "--rabi-hz --t-max"),
             ("compare --a analytic --b ode-bloch --rabi-hz 1e150 --t-max 1e200", "--rabi-hz --t-max"),
             ("simulate --field-hz 1e150 0 0 --t-max 1e200", "--field-hz --t-max"),
+            # f(t) > 1 before t = 0: the decay model holds for t >= 0 only.
+            (
+                "simulate --rabi-hz 1e3 --t-start -1 --t-max 1e-3 --samples 3"
+                " --mu 1 --delta-mu-ratio 2 --nu 0.1",
+                "--t-start",
+            ),
+            (
+                "compare --a analytic --b analytic --rabi-hz 1e3 --t-start=-1e-6 --t-max 1e-3"
+                " --mu 1 --delta-mu-ratio 2 --nu 0.1",
+                "--t-start",
+            ),
         ],
     )
     def test_bad_grid_is_usage_error(self, capsys, argv, named):
@@ -306,6 +317,24 @@ class TestBadFlagValues:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "--rabi-hz" in err and str(path) in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("order", ["model-file", "file-model"])
+    def test_file_grid_before_zero_under_decay_is_usage_error(self, tmp_path, capsys, order):
+        # Without decay a rotation before t = 0 is fine; with decay f(t) > 1 there.
+        path = tmp_path / "early.csv"
+        code, _, _ = run(
+            capsys, *"simulate --rabi-hz 1e3 --t-start=-1e-6 --t-max 1e-3 --samples 9 --out".split(),
+            str(path),
+        )
+        assert code == EXIT_OK
+        a, b = ("analytic", str(path)) if order == "model-file" else (str(path), "analytic")
+        decay = "--rabi-hz 1e3 --mu 1 --delta-mu-ratio 2 --nu 0.1".split()
+        code, out, err = run(capsys, "compare", "--a", a, "--b", b, *decay)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
 
     def test_bad_number_text_keeps_float_message(self, tpp, capsys):
         code, _, err = run(capsys, *tpp_flags(tpp, extra=("--rabi-hz", "abc")))

@@ -9,6 +9,7 @@ from nhbloch.analytic import (
     DecayModel,
     coherent_bloch,
     damped_bloch,
+    damping_provider,
     g_root,
     gamma_coefficients,
 )
@@ -201,10 +202,9 @@ def _detuned_model():
 def tpp_runs(tpp, grid_251):
     """One Bloch-form and one matrix-form integration of the benchmark."""
     lam = lambda t: gamma_coefficients(tpp.field, tpp.decay, t)
-    gam = lambda t: GammaOperator(0.0, *lam(t))
     r0 = damped_bloch(tpp.field, tpp.decay, grid_251[0])
     traj_b = integrate_bloch(tpp.field, lam, r0, grid_251)
-    traj_d = integrate_density(tpp.field, gam, bloch_to_density(r0), grid_251)
+    traj_d = integrate_density(tpp.field, lam, bloch_to_density(r0), grid_251)
     exact = Trajectory(
         grid_251,
         np.array([list(damped_bloch(tpp.field, tpp.decay, t)) for t in grid_251]),
@@ -245,6 +245,14 @@ class TestEffectiveHamiltonian:
         h_eff = effective_hamiltonian(tpp.field, GammaOperator(0.0, 0.0, 0.0, 0.0), rho)
         np.testing.assert_allclose(h_eff, field_matrix(tpp.field), atol=0)
         assert np.max(np.abs(h_eff - h_eff.conj().T)) <= 1e-12
+
+    def test_identity_only_damping_does_nothing(self, tpp):
+        # The shift cancels the lambda0 part exactly, for any state, which is
+        # why the integrators take only (lx, ly, lz).
+        gamma = GammaOperator(4.0e3, 0.0, 0.0, 0.0)
+        for r0 in ((0.0, 0.0, 0.0), (0.2, -0.1, 0.4)):
+            h_eff = effective_hamiltonian(tpp.field, gamma, bloch_to_density(r0))
+            assert np.max(np.abs(h_eff - field_matrix(tpp.field))) <= 1e-12 * 4.0e3
 
     def test_maximally_mixed_state_kills_shift_for_traceless_damping(self, tpp):
         gamma = GammaOperator(0.0, 1.0, -2.0, 0.5)
@@ -299,8 +307,7 @@ class TestScalarRK4:
         if form == "bloch":
             integrate_bloch(tpp.field, lam, r0, times)
         else:
-            gam = lambda t: GammaOperator(0.0, *lam(t))
-            integrate_density(tpp.field, gam, bloch_to_density(r0), times)
+            integrate_density(tpp.field, lam, bloch_to_density(r0), times)
         assert len(lam.times) == len(set(lam.times)) == calls
 
     @pytest.mark.parametrize("model", ["tpp", "detuned"])
@@ -318,9 +325,10 @@ class TestScalarRK4:
         # Over ~2,700 steps a random walk of ulp-level differences stays
         # below sqrt(2700) * eps ~ 1e-14.
         field, decay = (tpp.field, tpp.decay) if model == "tpp" else _detuned_model()
-        gam = lambda t: GammaOperator(0.0, *gamma_coefficients(field, decay, t))
+        lam = lambda t: gamma_coefficients(field, decay, t)
+        gam = lambda t: GammaOperator(0.0, *lam(t))
         rho0 = bloch_to_density(damped_bloch(field, decay, grid_251[0]))
-        traj = integrate_density(field, gam, rho0, grid_251)
+        traj = integrate_density(field, lam, rho0, grid_251)
         assert np.max(np.abs(traj.rho - numpy_density(field, gam, rho0, grid_251))) <= 1e-14
 
     @pytest.mark.parametrize(
@@ -342,16 +350,76 @@ class TestScalarRK4:
     def test_density_is_bit_identical_to_tuple_reference(self, tpp, model, t_max, samples):
         field, decay = (tpp.field, tpp.decay) if model == "tpp" else _detuned_model()
         times = np.linspace(1e-9, t_max, samples)
-        gam = lambda t: GammaOperator(0.0, *gamma_coefficients(field, decay, t))
+        lam = lambda t: gamma_coefficients(field, decay, t)
+        gam = lambda t: GammaOperator(0.0, *lam(t))
         rho0 = bloch_to_density(damped_bloch(field, decay, times[0]))
-        traj = integrate_density(field, gam, rho0, times)
+        traj = integrate_density(field, lam, rho0, times)
         assert np.array_equal(traj.rho, tuple_density(field, gam, rho0, times))
+
+    @pytest.mark.parametrize("damping", ["decay", "zero"])
+    @pytest.mark.parametrize("field_name", ["degenerate", "tpp"])
+    def test_density_keeps_signed_zeros_of_the_tuple_reference(self, tpp, field_name, damping):
+        # A sub-threshold z field and zero damping leave exact (signed)
+        # zeros in G and rho, which array_equal would not tell apart.
+        field = CoherentField(0.0, 0.0, 1e-13) if field_name == "degenerate" else tpp.field
+        if damping == "decay":
+            lam = damping_provider(field, tpp.decay)
+            r0 = damped_bloch(field, tpp.decay, 1e-9)
+        else:
+            lam = ZERO_LAMBDA
+            r0 = (0.0, 0.0, 1.0)
+        times = np.linspace(1e-9, 2e-3, 41)
+        gam = lambda t: GammaOperator(0.0, *lam(t))
+        rho0 = bloch_to_density(r0)
+        traj = integrate_density(field, lam, rho0, times)
+        assert traj.rho.tobytes() == tuple_density(field, gam, rho0, times).tobytes()
+
+    @pytest.mark.parametrize(
+        "rates",
+        [
+            (math.nan, 1e6, 0.0),
+            (1e6, math.nan, 0.0),
+            (0.0, 1e6, math.nan),
+            (math.nan, math.nan, math.nan),
+        ],
+    )
+    def test_step_control_picks_the_builtin_max_min_steps_on_nan(self, tpp, rates):
+        # max() keeps a NaN only in first place, and a NaN rate takes the
+        # base step. The steps show in the times the provider is asked for.
+        times = np.linspace(1e-9, 5e-6, 3)
+        asked, ref_asked = [], []
+
+        def lam(t):
+            asked.append(t)
+            return rates
+
+        def ref(t):
+            ref_asked.append(t)
+            return rates
+
+        with pytest.raises(ValueError, match="non-finite"):
+            integrate_bloch(tpp.field, lam, (0.0, 0.0, 1.0), times)
+        tuple_bloch(tpp.field, ref, (0.0, 0.0, 1.0), times)
+        assert asked == ref_asked
+
+    @pytest.mark.parametrize(
+        "rates", [(math.inf, 0.0, 0.0), (0.0, math.nan, 0.0), (0.0, 0.0, -math.inf)]
+    )
+    def test_density_refuses_non_finite_rates(self, rates):
+        with pytest.raises(ValueError) as info:
+            integrate_density(
+                CoherentField(0.0, 1.0, 0.0),
+                lambda t: rates,
+                bloch_to_density((0.0, 0.0, 1.0)),
+                [1.0, 2.0],
+            )
+        assert str(info.value) == "damping coefficients must be finite"
 
     def test_underflow_message(self):
         with pytest.raises(RuntimeError) as info:
             integrate_density(
                 CoherentField(0.0, 1.0, 0.0),
-                lambda t: GammaOperator(0.0, 0.0, 0.0, 1e300),
+                lambda t: (0.0, 0.0, 1e300),
                 bloch_to_density((0.0, 0.0, 1.0)),
                 [1.0, 2.0],
             )
@@ -438,8 +506,7 @@ class TestIntegrateDensity:
         # Step chosen so the h^5 scheme dissipation sits below the 1e-10 bound.
         times = np.linspace(0.0, 2e-4, 21)
         rho0 = bloch_to_density((0.3, 0.0, 0.4))
-        gam = lambda t: GammaOperator(0.0, 0.0, 0.0, 0.0)
-        traj = integrate_density(tpp.field, gam, rho0, times, step=8e-8)
+        traj = integrate_density(tpp.field, ZERO_LAMBDA, rho0, times, step=8e-8)
         purities = np.array([purity(r) for r in traj.bloch])
         assert np.max(np.abs(purities - purities[0])) <= 1e-10
 
@@ -461,21 +528,13 @@ class TestIntegrateDensity:
             mu = rng.uniform(100.0, 800.0)
             decay = DecayModel(rng.uniform(1.0, 15.0) * mu, mu, rng.uniform(0.0, 0.2))
             times = np.linspace(1e-9, 2e-4, 21)
-            gam = lambda t: GammaOperator(0.0, *gamma_coefficients(field, decay, t))
+            lam = lambda t: gamma_coefficients(field, decay, t)
             rho0 = bloch_to_density(damped_bloch(field, decay, times[0]))
-            traj = integrate_density(field, gam, rho0, times)
+            traj = integrate_density(field, lam, rho0, times)
             traces = np.einsum("nii->n", traj.rho).real
             assert np.max(np.abs(traces - 1.0)) <= 1e-10
             herm = np.max(np.abs(traj.rho - np.conj(np.swapaxes(traj.rho, 1, 2))))
             assert herm <= 1e-10
-
-    def test_identity_only_damping_does_nothing(self, tpp):
-        # The shift cancels the lambda0 part exactly, for any state.
-        times = np.linspace(0.0, 1e-4, 11)
-        gam = lambda t: GammaOperator(4.0e3, 0.0, 0.0, 0.0)
-        for r0 in ((0.0, 0.0, 0.0), (0.2, -0.1, 0.4)):
-            traj = integrate_density(CoherentField(0.0, 0.0, 0.0), gam, bloch_to_density(r0), times)
-            assert np.max(np.abs(traj.bloch - traj.bloch[0])) <= 1e-9
 
     def test_purity_decreases_from_one_and_stays_mixed_side(self, tpp_runs):
         _, traj_d, _ = tpp_runs
