@@ -20,7 +20,8 @@ import argparse
 import numpy as np
 
 from nhbloch.analytic import trajectory
-from nhbloch.fit import MagnetizationSeries, fit_decay_model
+from nhbloch.core import Trajectory
+from nhbloch.fit import fit_decay_model
 from nhbloch.nmr import p31_sample
 
 
@@ -49,9 +50,8 @@ def main():
             for seed in range(args.trials):
                 rng = np.random.default_rng(seed)
                 noisy = clean + rng.normal(0.0, sigma, clean.shape)
-                series = MagnetizationSeries(times, noisy[:, 0], noisy[:, 1], noisy[:, 2])
                 try:
-                    res = fit_decay_model(series, delta_mu_ratio=ratio)
+                    res = fit_decay_model(Trajectory(times, noisy), delta_mu_ratio=ratio)
                 except (ValueError, RuntimeError):
                     refused += 1
                     continue

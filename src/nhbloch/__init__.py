@@ -20,6 +20,7 @@ from .analytic import (
     trajectory,
 )
 from .core import (
+    Trajectory,
     bloch_to_density,
     density_to_bloch,
     fidelity,
@@ -28,7 +29,6 @@ from .core import (
 from .dynamics import (
     DeviationReport,
     GammaOperator,
-    Trajectory,
     effective_hamiltonian,
     fidelity_trace,
     field_matrix,
@@ -39,7 +39,7 @@ from .dynamics import (
 from .fit import (
     DegenerateJacobianError,
     FitResult,
-    MagnetizationSeries,
+    check_record,
     default_initial_guess,
     fit_decay_model,
     residual_magnetization_stats,
@@ -73,12 +73,12 @@ __all__ = [
     "GammaOperator",
     "HBAR",
     "KB",
-    "MagnetizationSeries",
     "NmrContext",
     "P31_SAMPLES",
     "ROOM_TEMPERATURE_K",
     "Trajectory",
     "bloch_to_density",
+    "check_record",
     "coherent_bloch",
     "damped_bloch",
     "damping_provider",

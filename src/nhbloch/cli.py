@@ -39,12 +39,13 @@ from .core import bloch_to_density
 from .dynamics import (
     GammaOperator,  # noqa: F401 -- unused; perfbench/tracing.py wraps it by name
     Trajectory,
+    Trajectory as MagnetizationSeries,  # noqa: F401 -- unused; perfbench/tracing.py wraps it by name
     fidelity_trace,
     integrate_bloch,
     integrate_density,
     max_deviation,
 )
-from .fit import DegenerateJacobianError, MagnetizationSeries, _check_feasible, fit_decay_model
+from .fit import _check_feasible, check_record, fit_decay_model
 from .nmr import ROOM_TEMPERATURE_K, NmrContext, drive_field, partition_function, polarization_factor
 
 EXIT_OK = 0
@@ -55,9 +56,6 @@ _MODELS = ("analytic", "ode-bloch", "ode-density")
 
 # Seed time for ODE runs with decay: the damping coefficients diverge at 0.
 _SINGULAR_T0 = 1e-9
-
-# Why a decay refuses negative times: f(t) > 1 there, so |r| > 1.
-_DECAY_FROM_ZERO = "the decay f(t) holds for t >= 0 only (|r| > 1 before t = 0)"
 
 # fit refuses a record whose m_y ratio of successive differences lies this
 # many standard deviations below white noise's (see _my_signal).
@@ -146,7 +144,7 @@ def _parse_rows(path: str, lines: list[str], lineno: int, ncols: int) -> np.ndar
     return np.array(rows).reshape(-1, 4)
 
 
-def _read_series(path: str) -> MagnetizationSeries:
+def _read_series(path: str) -> Trajectory:
     with open(path, "r", encoding="utf-8") as handle:
         lines = _next_lines(handle)
         if not lines:
@@ -165,9 +163,11 @@ def _read_series(path: str) -> MagnetizationSeries:
     if not len(data):
         raise CsvFormatError(f"{path}:2: no data rows")
     try:
-        return MagnetizationSeries(data[:, 0], data[:, 1], data[:, 2], data[:, 3])
+        record = Trajectory(data[:, 0], data[:, 1:])
+        check_record(record)
     except ValueError as exc:
         raise CsvFormatError(f"{path}: {exc}") from None
+    return record
 
 
 def _finite(text: str) -> float:
@@ -275,6 +275,24 @@ def _check_angle(args, field: CoherentField, times: np.ndarray, grid: str):
         )
 
 
+def _check_start(start: float, model: str, decay: DecayModel | None, source: str | None = None):
+    """Refuse a grid start outside the model's domain: file ``source``'s first time, or --t-start."""
+    ode = model.startswith("ode")
+    if ode and decay is not None and start <= 0.0:
+        if source is None:
+            raise UsageError("ODE models with decay need --t-start > 0 (damping diverges at t = 0)")
+        reason = "ODE models with decay need t > 0 (damping diverges at t = 0)"
+    elif ode and start < 0.0:
+        reason = "the ODE models start at t >= 0"
+    elif decay is not None and start < 0.0:
+        reason = "the decay f(t) holds for t >= 0 only (|r| > 1 before t = 0)"
+    else:
+        return
+    if source is None:
+        raise UsageError(f"--t-start {start!r} is negative; {reason}")
+    raise UsageError(f"the times of {source} start at t = {start!r} s; {reason}")
+
+
 def _grid_from_args(args, model: str, decay: DecayModel | None) -> np.ndarray:
     if args.t_max is None:
         raise UsageError("need --t-max")
@@ -285,12 +303,7 @@ def _grid_from_args(args, model: str, decay: DecayModel | None) -> np.ndarray:
         t_start = _SINGULAR_T0 if (decay is not None and model.startswith("ode")) else 0.0
     if args.t_max <= t_start:
         raise UsageError("--t-max must exceed the start time")
-    if decay is not None and model.startswith("ode") and t_start <= 0.0:
-        raise UsageError("ODE models with decay need --t-start > 0 (damping diverges at t = 0)")
-    if model.startswith("ode") and t_start < 0.0:
-        raise UsageError(f"--t-start {t_start!r} is negative; the ODE models start at t >= 0")
-    if decay is not None and t_start < 0.0:
-        raise UsageError(f"--t-start {t_start!r} is negative; {_DECAY_FROM_ZERO}")
+    _check_start(t_start, model, decay)
     grid = f"--t-start {t_start!r} and --t-max {args.t_max!r} s"
     if not math.isfinite(args.t_max - t_start):
         raise UsageError(f"the span of {grid} overflows")
@@ -356,7 +369,7 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _my_signal(series: MagnetizationSeries) -> str | None:
+def _my_signal(series: Trajectory) -> str | None:
     """Why the record's m_y rules the fit model out, or None.
 
     The model drives on resonance along -y (phi = 1.5 pi), which keeps m_y
@@ -367,10 +380,10 @@ def _my_signal(series: MagnetizationSeries) -> str | None:
     sqrt(eps) of the record's amplitude is rounding residue (about 1e-16 on a
     clean resonant record) and is never signal.
     """
-    my = series.my
+    mx, my, mz = series.bloch.T
     power = float(my @ my)
     my_rms = math.sqrt(power / len(my))
-    amplitude = max(float(np.max(np.abs(series.mx))), float(np.max(np.abs(series.mz))))
+    amplitude = max(float(np.max(np.abs(mx))), float(np.max(np.abs(mz))))
     if not my_rms > math.sqrt(np.finfo(float).eps) * amplitude:
         return None
     eta = float(np.sum(np.diff(my) ** 2)) / power
@@ -439,19 +452,15 @@ def cmd_compare(args) -> int:
         strictest = max(models, key=lambda model: model.startswith("ode"))
         if grids:
             times = grids[0]
-            if decay is not None and strictest.startswith("ode") and times[0] <= 0.0:
-                raise ValueError("file grid starts at t = 0; ODE models with decay need t > 0")
-            grid = "the times of " + next(source for source in sources if source not in _MODELS)
-            if decay is not None and times[0] < 0.0:
-                raise UsageError(f"{grid} start at t = {float(times[0])!r} s; {_DECAY_FROM_ZERO}")
+            path = next(source for source in sources if source not in _MODELS)
+            _check_start(float(times[0]), strictest, decay, path)
+            grid = f"the times of {path}"
         else:
             times = _grid_from_args(args, strictest, decay)
             grid = "--t-start and --t-max"
         _check_angle(args, field, times, grid)
     traj_a, traj_b = [
-        _simulate(source, field, decay, times)
-        if record is None
-        else Trajectory(record.times, np.column_stack([record.mx, record.my, record.mz]))
+        _simulate(source, field, decay, times) if record is None else record
         for source, record in zip(sources, records)
     ]
 
@@ -601,16 +610,10 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
-    except (UsageError, CsvFormatError) as exc:
+    except (UsageError, CsvFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DegenerateJacobianError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:  # DegenerateJacobianError is a RuntimeError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

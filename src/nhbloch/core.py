@@ -1,4 +1,4 @@
-"""Two-level state algebra: Bloch vectors, density matrices, purity and overlap.
+"""Two-level state algebra and the one time-series record type.
 
 A state is carried either as a Bloch triple (r_x, r_y, r_z) of floats, or
 (N, 3) rows of them in bulk, or as the 2x2 density matrix
@@ -8,11 +8,15 @@ A state is carried either as a Bloch triple (r_x, r_y, r_z) of floats, or
 where I0 is half the identity and IX, IY, IZ are the Pauli halves. The Bloch
 triple is the canonical representation; density matrices are derived views.
 Functions taking a state accept any length-3 real sequence.
+
+A time series of states, model output and measured magnetization record
+alike, is a :class:`Trajectory`.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +34,9 @@ BALL_TOL = 1e-9
 
 # Slack on Tr[rho] = 1 in density_to_bloch; a larger defect is a corrupt state.
 _TRACE_TOL = 1e-9
+
+# Trace / Hermiticity slack accepted for the matrices a Trajectory stores.
+_MATRIX_TOL = 1e-10
 
 
 def _as_components(r) -> tuple[float, float, float]:
@@ -99,3 +106,51 @@ def fidelity(rho_a, rho_b) -> float:
     if norm_a < 1e-15 or norm_b < 1e-15:
         raise ValueError("fidelity undefined for (near-)zero matrices")
     return float(np.trace(a @ b).real / math.sqrt(norm_a * norm_b))
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """Time series of states: times (s), Bloch rows (N, 3), optional rho (N, 2, 2).
+
+    Times must be strictly increasing and all samples finite; stored density
+    matrices must be Hermitian with unit trace to 1e-10. Arrays are frozen
+    after construction so a trajectory can be shared freely. The columns of
+    ``bloch`` are (m_x, m_y, m_z) when the series is a magnetization record.
+    """
+
+    times: np.ndarray
+    bloch: np.ndarray
+    rho: np.ndarray | None = None
+
+    def __post_init__(self):
+        times = np.asarray(self.times, dtype=float)
+        bloch = np.asarray(self.bloch, dtype=float)
+        if times.ndim != 1 or len(times) == 0:
+            raise ValueError("times must be a non-empty 1-d array")
+        if bloch.shape != (len(times), 3):
+            raise ValueError(f"bloch shape {bloch.shape} does not match {len(times)} times")
+        if not np.all(np.isfinite(times)) or not np.all(np.isfinite(bloch)):
+            raise ValueError("trajectory contains non-finite entries")
+        if np.any(np.diff(times) <= 0.0):
+            raise ValueError("times must be strictly increasing")
+        rho = self.rho
+        if rho is not None:
+            rho = np.asarray(rho, dtype=complex)
+            if rho.shape != (len(times), 2, 2):
+                raise ValueError(f"rho shape {rho.shape} does not match {len(times)} times")
+            herm = np.max(np.abs(rho - np.conj(np.swapaxes(rho, 1, 2))))
+            if herm > _MATRIX_TOL:
+                raise ValueError(f"stored matrices not Hermitian (defect {herm:.3e})")
+            traces = np.einsum("nii->n", rho).real
+            worst = np.max(np.abs(traces - 1.0))
+            if worst > _MATRIX_TOL:
+                raise ValueError(f"stored matrices not unit trace (defect {worst:.3e})")
+            rho.setflags(write=False)
+        times.setflags(write=False)
+        bloch.setflags(write=False)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "bloch", bloch)
+        object.__setattr__(self, "rho", rho)
+
+    def __len__(self) -> int:
+        return len(self.times)

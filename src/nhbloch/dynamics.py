@@ -38,6 +38,8 @@ the matrix form calls its 2x2 right-hand side on the 4 complex entries of
 rho, in row-major order, and computes each product the right-hand side
 needs once. Before stepping, the driver estimates the step count
 as the horizon over the base step and refuses more than ``_MAX_STEPS``.
+Both integrators return a :class:`~nhbloch.core.Trajectory` (also importable
+from here).
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from typing import Callable
 import numpy as np
 
 from .analytic import CoherentField
-from .core import I0, IX, IY, IZ, density_to_bloch
+from .core import I0, IX, IY, IZ, Trajectory, density_to_bloch
 
 _ID2 = np.eye(2, dtype=complex)
 
@@ -63,56 +65,6 @@ _RATE_CAP = 0.01
 # Bloch-form or 30 s of matrix-form stepping on a 2-vCPU Xeon; the 500 us
 # benchmark grid takes ~2.2k, a 2 ms grid ~9k.
 _MAX_STEPS = 1_000_000
-
-# Trace / Hermiticity slack accepted for numerically produced matrices.
-_MATRIX_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Sampled solution: times (s), Bloch rows (N, 3), optional rho (N, 2, 2).
-
-    Times must be strictly increasing and all samples finite; stored density
-    matrices must be Hermitian with unit trace to 1e-10. Arrays are frozen
-    after construction so a trajectory can be shared freely.
-    """
-
-    times: np.ndarray
-    bloch: np.ndarray
-    rho: np.ndarray | None = None
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        bloch = np.asarray(self.bloch, dtype=float)
-        if times.ndim != 1 or len(times) == 0:
-            raise ValueError("times must be a non-empty 1-d array")
-        if bloch.shape != (len(times), 3):
-            raise ValueError(f"bloch shape {bloch.shape} does not match {len(times)} times")
-        if not np.all(np.isfinite(times)) or not np.all(np.isfinite(bloch)):
-            raise ValueError("trajectory contains non-finite entries")
-        if np.any(np.diff(times) <= 0.0):
-            raise ValueError("times must be strictly increasing")
-        rho = self.rho
-        if rho is not None:
-            rho = np.asarray(rho, dtype=complex)
-            if rho.shape != (len(times), 2, 2):
-                raise ValueError(f"rho shape {rho.shape} does not match {len(times)} times")
-            herm = np.max(np.abs(rho - np.conj(np.swapaxes(rho, 1, 2))))
-            if herm > _MATRIX_TOL:
-                raise ValueError(f"stored matrices not Hermitian (defect {herm:.3e})")
-            traces = np.einsum("nii->n", rho).real
-            worst = np.max(np.abs(traces - 1.0))
-            if worst > _MATRIX_TOL:
-                raise ValueError(f"stored matrices not unit trace (defect {worst:.3e})")
-            rho.setflags(write=False)
-        times.setflags(write=False)
-        bloch.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "bloch", bloch)
-        object.__setattr__(self, "rho", rho)
-
-    def __len__(self) -> int:
-        return len(self.times)
 
 
 @dataclass(frozen=True)

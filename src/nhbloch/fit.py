@@ -36,6 +36,9 @@ from :func:`_jacobian`.
 
 m_y never enters the objective, because the model pins it to zero; its rms is
 reported separately as a model-mismatch indicator.
+
+A record is a :class:`~nhbloch.core.Trajectory` of measured (m_x, m_y, m_z)
+rows; the fit and the initial guess first apply :func:`check_record` to it.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .analytic import CoherentField, DecayModel, trajectory
+from .core import Trajectory
 
 # Unused here; perfbench/tracing.py wraps fit.fidelity and fit.bloch_to_density by name.
 from .core import bloch_to_density, fidelity  # noqa: F401
@@ -61,41 +65,15 @@ class DegenerateJacobianError(RuntimeError):
     """Raised when the fit design has no usable signal (rank-deficient)."""
 
 
-@dataclass(frozen=True)
-class MagnetizationSeries:
-    """Measured magnetization record: times (s) plus the three components."""
-
-    times: np.ndarray
-    mx: np.ndarray
-    my: np.ndarray
-    mz: np.ndarray
-
-    def __post_init__(self):
-        arrays = {}
-        for name in ("times", "mx", "my", "mz"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.ndim != 1:
-                raise ValueError(f"{name} must be one-dimensional")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite values")
-            arrays[name] = arr
-        n = len(arrays["times"])
-        if n < 8:
-            raise ValueError(f"need at least 8 samples, got {n}")
-        if any(len(a) != n for a in arrays.values()):
-            raise ValueError("all columns must have the same length")
-        if np.any(np.diff(arrays["times"]) <= 0.0):
-            raise ValueError("times must be strictly increasing")
-        for name in ("mx", "my", "mz"):
-            worst = np.max(np.abs(arrays[name]))
-            if worst > _MAX_COMPONENT:
-                raise ValueError(f"|{name}| = {worst:.3f} exceeds the sanity bound {_MAX_COMPONENT}")
-        for name, arr in arrays.items():
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    def __len__(self) -> int:
-        return len(self.times)
+def check_record(record: Trajectory):
+    """Raise ValueError on fewer than 8 samples (no frequency estimate) or any |m_k| > 1.5."""
+    n = len(record)
+    if n < 8:
+        raise ValueError(f"need at least 8 samples, got {n}")
+    for k, name in enumerate(("mx", "my", "mz")):
+        worst = np.max(np.abs(record.bloch[:, k]))
+        if worst > _MAX_COMPONENT:
+            raise ValueError(f"|{name}| = {worst:.3f} exceeds the sanity bound {_MAX_COMPONENT}")
 
 
 @dataclass(frozen=True)
@@ -128,7 +106,7 @@ def _check_feasible(params: Sequence[float]):
         raise ValueError(f"omega1={omega1} must be positive")
 
 
-def residuals(params: Sequence[float], series: MagnetizationSeries) -> np.ndarray:
+def residuals(params: Sequence[float], series: Trajectory) -> np.ndarray:
     """Stacked residuals [mx - model_x; mz - model_z] for feasible params.
 
     The model is the closed-form :func:`~nhbloch.analytic.trajectory` under
@@ -138,7 +116,7 @@ def residuals(params: Sequence[float], series: MagnetizationSeries) -> np.ndarra
     _check_feasible(params)
     delta, mu, nu, omega1 = params
     model = trajectory(CoherentField(0.0, omega1, 0.0), DecayModel(delta, mu, nu), series.times)
-    return np.concatenate([series.mx - model[:, 0], series.mz - model[:, 2]])
+    return np.concatenate([series.bloch[:, 0] - model[:, 0], series.bloch[:, 2] - model[:, 2]])
 
 
 def _jacobian(params: Sequence[float], times: np.ndarray) -> np.ndarray:
@@ -293,7 +271,7 @@ def _check_rank(params: Sequence[float], times: np.ndarray, ratio: float | None)
 
 
 def default_initial_guess(
-    series: MagnetizationSeries, *, delta_mu_ratio: float = 11.5
+    series: Trajectory, *, delta_mu_ratio: float = 11.5
 ) -> tuple[float, float, float, float]:
     """Starting point from the data: FFT peak, envelope slope, tail level.
 
@@ -302,11 +280,11 @@ def default_initial_guess(
     quarter of the record; nu from the mean envelope over the last tenth;
     mu anchors to delta / delta_mu_ratio.
     """
+    check_record(series)
     n = len(series)
-    if n < 8:
-        raise ValueError("record too short for a frequency estimate")
+    mx, mz = series.bloch[:, 0], series.bloch[:, 2]
     dt = (series.times[-1] - series.times[0]) / (n - 1)
-    spectrum = np.abs(np.fft.rfft(series.mx))
+    spectrum = np.abs(np.fft.rfft(mx))
     spectrum[0] = 0.0
     peak = int(np.argmax(spectrum))
     if spectrum[peak] <= 0.0:
@@ -319,7 +297,7 @@ def default_initial_guess(
             shift = float(np.clip(0.5 * (left - right) / denom, -0.5, 0.5))
     omega1 = 2.0 * math.pi * (peak + shift) / (n * dt)
 
-    envelope = np.hypot(series.mx, series.mz)
+    envelope = np.hypot(mx, mz)
     span = series.times[-1] - series.times[0]
     delta_floor = 1e-3 / span
     head = max(n // 4, 3)
@@ -338,7 +316,7 @@ def default_initial_guess(
 
 
 def fit_decay_model(
-    series: MagnetizationSeries,
+    series: Trajectory,
     guess: Sequence[float] | None = None,
     *,
     delta_mu_ratio: float | None = None,
@@ -351,8 +329,10 @@ def fit_decay_model(
     Deterministic for a fixed input and guess; the guess's nu is used only
     for the rank check at the start. Returns with ``converged=False`` when
     the cap of 200 LM iterations (``_MAX_ITERATIONS``) is hit; raises
-    DegenerateJacobianError when the design matrix carries no information.
+    DegenerateJacobianError when the design matrix carries no information,
+    and ValueError when the record fails :func:`check_record`.
     """
+    check_record(series)
     if guess is None:
         guess = default_initial_guess(series, delta_mu_ratio=delta_mu_ratio or 11.5)
     _check_feasible(guess)
@@ -362,7 +342,7 @@ def fit_decay_model(
     theta = _encode(guess, delta_mu_ratio)
     delta, mu, omega1 = _decode(theta, delta_mu_ratio)
     _check_rank((delta, mu, guess[2], omega1), series.times, delta_mu_ratio)
-    times, record = series.times, series.mz + 1j * series.mx
+    times, record = series.times, series.bloch[:, 2] + 1j * series.bloch[:, 0]
     params, cost, frame = _project(record, times, theta, delta_mu_ratio)
     damping = 1e-3
     iterations = 0
@@ -420,7 +400,7 @@ def fit_decay_model(
         nu_err=errs[2],
         omega1_err=errs[3],
         rms=math.sqrt(cost / (2 * n)),
-        my_rms=math.sqrt(float(np.mean(series.my**2))),
+        my_rms=math.sqrt(float(np.mean(series.bloch[:, 1] ** 2))),
         iterations=iterations,
         converged=converged,
     )
@@ -428,7 +408,7 @@ def fit_decay_model(
 
 def _standard_errors(
     params: Sequence[float],
-    series: MagnetizationSeries,
+    series: Trajectory,
     ratio: float | None,
     cost: float,
 ) -> tuple[float, float, float, float]:

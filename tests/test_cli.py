@@ -380,9 +380,10 @@ class TestFit:
         flat = tmp_path / "flat.csv"
         rows = "\n".join(f"{i * 1e-6!r},0.0,0.0,0.0" for i in range(32))
         flat.write_text("t,mx,my,mz\n" + rows + "\n")
-        code, _, err = run(capsys, "fit", str(flat))
+        code, out, err = run(capsys, "fit", str(flat))
         assert code == EXIT_NUMERICAL
-        assert "flat" in err
+        assert out == ""
+        assert err == "numerical failure: flat record: no oscillation peak to anchor omega1\n"
 
     def test_noisy_file_with_seed_echo(self, tpp, tmp_path, capsys):
         csv_path = tmp_path / "noisy.csv"
@@ -614,9 +615,7 @@ class TestCsvReader:
         path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
         series = cli._read_series(str(path))
         expected = np.array([[float(x) for x in row.split(",")[:4]] for row in rows])
-        np.testing.assert_array_equal(
-            np.column_stack([series.times, series.mx, series.my, series.mz]), expected
-        )
+        np.testing.assert_array_equal(np.column_stack([series.times, series.bloch]), expected)
 
     def test_undecodable_bytes_are_a_parse_error(self, tmp_path, capsys):
         path = tmp_path / "latin1.csv"
@@ -630,7 +629,9 @@ class TestCsvReader:
         lines = ["t,mx,my,mz,purity"] + [row[: row.rindex(",")] + ",n/a" for row in csv_rows(9, 5)]
         path = tmp_path / "p.csv"
         path.write_text("\n".join(lines) + "\n")
-        assert len(cli._read_series(str(path))) == 9
+        series = cli._read_series(str(path))
+        assert len(series) == 9
+        np.testing.assert_array_equal(series.bloch[:, 0], [math.sin(i) for i in range(9)])
 
 
 class TestCompare:
@@ -726,11 +727,31 @@ class TestCompare:
         assert code == EXIT_NUMERICAL
         assert "mismatch" in err
 
-    def test_file_grid_at_zero_against_ode_is_numerical_failure(self, tpp, record, capsys):
+    def test_file_grid_at_zero_against_ode_is_usage_error(self, tpp, record, capsys):
         flags = tpp_flags(tpp)[3:]  # the field and decay flags, without the model
-        code, _, err = run(capsys, "compare", "--a", record, "--b", "ode-bloch", *flags)
-        assert code == EXIT_NUMERICAL
-        assert "file grid starts at t = 0" in err
+        code, out, err = run(capsys, "compare", "--a", record, "--b", "ode-bloch", *flags)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == (
+            f"error: the times of {record} start at t = 0.0 s;"
+            " ODE models with decay need t > 0 (damping diverges at t = 0)\n"
+        )
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("model, decay", [("ode-bloch", False), ("ode-density", True)])
+    def test_file_grid_before_zero_against_ode_is_usage_error(self, tmp_path, capsys, model, decay):
+        path = tmp_path / "early.csv"
+        code, _, _ = run(
+            capsys, *"simulate --rabi-hz 1e3 --t-start=-1e-6 --t-max 1e-3 --samples 9 --out".split(),
+            str(path),
+        )
+        assert code == EXIT_OK
+        flags = ["--rabi-hz", "1e3"] + ("--mu 1 --delta-mu-ratio 2 --nu 0.1".split() if decay else [])
+        code, out, err = run(capsys, "compare", "--a", str(path), "--b", model, *flags)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"error: the times of {path} start at t = -1e-06 s; ")
+        assert err.count("\n") == 1
 
     def test_flag_grid_at_zero_against_ode_is_usage_error(self, tpp, capsys):
         flags = tpp_flags(tpp, t_start=0.0)[3:]

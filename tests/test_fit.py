@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from nhbloch.analytic import CoherentField, DecayModel, damped_bloch, decay_f, trajectory
-from nhbloch.core import bloch_to_density
-from nhbloch.dynamics import Trajectory, fidelity_trace
+from nhbloch.core import Trajectory, bloch_to_density
+from nhbloch.dynamics import fidelity_trace
 from nhbloch.fit import (
     DegenerateJacobianError,
     FitResult,
-    MagnetizationSeries,
     _demodulate,
+    check_record,
     default_initial_guess,
     fit_decay_model,
     residual_magnetization_stats,
@@ -23,7 +23,7 @@ def _series_from_model(field, decay, times, noise=None, seed=None):
     if noise is not None:
         rng = np.random.default_rng(seed)
         states = states + rng.normal(0.0, noise, states.shape)
-    return MagnetizationSeries(times, states[:, 0], states[:, 1], states[:, 2])
+    return Trajectory(times, states)
 
 
 @pytest.fixture(scope="module")
@@ -126,9 +126,7 @@ class TestFit:
 
     def test_scale_covariance(self, tpp, tpp_series):
         scale = 1000.0
-        scaled = MagnetizationSeries(
-            tpp_series.times * scale, tpp_series.mx, tpp_series.my, tpp_series.mz
-        )
+        scaled = Trajectory(tpp_series.times * scale, tpp_series.bloch)
         a = fit_decay_model(tpp_series)
         b = fit_decay_model(scaled)
         assert a.delta / b.delta == pytest.approx(scale, rel=1e-6)
@@ -146,17 +144,15 @@ class TestFit:
         assert res.rms == pytest.approx(0.01, rel=0.15)
 
     def test_zero_record_raises_degenerate(self, tpp_series):
-        zeros = np.zeros(len(tpp_series))
-        series = MagnetizationSeries(tpp_series.times, zeros, zeros, zeros)
+        series = Trajectory(tpp_series.times, np.zeros((len(tpp_series), 3)))
         with pytest.raises(DegenerateJacobianError):
             fit_decay_model(series)
 
     def test_my_rms_reports_structure_outside_model(self, tpp):
         times = np.linspace(0.0, 500e-6, 251)
         states = np.array([list(damped_bloch(tpp.field, tpp.decay, t)) for t in times])
-        series = MagnetizationSeries(
-            times, states[:, 0], np.full(len(times), 0.05), states[:, 2]
-        )
+        states[:, 1] = 0.05
+        series = Trajectory(times, states)
         res = fit_decay_model(series)
         assert res.my_rms == pytest.approx(0.05, rel=1e-12)
 
@@ -165,7 +161,8 @@ def _envelope_series(times, delta, mu, nu, omega1):
     """Resonant record of the fit model itself; nu may lie outside [0, 1)."""
     f = np.exp(-delta * times) - nu * np.expm1(-mu * times)
     phase = omega1 * times
-    return MagnetizationSeries(times, f * np.sin(phase), np.zeros_like(times), f * np.cos(phase))
+    bloch = np.column_stack([f * np.sin(phase), np.zeros_like(times), f * np.cos(phase)])
+    return Trajectory(times, bloch)
 
 
 class TestRotatingFrame:
@@ -174,7 +171,7 @@ class TestRotatingFrame:
         times = tpp_series.times
         noisy = _series_from_model(tpp.field, tpp.decay, times, noise=0.05, seed=3)
         for series in (tpp_series, noisy):
-            record = series.mz + 1j * series.mx
+            record = series.bloch[:, 2] + 1j * series.bloch[:, 0]
             for _ in range(50):
                 mu = rng.uniform(50.0, 5000.0)
                 delta, nu = mu * rng.uniform(1.0, 30.0), rng.uniform(0.0, 1.0)
@@ -205,7 +202,7 @@ class TestRotatingFrame:
         times = np.linspace(0.0, 500e-6, 251)
         clean = trajectory(tpp.field, tpp.decay, times)
         noisy = clean + np.random.default_rng(13).normal(0.0, 0.05, clean.shape)
-        res = fit_decay_model(MagnetizationSeries(times, noisy[:, 0], noisy[:, 1], noisy[:, 2]))
+        res = fit_decay_model(Trajectory(times, noisy))
         assert 0.0 <= res.nu < 1.0
 
 
@@ -217,8 +214,9 @@ class TestInitialGuess:
 
     def test_undamped_sinusoid(self, tpp):
         times = np.linspace(0.0, 500e-6, 251)
-        series = MagnetizationSeries(
-            times, np.sin(tpp.omega1 * times), np.zeros(251), np.cos(tpp.omega1 * times)
+        series = Trajectory(
+            times,
+            np.column_stack([np.sin(tpp.omega1 * times), np.zeros(251), np.cos(tpp.omega1 * times)]),
         )
         delta, mu, nu, omega1 = default_initial_guess(series)
         assert delta <= 1e-4 * omega1  # essentially no decay detected
@@ -227,9 +225,8 @@ class TestInitialGuess:
 
     def test_flat_record_raises(self):
         times = np.linspace(0.0, 1.0, 32)
-        zeros = np.zeros(32)
         with pytest.raises(DegenerateJacobianError, match="flat"):
-            default_initial_guess(MagnetizationSeries(times, zeros, zeros, zeros))
+            default_initial_guess(Trajectory(times, np.zeros((32, 3))))
 
     def test_ratio_must_be_at_least_one(self, tpp_series):
         with pytest.raises(ValueError, match="ratio"):
@@ -329,24 +326,34 @@ class TestResidualMagnetizationStats:
 
 
 class TestSeriesValidation:
+    """A record is a Trajectory; check_record adds the fit's own demands."""
+
     def test_minimum_length(self):
         t = np.linspace(0.0, 1.0, 5)
         with pytest.raises(ValueError, match="8 samples"):
-            MagnetizationSeries(t, np.zeros(5), np.zeros(5), np.zeros(5))
+            check_record(Trajectory(t, np.zeros((5, 3))))
 
     def test_monotone_times(self):
         t = np.zeros(10)
         with pytest.raises(ValueError, match="increasing"):
-            MagnetizationSeries(t, np.zeros(10), np.zeros(10), np.zeros(10))
+            Trajectory(t, np.zeros((10, 3)))
 
     def test_component_sanity_bound(self):
         t = np.linspace(0.0, 1.0, 10)
-        with pytest.raises(ValueError, match="sanity"):
-            MagnetizationSeries(t, np.full(10, 2.0), np.zeros(10), np.zeros(10))
+        bloch = np.zeros((10, 3))
+        bloch[:, 0] = 2.0
+        with pytest.raises(ValueError, match=r"\|mx\| = 2\.000 exceeds the sanity bound 1\.5"):
+            check_record(Trajectory(t, bloch))
 
     def test_rejects_non_finite(self):
         t = np.linspace(0.0, 1.0, 10)
-        bad = np.zeros(10)
-        bad[3] = np.nan
+        bad = np.zeros((10, 3))
+        bad[3, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            MagnetizationSeries(t, bad, np.zeros(10), np.zeros(10))
+            Trajectory(t, bad)
+
+    @pytest.mark.parametrize("entry", [fit_decay_model, default_initial_guess])
+    def test_fit_entry_points_check_the_record(self, entry):
+        t = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ValueError, match="8 samples"):
+            entry(Trajectory(t, np.zeros((5, 3))))

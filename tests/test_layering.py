@@ -1,10 +1,12 @@
-"""Import layering of the package, read from the source with ast.
+"""Import layering of the package, read from the source with ast, and its public names.
 
 Each module may import only the package modules below it, and outside the
-package only the standard library and numpy.
+package only the standard library and numpy. Every name in ``nhbloch.__all__``
+must resolve, once, so that ``from nhbloch import *`` works.
 """
 
 import ast
+import collections
 import sys
 from pathlib import Path
 
@@ -66,3 +68,14 @@ def test_top_modules_import_only_package_modules(name):
 @pytest.mark.parametrize("name", MODULES)
 def test_outside_imports_are_stdlib_or_numpy(name):
     assert imports(name)[1] <= set(sys.stdlib_module_names) | {"numpy"}
+
+
+def test_public_names_resolve_once():
+    import nhbloch
+
+    names = nhbloch.__all__
+    assert [name for name, n in collections.Counter(names).items() if n > 1] == []
+    assert [name for name in names if not hasattr(nhbloch, name)] == []
+    namespace = {}
+    exec("from nhbloch import *", namespace)
+    assert set(names) <= set(namespace)
