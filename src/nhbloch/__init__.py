@@ -50,15 +50,14 @@ from .nmr import (
     KB,
     P31_SAMPLES,
     ROOM_TEMPERATURE_K,
-    NmrContext,
     deviation_matrix,
     drive_field,
     p31_sample,
     partition_function,
     polarization_factor,
     pseudo_pure_decompose,
-    rotating_frame_field,
     rotation_pulse,
+    thermal_argument,
     thermal_state,
 )
 
@@ -73,7 +72,6 @@ __all__ = [
     "GammaOperator",
     "HBAR",
     "KB",
-    "NmrContext",
     "P31_SAMPLES",
     "ROOM_TEMPERATURE_K",
     "Trajectory",
@@ -106,8 +104,8 @@ __all__ = [
     "purity_closed_form",
     "residual_magnetization_stats",
     "residuals",
-    "rotating_frame_field",
     "rotation_pulse",
+    "thermal_argument",
     "thermal_state",
     "trajectory",
 ]

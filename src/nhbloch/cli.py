@@ -46,7 +46,7 @@ from .dynamics import (
     max_deviation,
 )
 from .fit import _check_feasible, check_record, fit_decay_model
-from .nmr import ROOM_TEMPERATURE_K, NmrContext, drive_field, partition_function, polarization_factor
+from .nmr import ROOM_TEMPERATURE_K, drive_field, partition_function, polarization_factor, thermal_argument
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -203,7 +203,7 @@ def _add_decay_args(sp: argparse.ArgumentParser):
 
 def _add_grid_args(sp: argparse.ArgumentParser):
     sp.add_argument("--t-max", type=_finite, help="last sample time, s")
-    sp.add_argument("--samples", type=int, default=251, help="number of samples (default 251)")
+    sp.add_argument("--samples", type=int, help="number of samples (default 251)")
     sp.add_argument(
         "--t-start",
         type=_finite,
@@ -293,10 +293,22 @@ def _check_start(start: float, model: str, decay: DecayModel | None, source: str
     raise UsageError(f"the times of {source} start at t = {start!r} s; {reason}")
 
 
+def _check_grid_flags(args, times: np.ndarray, path: str):
+    """Refuse a grid flag that contradicts the times of the file ``path``, which set the grid."""
+    first, last = float(times[0]), float(times[-1])
+    if args.t_start is not None and args.t_start != first:
+        raise UsageError(f"--t-start {args.t_start!r} contradicts {path}, whose times start at {first!r} s")
+    if args.t_max is not None and args.t_max != last:
+        raise UsageError(f"--t-max {args.t_max!r} contradicts {path}, whose times end at {last!r} s")
+    if args.samples is not None and args.samples != len(times):
+        raise UsageError(f"--samples {args.samples} contradicts {path}, which has {len(times)} rows")
+
+
 def _grid_from_args(args, model: str, decay: DecayModel | None) -> np.ndarray:
     if args.t_max is None:
         raise UsageError("need --t-max")
-    if args.samples < 2:
+    samples = 251 if args.samples is None else args.samples
+    if samples < 2:
         raise UsageError("--samples must be at least 2")
     t_start = args.t_start
     if t_start is None:
@@ -307,9 +319,9 @@ def _grid_from_args(args, model: str, decay: DecayModel | None) -> np.ndarray:
     grid = f"--t-start {t_start!r} and --t-max {args.t_max!r} s"
     if not math.isfinite(args.t_max - t_start):
         raise UsageError(f"the span of {grid} overflows")
-    times = np.linspace(t_start, args.t_max, args.samples)
+    times = np.linspace(t_start, args.t_max, samples)
     if not np.all(np.diff(times) > 0.0):
-        raise UsageError(f"--samples {args.samples} distinct times do not fit between {grid}")
+        raise UsageError(f"--samples {samples} distinct times do not fit between {grid}")
     return times
 
 
@@ -444,6 +456,10 @@ def cmd_compare(args) -> int:
     grids = [record.times for record in records if record is not None]
     if len(grids) == 2 and not np.array_equal(*grids):
         raise ValueError("grid mismatch between the two input files")
+    if grids:
+        times = grids[0]
+        path = next(source for source in sources if source not in _MODELS)
+        _check_grid_flags(args, times, path)
     models = [source for source in sources if source in _MODELS]
     if models:
         field = _field_from_args(args)
@@ -451,8 +467,6 @@ def cmd_compare(args) -> int:
         # An ODE model, if there is one, sets the rules for the grid's start.
         strictest = max(models, key=lambda model: model.startswith("ode"))
         if grids:
-            times = grids[0]
-            path = next(source for source in sources if source not in _MODELS)
             _check_start(float(times[0]), strictest, decay, path)
             grid = f"the times of {path}"
         else:
@@ -501,25 +515,15 @@ def cmd_thermal(args) -> int:
     if args.larmor_hz <= 0.0 or args.temperature <= 0.0:
         raise UsageError("larmor frequency and temperature must be positive")
     omega_larmor = _rad_per_s("--larmor-hz", args.larmor_hz)
-    ctx = NmrContext(
-        omega_larmor=omega_larmor,
-        omega_rf=omega_larmor,
-        omega1=1.0,  # thermal quantities do not involve the drive
-        phi=1.5 * math.pi,
-        temperature=args.temperature,
-    )
-    try:
-        eps_high_t = polarization_factor(ctx, "high_t")
-    except ZeroDivisionError:  # 2 kB T underflows to 0
-        eps_high_t = math.inf
+    eps_high_t = thermal_argument(omega_larmor, args.temperature)
     if not math.isfinite(eps_high_t):
         raise ValueError(
             f"hbar w_L / 2 kB T overflows at --larmor-hz {args.larmor_hz!r} Hz"
             f" and --temperature {args.temperature!r} K"
         )
-    eps_exact = polarization_factor(ctx, "exact")
+    eps_exact = polarization_factor(omega_larmor, args.temperature)
     try:
-        z = partition_function(ctx)
+        z = partition_function(omega_larmor, args.temperature)
     except OverflowError:
         raise UsageError(
             f"--larmor-hz {args.larmor_hz!r} Hz is out of range at --temperature"
@@ -623,4 +627,4 @@ def entrypoint():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entrypoint()

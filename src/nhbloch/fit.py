@@ -427,12 +427,9 @@ def _standard_errors(
     return err[0], err[1], err[2], err[3]
 
 
-def residual_magnetization_stats(fits: Iterable[FitResult | float]) -> tuple[float, float]:
-    """Mean and half-range of the residual magnetization, in percent.
-
-    Accepts FitResult objects or bare nu values (fractions).
-    """
-    pcts = [100.0 * (f.nu if isinstance(f, FitResult) else float(f)) for f in fits]
+def residual_magnetization_stats(nus: Iterable[float]) -> tuple[float, float]:
+    """Mean and half-range, in percent, of residual magnetizations nu given as fractions."""
+    pcts = [100.0 * float(nu) for nu in nus]
     if len(pcts) < 2:
         raise ValueError("need at least two fits")
     return float(np.mean(pcts)), 0.5 * (max(pcts) - min(pcts))

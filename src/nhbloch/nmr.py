@@ -1,8 +1,9 @@
 """Mapping between the abstract two-level model and a spin-1/2 NMR experiment.
 
-Covers the thermal equilibrium state, the polarization factor, the
-pseudo-pure decomposition used at high temperature, the deviation matrix,
-the rotating-frame drive field, the rotation pulse, and the phosphorus-31
+Covers the thermal equilibrium state and the polarization factor, both
+functions of the Larmor frequency and the temperature only, the pseudo-pure
+decomposition used at high temperature, the deviation matrix, the
+rotating-frame drive field, the rotation pulse, and the phosphorus-31
 working points of the benchmark samples.
 
 Sign conventions: the drive field entering the Bloch dynamics is
@@ -11,7 +12,7 @@ Sign conventions: the drive field entering the Bloch dynamics is
 
 so an on-resonance pulse with phi = 3*pi/2 drives about +y and tips the
 north pole toward +x. :func:`drive_field` is the one place this formula is
-written; the CLI and :func:`rotating_frame_field` both call it. The pulse
+written; the CLI calls it with ``--detuning-hz`` as (w_L - w_rf) / 2 pi. The pulse
 unitary is U = exp(i w1 t_r IY); evolving a state in the convention that
 matches this field reads rho -> U^dag rho U.
 """
@@ -19,7 +20,6 @@ matches this field reads rho -> U^dag rho U.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,50 +41,32 @@ P31_SAMPLES = {
 }
 
 
-@dataclass(frozen=True)
-class NmrContext:
-    """Spectrometer working point: frequencies in rad/s, temperature in K."""
+def thermal_argument(omega_larmor: float, temperature: float) -> float:
+    """hbar w_L / 2 kB T for w_L in rad/s and T in K; inf where 2 kB T underflows to 0.
 
-    omega_larmor: float
-    omega_rf: float
-    omega1: float
-    phi: float
-    temperature: float
-
-    def __post_init__(self):
-        if self.omega_larmor <= 0.0 or self.omega1 <= 0.0:
-            raise ValueError("larmor and drive strengths must be positive")
-        if self.temperature <= 0.0:
-            raise ValueError("temperature must be positive")
-
-
-def _thermal_argument(ctx: NmrContext) -> float:
-    return HBAR * ctx.omega_larmor / (2.0 * KB * ctx.temperature)
-
-
-def polarization_factor(ctx: NmrContext, mode: str = "exact") -> float:
-    """Thermal population imbalance epsilon(T).
-
-    ``exact`` evaluates tanh(hbar w_L / 2 kB T); ``high_t`` keeps the first
-    Taylor term, which overestimates the exact value by a relative
-    (hbar w_L / 2 kB T)^2 / 3 at most.
+    This is also the high-temperature polarization factor, the first Taylor
+    term of :func:`polarization_factor`, which overestimates the exact value
+    by a relative (hbar w_L / 2 kB T)^2 / 3 at most.
     """
-    x = _thermal_argument(ctx)
-    if mode == "exact":
-        return math.tanh(x)
-    if mode == "high_t":
-        return x
-    raise ValueError(f"unknown mode {mode!r}; use 'exact' or 'high_t'")
+    if not (omega_larmor > 0.0 and temperature > 0.0):
+        raise ValueError("larmor frequency and temperature must be positive")
+    two_kt = 2.0 * KB * temperature
+    return HBAR * omega_larmor / two_kt if two_kt else math.inf
 
 
-def partition_function(ctx: NmrContext) -> float:
+def polarization_factor(omega_larmor: float, temperature: float) -> float:
+    """Thermal population imbalance epsilon = tanh(hbar w_L / 2 kB T)."""
+    return math.tanh(thermal_argument(omega_larmor, temperature))
+
+
+def partition_function(omega_larmor: float, temperature: float) -> float:
     """Canonical partition function 2 cosh(hbar w_L / 2 kB T)."""
-    return 2.0 * math.cosh(_thermal_argument(ctx))
+    return 2.0 * math.cosh(thermal_argument(omega_larmor, temperature))
 
 
-def thermal_state(ctx: NmrContext) -> np.ndarray:
+def thermal_state(omega_larmor: float, temperature: float) -> np.ndarray:
     """Equilibrium state I0 + epsilon(T) IZ with eigenvalues (1 +/- eps)/2."""
-    return (I0 + polarization_factor(ctx, "exact") * IZ).copy()
+    return I0 + polarization_factor(omega_larmor, temperature) * IZ
 
 
 def pseudo_pure_decompose(rho_eq, epsilon: float) -> tuple[float, np.ndarray]:
@@ -133,14 +115,6 @@ def drive_field(omega1: float, phi: float, detuning: float) -> CoherentField:
     return CoherentField(
         omega1 * math.cos(phi + math.pi), omega1 * math.sin(phi + math.pi), -detuning
     )
-
-
-def rotating_frame_field(ctx: NmrContext) -> CoherentField:
-    """Drive field seen by the Bloch dynamics in the rotating frame.
-
-    On resonance with phi = 3*pi/2 this is (0, omega1, 0).
-    """
-    return drive_field(ctx.omega1, ctx.phi, ctx.omega_larmor - ctx.omega_rf)
 
 
 def p31_sample(name: str) -> tuple[CoherentField, DecayModel]:

@@ -25,7 +25,7 @@ from nhbloch.dynamics import (
     max_deviation,
 )
 from nhbloch.fit import residual_magnetization_stats
-from nhbloch.nmr import NmrContext, polarization_factor, ROOM_TEMPERATURE_K
+from nhbloch.nmr import ROOM_TEMPERATURE_K, thermal_argument
 from nhbloch.analytic import coherent_bloch
 
 
@@ -100,14 +100,7 @@ def test_criterion_2_trace_and_hermiticity(benchmark_runs):
 
 
 def test_criterion_3_polarization_factor():
-    ctx = NmrContext(
-        omega_larmor=2.0 * math.pi * 161.973e6,
-        omega_rf=2.0 * math.pi * 161.973e6,
-        omega1=1.0,
-        phi=1.5 * math.pi,
-        temperature=ROOM_TEMPERATURE_K,
-    )
-    eps = polarization_factor(ctx, "high_t")
+    eps = thermal_argument(2.0 * math.pi * 161.973e6, ROOM_TEMPERATURE_K)
     rel = abs(eps - 1.304e-5) / 1.304e-5
     _report(3, "high-temperature polarization factor reproduced", rel <= 5e-3, f"eps {eps:.4e}, rel {rel:.2e}")
 

@@ -9,7 +9,7 @@ import pytest
 from nhbloch import cli
 from nhbloch.analytic import CoherentField, decay_f
 from nhbloch.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
-from nhbloch.nmr import ROOM_TEMPERATURE_K, NmrContext, rotating_frame_field
+from nhbloch.nmr import HBAR, KB, ROOM_TEMPERATURE_K
 
 
 def run(capsys, *args):
@@ -188,25 +188,14 @@ class TestFieldConvention:
         flags = ["--rabi-hz", repr(rabi_hz), "--phi", repr(phi), "--detuning-hz", repr(detuning_hz)]
         field = cli._field_from_args(cli.build_parser().parse_args(["simulate", *flags]))
         two_pi = 2.0 * math.pi
-        detuning = two_pi * detuning_hz
-        # 2d - d == d exactly (Sterbenz), so the context carries the same detuning.
-        omega_rf = detuning if detuning else two_pi * 161.973e6
-        ctx = NmrContext(
-            omega_larmor=2.0 * omega_rf if detuning else omega_rf,
-            omega_rf=omega_rf,
-            omega1=two_pi * rabi_hz,
-            phi=math.pi * phi,
-            temperature=ROOM_TEMPERATURE_K,
-        )
-        assert field == rotating_frame_field(ctx)
-        # The formula the CLI wrote out before it called nmr.drive_field, sign of zero included.
+        # The rotating-frame field of the nmr module convention, sign of zero included.
         omega1 = two_pi * rabi_hz
         phase = math.pi * phi + math.pi
-        before = CoherentField(
+        want = CoherentField(
             omega1 * math.cos(phase), omega1 * math.sin(phase), -two_pi * detuning_hz
         )
         hexes = lambda f: [w.hex() for w in (f.wx, f.wy, f.wz)]
-        assert hexes(field) == hexes(before)
+        assert hexes(field) == hexes(want)
 
 
 @pytest.fixture
@@ -759,6 +748,40 @@ class TestCompare:
         assert code == EXIT_USAGE
         assert "--t-start > 0" in err
 
+    @pytest.mark.parametrize(
+        "order, flags, named",
+        [
+            ("model-file", ("--t-start", "5", "--t-max", "1", "--samples", "3"), "--t-start 5.0"),
+            ("model-file", ("--t-max", "1"), "--t-max 1.0"),
+            ("file-model", ("--t-start", "1e-9"), "--t-start 1e-09"),
+            ("file-model", ("--samples", "3"), "--samples 3"),
+            ("file-file", ("--t-max", "6e-4", "--samples", "251"), "--t-max 0.0006"),
+        ],
+        ids=["start-after-max", "t-max", "ode-default-start", "samples", "two-files"],
+    )
+    def test_grid_flag_that_contradicts_the_file_is_usage_error(
+        self, tpp, record, capsys, order, flags, named
+    ):
+        model = tpp_flags(tpp)[3:-4]  # the field and decay flags, without the grid
+        a, b = {
+            "model-file": ("analytic", record),
+            "file-model": (record, "analytic"),
+            "file-file": (record, record),
+        }[order]
+        code, out, err = run(capsys, "compare", "--a", a, "--b", b, *model, *flags)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"error: {named} ") and err.count("\n") == 1
+        assert record in err
+
+    def test_grid_flags_that_match_the_file_are_accepted(self, tpp, record, capsys):
+        flags = tpp_flags(tpp)[3:]  # the file's own --t-max 500e-6 and --samples 251
+        code, out, _ = run(
+            capsys, "compare", "--a", "analytic", "--b", record, *flags, "--t-start", "0", "--json"
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["overall"] == 0.0
+
     def test_two_files_need_no_model_flags(self, record, capsys):
         code, _, _ = run(capsys, "compare", "--a", record, "--b", record, "--rabi-hz", "-1")
         assert code == EXIT_OK
@@ -788,6 +811,27 @@ class TestThermal:
         eig = payload["eigenvalues"]
         assert eig[0] + eig[1] == pytest.approx(1.0, abs=1e-15)
         assert eig[0] - eig[1] == pytest.approx(payload["epsilon_exact"], rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "larmor_hz, temperature",
+        [(161.973e6, 297.15), (1e6, 297.15), (1e9, 4.2), (1.0, 1e6)],
+    )
+    def test_fields_are_bit_identical_to_the_formulas(self, capsys, larmor_hz, temperature):
+        flags = ("--larmor-hz", repr(larmor_hz), "--temperature", repr(temperature))
+        code, out, _ = run(capsys, "thermal", *flags)
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        x = HBAR * (2.0 * math.pi * larmor_hz) / (2.0 * KB * temperature)
+        eps = math.tanh(x)
+        want = {
+            "epsilon_high_t": [x],
+            "epsilon_exact": [eps],
+            "partition_function": [2.0 * math.cosh(x)],
+            "eigenvalues": [0.5 * (1.0 + eps), 0.5 * (1.0 - eps)],
+        }
+        for key, values in want.items():
+            got = payload[key] if key == "eigenvalues" else [payload[key]]
+            assert [v.hex() for v in got] == [v.hex() for v in values], key
 
     def test_nonpositive_inputs_rejected(self, capsys):
         code, _, _ = run(capsys, "thermal", "--larmor-hz", "-5.0")
@@ -871,6 +915,17 @@ class TestEntryPoints:
         assert proc.stdout == ""
         assert proc.stderr.startswith("numerical failure: integrating to t = 1.0 s")
         assert "--model analytic" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["thermal", "--larmor-hz", "1e6"], EXIT_OK), (["thermal"], EXIT_USAGE)],
+    )
+    def test_console_script_exits_with_the_code_of_main(self, monkeypatch, capsys, argv, code):
+        monkeypatch.setattr(sys, "argv", ["nhbloch", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.entrypoint()
+        assert exc.value.code == code
+        capsys.readouterr()
 
     def test_module_invocation(self):
         proc = subprocess.run(

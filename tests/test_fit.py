@@ -8,7 +8,6 @@ from nhbloch.core import Trajectory, bloch_to_density
 from nhbloch.dynamics import fidelity_trace
 from nhbloch.fit import (
     DegenerateJacobianError,
-    FitResult,
     _demodulate,
     check_record,
     default_initial_guess,
@@ -313,12 +312,6 @@ class TestResidualMagnetizationStats:
     def test_half_range_definition(self):
         _, half = residual_magnetization_stats([0.04, 0.04 + 2 * 0.007])
         assert half == pytest.approx(0.7)
-
-    def test_accepts_fit_results(self):
-        make = lambda nu: FitResult(10.0, 1.0, nu, 1e5, 0, 0, 0, 0, 0, 0, 1, True)
-        mean, half = residual_magnetization_stats([make(0.06), make(0.07)])
-        assert mean == pytest.approx(6.5)
-        assert half == pytest.approx(0.5)
 
     def test_needs_two_fits(self):
         with pytest.raises(ValueError, match="two"):

@@ -10,98 +10,59 @@ from nhbloch.nmr import (
     HBAR,
     KB,
     ROOM_TEMPERATURE_K,
-    NmrContext,
     deviation_matrix,
+    drive_field,
     partition_function,
     polarization_factor,
     pseudo_pure_decompose,
-    rotating_frame_field,
     rotation_pulse,
+    thermal_argument,
     thermal_state,
 )
 
-
-@pytest.fixture(scope="module")
-def p31_context() -> NmrContext:
-    omega_larmor = 2.0 * math.pi * 161.973e6
-    return NmrContext(
-        omega_larmor=omega_larmor,
-        omega_rf=omega_larmor,
-        omega1=2.0 * math.pi * 21186.0,
-        phi=1.5 * math.pi,
-        temperature=ROOM_TEMPERATURE_K,
-    )
+# The phosphorus-31 Larmor frequency in rad/s and the lab temperature.
+P31 = (2.0 * math.pi * 161.973e6, ROOM_TEMPERATURE_K)
+OMEGA1 = 2.0 * math.pi * 21186.0
 
 
 class TestPolarizationFactor:
-    def test_reference_value(self, p31_context):
-        got = polarization_factor(p31_context, "high_t")
-        assert got == pytest.approx(1.304e-5, rel=5e-3)
+    def test_reference_value(self):
+        assert thermal_argument(*P31) == pytest.approx(1.304e-5, rel=5e-3)
 
-    def test_vanishes_at_infinite_temperature(self, p31_context):
-        hot = NmrContext(
-            p31_context.omega_larmor,
-            p31_context.omega_rf,
-            p31_context.omega1,
-            p31_context.phi,
-            1e15,
-        )
-        assert polarization_factor(hot, "exact") < 1e-17
+    def test_vanishes_at_infinite_temperature(self):
+        assert polarization_factor(P31[0], 1e15) < 1e-17
 
-    def test_high_t_dominates_with_bounded_gap(self, p31_context):
-        exact = polarization_factor(p31_context, "exact")
-        high = polarization_factor(p31_context, "high_t")
+    def test_high_t_dominates_with_bounded_gap(self):
+        exact = polarization_factor(*P31)
+        high = thermal_argument(*P31)
         assert high >= exact
-        x = HBAR * p31_context.omega_larmor / (2.0 * KB * p31_context.temperature)
+        x = HBAR * P31[0] / (2.0 * KB * P31[1])
         assert (high - exact) / exact <= x * x / 3.0
         assert (high - exact) / exact <= 1e-10
 
-    def test_monotone_decreasing_in_temperature(self, p31_context):
-        values = [
-            polarization_factor(
-                NmrContext(
-                    p31_context.omega_larmor,
-                    p31_context.omega_rf,
-                    p31_context.omega1,
-                    p31_context.phi,
-                    temp,
-                ),
-                "exact",
-            )
-            for temp in np.linspace(1.0, 600.0, 40)
-        ]
+    def test_monotone_decreasing_in_temperature(self):
+        values = [polarization_factor(P31[0], temp) for temp in np.linspace(1.0, 600.0, 40)]
         assert all(a > b for a, b in zip(values, values[1:]))
-
-    def test_unknown_mode_rejected(self, p31_context):
-        with pytest.raises(ValueError, match="mode"):
-            polarization_factor(p31_context, "bogus")
 
 
 class TestThermalState:
-    def test_matches_polarization_diagonal(self, p31_context):
-        eps = polarization_factor(p31_context, "exact")
-        rho = thermal_state(p31_context)
+    def test_matches_polarization_diagonal(self):
+        eps = polarization_factor(*P31)
+        rho = thermal_state(*P31)
         np.testing.assert_allclose(rho, np.diag([(1 + eps) / 2, (1 - eps) / 2]), atol=1e-18)
 
-    def test_bloch_view(self, p31_context):
-        eps = polarization_factor(p31_context, "exact")
-        x, y, z = density_to_bloch(thermal_state(p31_context))
+    def test_bloch_view(self):
+        eps = polarization_factor(*P31)
+        x, y, z = density_to_bloch(thermal_state(*P31))
         assert (x, y) == (0.0, 0.0)
         assert z == pytest.approx(eps, rel=1e-12)
 
-    def test_infinite_temperature_limit(self, p31_context):
-        hot = NmrContext(
-            p31_context.omega_larmor,
-            p31_context.omega_rf,
-            p31_context.omega1,
-            p31_context.phi,
-            1e15,
-        )
-        np.testing.assert_allclose(thermal_state(hot), np.eye(2) / 2.0, atol=1e-15)
+    def test_infinite_temperature_limit(self):
+        np.testing.assert_allclose(thermal_state(P31[0], 1e15), np.eye(2) / 2.0, atol=1e-15)
 
-    def test_partition_function_near_two(self, p31_context):
-        z = partition_function(p31_context)
-        x = HBAR * p31_context.omega_larmor / (2.0 * KB * p31_context.temperature)
+    def test_partition_function_near_two(self):
+        z = partition_function(*P31)
+        x = HBAR * P31[0] / (2.0 * KB * P31[1])
         assert z == pytest.approx(2.0 * math.cosh(x), rel=1e-15)
         assert z == pytest.approx(2.0, abs=1e-9)
 
@@ -117,14 +78,14 @@ class TestPseudoPure:
         assert weight == 0.0
         np.testing.assert_allclose(rho0, np.diag([1.0, 0.0]), atol=0)
 
-    def test_reference_identity_weight(self, p31_context):
-        eps = polarization_factor(p31_context, "exact")
-        weight, _ = pseudo_pure_decompose(thermal_state(p31_context), eps)
+    def test_reference_identity_weight(self):
+        eps = polarization_factor(*P31)
+        weight, _ = pseudo_pure_decompose(thermal_state(*P31), eps)
         assert weight == pytest.approx(0.99998696, abs=1e-7)
 
-    def test_recomposition_exact(self, p31_context):
-        eps = polarization_factor(p31_context, "exact")
-        rho = thermal_state(p31_context)
+    def test_recomposition_exact(self):
+        eps = polarization_factor(*P31)
+        rho = thermal_state(*P31)
         weight, rho0 = pseudo_pure_decompose(rho, eps)
         np.testing.assert_allclose(weight * I0 + eps * rho0, rho, atol=1e-12)
 
@@ -134,28 +95,28 @@ class TestPseudoPure:
 
 
 class TestDeviationMatrix:
-    def test_thermal_input_gives_iz(self, p31_context):
-        eps = polarization_factor(p31_context, "exact")
-        np.testing.assert_allclose(deviation_matrix(thermal_state(p31_context), eps), IZ, atol=1e-12)
+    def test_thermal_input_gives_iz(self):
+        eps = polarization_factor(*P31)
+        np.testing.assert_allclose(deviation_matrix(thermal_state(*P31), eps), IZ, atol=1e-12)
 
-    def test_traceless(self, p31_context):
-        eps = polarization_factor(p31_context, "exact")
-        dev = deviation_matrix(thermal_state(p31_context), eps)
+    def test_traceless(self):
+        eps = polarization_factor(*P31)
+        dev = deviation_matrix(thermal_state(*P31), eps)
         assert abs(np.trace(dev)) <= 1e-12
 
     def test_rejects_nonpositive_epsilon(self):
         with pytest.raises(ValueError, match="positive"):
             deviation_matrix(I0.copy(), 0.0)
 
-    def test_quarter_pulse_rotates_iz_to_ix(self, p31_context):
+    def test_quarter_pulse_rotates_iz_to_ix(self):
         # Heisenberg sandwich with the pulse unitary, checked against expm.
-        omega1 = p31_context.omega1
+        omega1 = OMEGA1
         t_r = (math.pi / 2.0) / omega1
         u = rotation_pulse(omega1, t_r)
         u_oracle = expm(1j * omega1 * t_r * IY)
         np.testing.assert_allclose(u, u_oracle, atol=1e-12)
-        eps = polarization_factor(p31_context, "exact")
-        dev = deviation_matrix(thermal_state(p31_context), eps)
+        eps = polarization_factor(*P31)
+        dev = deviation_matrix(thermal_state(*P31), eps)
         rotated = u.conj().T @ dev @ u
         np.testing.assert_allclose(rotated, np.array([[0.0, 0.5], [0.5, 0.0]]), atol=1e-12)
 
@@ -212,39 +173,34 @@ class TestRotationPulse:
 
 
 class TestRotatingFrameField:
-    def test_on_resonance_reference_phase(self, p31_context):
-        field = rotating_frame_field(p31_context)
-        assert abs(field.wx) <= 1e-9 * p31_context.omega1
-        assert field.wy == pytest.approx(p31_context.omega1, rel=1e-12)
+    """drive_field(omega1, phi, w_L - w_rf) is the field of the Bloch dynamics."""
+
+    def test_on_resonance_reference_phase(self):
+        field = drive_field(OMEGA1, 1.5 * math.pi, 0.0)
+        assert abs(field.wx) <= 1e-9 * OMEGA1
+        assert field.wy == pytest.approx(OMEGA1, rel=1e-12)
         assert field.wz == 0.0
 
-    def test_opposite_phase_flips_sign(self, p31_context):
-        ctx = NmrContext(
-            p31_context.omega_larmor,
-            p31_context.omega_rf,
-            p31_context.omega1,
-            0.5 * math.pi,
-            p31_context.temperature,
-        )
-        field = rotating_frame_field(ctx)
-        assert field.wy == pytest.approx(-p31_context.omega1, rel=1e-12)
+    def test_opposite_phase_flips_sign(self):
+        field = drive_field(OMEGA1, 0.5 * math.pi, 0.0)
+        assert field.wy == pytest.approx(-OMEGA1, rel=1e-12)
 
-    def test_detuning_enters_z_with_minus_sign(self, p31_context):
+    def test_detuning_enters_z_with_minus_sign(self):
+        omega_larmor = P31[0]
         detuning = 2.0 * math.pi * 150.0
-        ctx = NmrContext(
-            p31_context.omega_larmor,
-            p31_context.omega_larmor - detuning,
-            p31_context.omega1,
-            p31_context.phi,
-            p31_context.temperature,
-        )
-        assert rotating_frame_field(ctx).wz == pytest.approx(-detuning, rel=1e-12)
+        omega_rf = omega_larmor - detuning
+        field = drive_field(OMEGA1, 1.5 * math.pi, omega_larmor - omega_rf)
+        assert field.wz == pytest.approx(-detuning, rel=1e-12)
 
 
 def test_context_validation():
-    with pytest.raises(ValueError):
-        NmrContext(-1.0, 1.0, 1.0, 0.0, 300.0)
-    with pytest.raises(ValueError):
-        NmrContext(1.0, 1.0, 0.0, 0.0, 300.0)
-    with pytest.raises(ValueError):
-        NmrContext(1.0, 1.0, 1.0, 0.0, 0.0)
+    bad = [(-1.0, 300.0), (0.0, 300.0), (1.0, 0.0), (1.0, -300.0), (math.nan, 300.0), (1.0, math.nan)]
+    for omega_larmor, temperature in bad:
+        for quantity in (thermal_argument, polarization_factor, partition_function, thermal_state):
+            with pytest.raises(ValueError, match="must be positive"):
+                quantity(omega_larmor, temperature)
+
+
+def test_thermal_argument_is_inf_where_two_kt_underflows():
+    assert thermal_argument(2.0 * math.pi * 1e6, 1e-320) == math.inf
+    assert polarization_factor(2.0 * math.pi * 1e6, 1e-320) == 1.0
