@@ -83,16 +83,24 @@ class DecayModel:
             raise ValueError(f"residual radius nu = {self.nu} must lie in [0, 1)")
 
 
+def _axis(field: CoherentField) -> tuple[float, float, float, float] | None:
+    """The norm and unit axis (omega, nx, ny, nz) of the field, or None where it is degenerate."""
+    om = field.omega
+    if om <= _DEGENERATE_FIELD * max(1.0, abs(field.wx), abs(field.wy), abs(field.wz)):
+        return None
+    return om, field.wx / om, field.wy / om, field.wz / om
+
+
 def coherent_bloch(field: CoherentField, t: float) -> tuple[float, float, float]:
     """Lossless Bloch vector at time t, starting from the north pole.
 
     Rotation of (0, 0, 1) about the field axis by angle omega*t; 1 - cos is
     evaluated as 2 sin^2(x/2) to keep small angles accurate.
     """
-    om = field.omega
-    if om <= _DEGENERATE_FIELD * max(1.0, abs(field.wx), abs(field.wy), abs(field.wz)):
+    axis = _axis(field)
+    if axis is None:
         return (0.0, 0.0, 1.0)
-    nx, ny, nz = field.wx / om, field.wy / om, field.wz / om
+    om, nx, ny, nz = axis
     angle = om * t
     s = math.sin(angle)
     vers = 2.0 * math.sin(0.5 * angle) ** 2
@@ -158,11 +166,11 @@ def trajectory(field: CoherentField, decay: DecayModel | None, times) -> np.ndar
     """
     times = np.asarray(times, dtype=float)
     rows = np.empty((len(times), 3))
-    om = field.omega
-    if om <= _DEGENERATE_FIELD * max(1.0, abs(field.wx), abs(field.wy), abs(field.wz)):
+    axis = _axis(field)
+    if axis is None:
         rows[:] = (0.0, 0.0, 1.0)
     else:
-        nx, ny, nz = field.wx / om, field.wy / om, field.wz / om
+        om, nx, ny, nz = axis
         angle = om * times
         s = np.sin(angle)
         vers = 2.0 * np.sin(0.5 * angle) ** 2
@@ -189,10 +197,10 @@ def damping_provider(field: CoherentField, model: DecayModel):
     exp, expm1, sin = math.exp, math.expm1, math.sin
     delta, mu, nu = model.delta, model.mu, model.nu
     neg_delta, neg_mu, nu_mu = -delta, -mu, nu * mu
-    om = field.omega
-    degenerate = om <= _DEGENERATE_FIELD * max(1.0, abs(field.wx), abs(field.wy), abs(field.wz))
+    axis = _axis(field)
+    degenerate = axis is None
     if not degenerate:
-        nx, ny, nz = field.wx / om, field.wy / om, field.wz / om
+        om, nx, ny, nz = axis
         nxz, nyz, nzz = nx * nz, ny * nz, nz * nz
 
     def provider(t: float) -> tuple[float, float, float]:

@@ -9,8 +9,13 @@ tables use the CSV contract
 
 with LF line endings, '.' decimals and seconds for time; the purity column
 appears on output only. JSON results carry ``schema_version`` "1" and are
-strict JSON (no NaN or Infinity). File writes are whole-file atomic. Exit codes: 0 success, 1 usage or parse
-failure, 2 numerical failure.
+strict JSON (no NaN or Infinity). File writes are whole-file atomic.
+
+Exit codes: 0 success; 1 with one ``error:`` line when a flag, a flag
+combination or an input file is refused; 2 with one ``numerical failure:``
+line when the computation cannot answer (an ODE run over its step budget, a
+failed fit, a record whose m_y rules the fit model out, a result that strict
+JSON cannot hold), and 2 after writing the result of a fit that did not converge.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ _MODELS = ("analytic", "ode-bloch", "ode-density")
 _SINGULAR_T0 = 1e-9
 
 # fit refuses a record whose m_y ratio of successive differences lies this
-# many standard deviations below white noise's (see _my_signal).
+# many standard deviations below white noise's (see _check_my_signal).
 _MY_SIGNAL_Z = 5.0
 
 # Rows per chunk when CSV tables are formatted or parsed: whole-table text
@@ -67,10 +72,6 @@ _CSV_CHUNK_ROWS = 4096
 
 
 class UsageError(Exception):
-    pass
-
-
-class CsvFormatError(Exception):
     pass
 
 
@@ -116,7 +117,7 @@ def _next_lines(handle) -> list[str]:
         return "".join(islice(handle, _CSV_CHUNK_ROWS)).splitlines()
     except UnicodeDecodeError as exc:
         # The decoder's byte position is relative to its read buffer, not the file.
-        raise CsvFormatError(f"{handle.name}: not UTF-8 text ({exc.reason})") from None
+        raise UsageError(f"{handle.name}: not UTF-8 text ({exc.reason})") from None
 
 
 def _parse_rows(path: str, lines: list[str], lineno: int, ncols: int) -> np.ndarray:
@@ -136,11 +137,11 @@ def _parse_rows(path: str, lines: list[str], lineno: int, ncols: int) -> np.ndar
             continue
         parts = line.split(",")
         if len(parts) != ncols:
-            raise CsvFormatError(f"{path}:{lineno}: expected {ncols} columns, got {len(parts)}")
+            raise UsageError(f"{path}:{lineno}: expected {ncols} columns, got {len(parts)}")
         try:
             rows.append([float(p) for p in parts[:4]])
         except ValueError as exc:
-            raise CsvFormatError(f"{path}:{lineno}: {exc}") from None
+            raise UsageError(f"{path}:{lineno}: {exc}") from None
     return np.array(rows).reshape(-1, 4)
 
 
@@ -148,10 +149,10 @@ def _read_series(path: str) -> Trajectory:
     with open(path, "r", encoding="utf-8") as handle:
         lines = _next_lines(handle)
         if not lines:
-            raise CsvFormatError(f"{path}:1: empty file, expected header 't,mx,my,mz'")
+            raise UsageError(f"{path}:1: empty file, expected header 't,mx,my,mz'")
         header = lines[0].strip()
         if header not in ("t,mx,my,mz", "t,mx,my,mz,purity"):
-            raise CsvFormatError(f"{path}:1: bad header {header!r}, expected 't,mx,my,mz[,purity]'")
+            raise UsageError(f"{path}:1: bad header {header!r}, expected 't,mx,my,mz[,purity]'")
         ncols = header.count(",") + 1
         blocks = [np.empty((0, 4))]
         lineno, lines = 2, lines[1:]
@@ -161,12 +162,12 @@ def _read_series(path: str) -> Trajectory:
             lines = _next_lines(handle)
     data = np.concatenate(blocks)
     if not len(data):
-        raise CsvFormatError(f"{path}:2: no data rows")
+        raise UsageError(f"{path}:2: no data rows")
     try:
         record = Trajectory(data[:, 0], data[:, 1:])
         check_record(record)
     except ValueError as exc:
-        raise CsvFormatError(f"{path}: {exc}") from None
+        raise UsageError(f"{path}: {exc}") from None
     return record
 
 
@@ -265,16 +266,6 @@ def _decay_from_args(args) -> DecayModel | None:
         raise UsageError(str(exc)) from None
 
 
-def _check_angle(args, field: CoherentField, times: np.ndarray, grid: str):
-    """Refuse times at which the rotation angle omega * t overflows (sin(inf) is nan)."""
-    reach = max(-float(times[0]), float(times[-1]))
-    if not math.isfinite(field.omega * reach):
-        raise UsageError(
-            f"the field of {_field_flags(args)} Hz is out of range over {grid}"
-            f" (the rotation angle omega * t overflows at |t| = {reach!r} s)"
-        )
-
-
 def _check_start(start: float, model: str, decay: DecayModel | None, source: str | None = None):
     """Refuse a grid start outside the model's domain: file ``source``'s first time, or --t-start."""
     ode = model.startswith("ode")
@@ -291,17 +282,6 @@ def _check_start(start: float, model: str, decay: DecayModel | None, source: str
     if source is None:
         raise UsageError(f"--t-start {start!r} is negative; {reason}")
     raise UsageError(f"the times of {source} start at t = {start!r} s; {reason}")
-
-
-def _check_grid_flags(args, times: np.ndarray, path: str):
-    """Refuse a grid flag that contradicts the times of the file ``path``, which set the grid."""
-    first, last = float(times[0]), float(times[-1])
-    if args.t_start is not None and args.t_start != first:
-        raise UsageError(f"--t-start {args.t_start!r} contradicts {path}, whose times start at {first!r} s")
-    if args.t_max is not None and args.t_max != last:
-        raise UsageError(f"--t-max {args.t_max!r} contradicts {path}, whose times end at {last!r} s")
-    if args.samples is not None and args.samples != len(times):
-        raise UsageError(f"--samples {args.samples} contradicts {path}, which has {len(times)} rows")
 
 
 def _grid_from_args(args, model: str, decay: DecayModel | None) -> np.ndarray:
@@ -336,23 +316,67 @@ def _simulate(model: str, field: CoherentField, decay: DecayModel | None, times)
         r0 = coherent_bloch(field, times[0])
     if model == "ode-bloch":
         return integrate_bloch(field, lam, r0, times)
-    if model == "ode-density":
-        return integrate_density(field, lam, bloch_to_density(r0), times)
-    raise UsageError(f"unknown model {model!r}")
+    return integrate_density(field, lam, bloch_to_density(r0), times)
+
+
+def _trajectories(args, sources) -> list[Trajectory]:
+    """One Trajectory per source, a model name or a CSV path, on one checked grid.
+
+    The files among the sources set the grid; they must agree on it, and
+    the grid flags given must match it. Without a file, the flags set it.
+    Under the strictest model (an ODE model, if there is one) the grid's
+    start must lie in the model's domain, and the rotation angle omega * t
+    must stay finite over the grid (sin(inf) is nan).
+    """
+    records = [None if source in _MODELS else _read_series(source) for source in sources]
+    files = [(source, record.times) for source, record in zip(sources, records) if record is not None]
+    if files:
+        path, times = files[0]
+        first, last = float(times[0]), float(times[-1])
+        for other, other_times in files[1:]:
+            if not np.array_equal(times, other_times):
+                raise UsageError(
+                    f"{path} and {other} hold different time grids ({len(times)} rows to {last!r} s"
+                    f" against {len(other_times)} rows to {float(other_times[-1])!r} s)"
+                )
+        if args.t_start is not None and args.t_start != first:
+            raise UsageError(f"--t-start {args.t_start!r} contradicts {path}, whose times start at {first!r} s")
+        if args.t_max is not None and args.t_max != last:
+            raise UsageError(f"--t-max {args.t_max!r} contradicts {path}, whose times end at {last!r} s")
+        if args.samples is not None and args.samples != len(times):
+            raise UsageError(f"--samples {args.samples} contradicts {path}, which has {len(times)} rows")
+    models = [source for source in sources if source in _MODELS]
+    if not models:
+        return records
+    field = _field_from_args(args)
+    decay = _decay_from_args(args)
+    strictest = max(models, key=lambda model: model.startswith("ode"))
+    if files:
+        _check_start(first, strictest, decay, path)
+        grid = f"the times of {path}"
+    else:
+        times = _grid_from_args(args, strictest, decay)
+        grid = "--t-start and --t-max"
+    reach = max(-float(times[0]), float(times[-1]))
+    if not math.isfinite(field.omega * reach):
+        raise UsageError(
+            f"the field of {_field_flags(args)} Hz is out of range over {grid}"
+            f" (the rotation angle omega * t overflows at |t| = {reach!r} s)"
+        )
+    return [
+        _simulate(source, field, decay, times) if record is None else record
+        for source, record in zip(sources, records)
+    ]
 
 
 def cmd_simulate(args) -> int:
-    field = _field_from_args(args)
-    decay = _decay_from_args(args)
-    times = _grid_from_args(args, args.model, decay)
     if args.noise is not None and args.seed is None:
         raise UsageError("--noise needs --seed for a reproducible record")
     if args.noise is not None and args.noise < 0.0:
         raise UsageError("--noise must be non-negative")
     if args.seed is not None and args.seed < 0:
         raise UsageError("--seed must be non-negative")
-    _check_angle(args, field, times, "--t-start and --t-max")
-    traj = _simulate(args.model, field, decay, times)
+    (traj,) = _trajectories(args, (args.model,))
     # Purity is reported for the clean model state; noise perturbs only the
     # magnetization columns.
     purity_col = 0.5 * (1.0 + np.minimum(np.sum(traj.bloch**2, axis=1), 1.0))
@@ -361,7 +385,7 @@ def cmd_simulate(args) -> int:
         rng = np.random.default_rng(args.seed)
         data = data + rng.normal(0.0, args.noise, data.shape)
     if args.format == "csv":
-        text = _csv_text(times, data[:, 0], data[:, 1], data[:, 2], purity_col)
+        text = _csv_text(traj.times, data[:, 0], data[:, 1], data[:, 2], purity_col)
     else:
         text = _json_text(
             {
@@ -370,7 +394,7 @@ def cmd_simulate(args) -> int:
                 "model": args.model,
                 "seed": args.seed,
                 "noise": args.noise,
-                "t": times.tolist(),
+                "t": traj.times.tolist(),
                 "mx": data[:, 0].tolist(),
                 "my": data[:, 1].tolist(),
                 "mz": data[:, 2].tolist(),
@@ -381,8 +405,8 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _my_signal(series: Trajectory) -> str | None:
-    """Why the record's m_y rules the fit model out, or None.
+def _check_my_signal(series: Trajectory):
+    """Refuse, with a ValueError, a record whose m_y rules the fit model out.
 
     The model drives on resonance along -y (phi = 1.5 pi), which keeps m_y
     at 0; any other phase or a detuning puts signal there. The von Neumann
@@ -397,15 +421,14 @@ def _my_signal(series: Trajectory) -> str | None:
     my_rms = math.sqrt(power / len(my))
     amplitude = max(float(np.max(np.abs(mx))), float(np.max(np.abs(mz))))
     if not my_rms > math.sqrt(np.finfo(float).eps) * amplitude:
-        return None
+        return
     eta = float(np.sum(np.diff(my) ** 2)) / power
     z = (2.0 - eta) / math.sqrt(4.0 / len(my))
-    if not z > _MY_SIGNAL_Z:
-        return None
-    return (
-        f"m_y carries signal (rms {my_rms:.3g}, von Neumann z = {z:.1f} > {_MY_SIGNAL_Z:g});"
-        " the fit model assumes a resonant drive (phi = 1.5 pi, no detuning), which keeps m_y at 0"
-    )
+    if z > _MY_SIGNAL_Z:
+        raise ValueError(
+            f"m_y carries signal (rms {my_rms:.3g}, von Neumann z = {z:.1f} > {_MY_SIGNAL_Z:g});"
+            " the fit model assumes a resonant drive (phi = 1.5 pi, no detuning), which keeps m_y at 0"
+        )
 
 
 def cmd_fit(args) -> int:
@@ -420,10 +443,7 @@ def cmd_fit(args) -> int:
         except ValueError as exc:
             raise UsageError(f"--guess: {exc}") from None
     series = _read_series(args.input)
-    mismatch = _my_signal(series)
-    if mismatch is not None:
-        print(f"error: {mismatch}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    _check_my_signal(series)
     result = fit_decay_model(series, guess, delta_mu_ratio=args.fix_ratio)
     payload = {
         "schema_version": "1",
@@ -451,33 +471,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    sources = (args.a, args.b)
-    records = [None if source in _MODELS else _read_series(source) for source in sources]
-    grids = [record.times for record in records if record is not None]
-    if len(grids) == 2 and not np.array_equal(*grids):
-        raise ValueError("grid mismatch between the two input files")
-    if grids:
-        times = grids[0]
-        path = next(source for source in sources if source not in _MODELS)
-        _check_grid_flags(args, times, path)
-    models = [source for source in sources if source in _MODELS]
-    if models:
-        field = _field_from_args(args)
-        decay = _decay_from_args(args)
-        # An ODE model, if there is one, sets the rules for the grid's start.
-        strictest = max(models, key=lambda model: model.startswith("ode"))
-        if grids:
-            _check_start(float(times[0]), strictest, decay, path)
-            grid = f"the times of {path}"
-        else:
-            times = _grid_from_args(args, strictest, decay)
-            grid = "--t-start and --t-max"
-        _check_angle(args, field, times, grid)
-    traj_a, traj_b = [
-        _simulate(source, field, decay, times) if record is None else record
-        for source, record in zip(sources, records)
-    ]
-
+    traj_a, traj_b = _trajectories(args, (args.a, args.b))
     report = max_deviation(traj_a, traj_b)
     fid = fidelity_trace(traj_a, traj_b)
     i_min = int(np.argmin(fid))
@@ -487,11 +481,7 @@ def cmd_compare(args) -> int:
         "a": args.a,
         "b": args.b,
         "max_abs": {"mx": report.max_abs[0], "my": report.max_abs[1], "mz": report.max_abs[2]},
-        "time_of_max": {
-            "mx": report.time_of_max[0],
-            "my": report.time_of_max[1],
-            "mz": report.time_of_max[2],
-        },
+        "time_of_max": {"mx": report.time_of_max[0], "my": report.time_of_max[1], "mz": report.time_of_max[2]},
         "overall": report.overall,
         "overall_time": report.overall_time,
         "min_fidelity": float(fid[i_min]),
@@ -515,20 +505,18 @@ def cmd_thermal(args) -> int:
     if args.larmor_hz <= 0.0 or args.temperature <= 0.0:
         raise UsageError("larmor frequency and temperature must be positive")
     omega_larmor = _rad_per_s("--larmor-hz", args.larmor_hz)
-    eps_high_t = thermal_argument(omega_larmor, args.temperature)
-    if not math.isfinite(eps_high_t):
-        raise ValueError(
-            f"hbar w_L / 2 kB T overflows at --larmor-hz {args.larmor_hz!r} Hz"
-            f" and --temperature {args.temperature!r} K"
-        )
-    eps_exact = polarization_factor(omega_larmor, args.temperature)
+    # cosh overflows or is inf (2 kB T underflowed); a finite z means a finite argument.
     try:
         z = partition_function(omega_larmor, args.temperature)
     except OverflowError:
+        z = math.inf
+    if not math.isfinite(z):
         raise UsageError(
             f"--larmor-hz {args.larmor_hz!r} Hz is out of range at --temperature"
             f" {args.temperature!r} K (cosh(hbar w_L / 2 kB T) overflows)"
-        ) from None
+        )
+    eps_high_t = thermal_argument(omega_larmor, args.temperature)
+    eps_exact = polarization_factor(omega_larmor, args.temperature)
     payload = {
         "schema_version": "1",
         "command": "thermal",
@@ -614,7 +602,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
-    except (UsageError, CsvFormatError, OSError) as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, RuntimeError) as exc:  # DegenerateJacobianError is a RuntimeError

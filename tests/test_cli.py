@@ -464,7 +464,8 @@ class TestFitRefusesSignalInMy:
         code, out, err = run(capsys, "fit", str(record), *mode)
         assert code == EXIT_NUMERICAL
         assert out == ""
-        assert "m_y carries signal" in err and "resonant drive" in err
+        assert err.startswith("numerical failure: m_y carries signal") and err.count("\n") == 1
+        assert "resonant drive" in err
 
     @pytest.mark.parametrize("samples", [251, 100_000])
     def test_nominal_records_still_fit(self, tpp, tmp_path, capsys, samples):
@@ -708,13 +709,17 @@ class TestCompare:
         assert times[i] == payload["min_fidelity_time"]
         assert ref[i] - np.min(ref) <= 1e-15
 
-    def test_grid_mismatch_is_numerical_failure(self, tpp, tmp_path, capsys):
+    def test_grid_mismatch_is_usage_error(self, tpp, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run(capsys, *tpp_flags(tpp, samples=51, extra=("--out", str(a))))
         run(capsys, *tpp_flags(tpp, samples=61, extra=("--out", str(b))))
-        code, _, err = run(capsys, "compare", "--a", str(a), "--b", str(b))
-        assert code == EXIT_NUMERICAL
-        assert "mismatch" in err
+        code, out, err = run(capsys, "compare", "--a", str(a), "--b", str(b))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == (
+            f"error: {a} and {b} hold different time grids"
+            " (51 rows to 0.0005 s against 61 rows to 0.0005 s)\n"
+        )
 
     def test_file_grid_at_zero_against_ode_is_usage_error(self, tpp, record, capsys):
         flags = tpp_flags(tpp)[3:]  # the field and decay flags, without the model
@@ -845,22 +850,24 @@ class TestThermal:
         assert json.loads(out)["temperature_k"] == ROOM_TEMPERATURE_K
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("larmor_hz, temperature", [("1e6", "1e-320"), ("1e300", "1e-300")])
+    @pytest.mark.parametrize(
+        "larmor_hz, temperature",
+        [("1e6", "1e-320"), ("1e300", "1e-300"), ("1e200", "297.15")],
+    )
     def test_overflowing_thermal_argument_names_the_flags(self, capsys, larmor_hz, temperature):
-        # hbar w_L / 2 kB T is not finite: 2 kB T underflows to 0, or the quotient overflows.
+        # hbar w_L / 2 kB T is not finite (2 kB T underflows to 0, or the
+        # quotient overflows), or it is finite and its cosh overflows.
         flags = ("--larmor-hz", larmor_hz, "--temperature", temperature)
         code, out, err = run(capsys, "thermal", *flags)
-        assert code == EXIT_NUMERICAL
+        assert code == EXIT_USAGE
         assert out == ""
-        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert "--larmor-hz" in err and "--temperature" in err
 
-    def test_non_finite_result_is_not_written_as_json(self, capsys):
-        # hbar w_L / 2 kB T overflows to inf, and so does the high-T epsilon.
-        code, out, err = run(capsys, "thermal", "--larmor-hz", "1e300", "--temperature", "1e-300")
-        assert code == EXIT_NUMERICAL
-        assert out == ""
-        assert "numerical failure" in err
+    def test_non_finite_result_is_not_written_as_json(self):
+        # No thermal flags reach an infinite field now; the JSON writer still refuses one.
+        with pytest.raises(ValueError):
+            cli._json_text({"schema_version": "1", "epsilon_high_t": math.inf})
 
 
 class TestSharedParser:

@@ -8,10 +8,11 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_script(name, *args):
+    # pyproject's filterwarnings reaches this process only, not the script's.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
+        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "scripts" / name), *args],
         capture_output=True,
         text=True,
         env=env,
