@@ -17,6 +17,7 @@ from nhbloch.analytic import (
     purity_closed_form,
     trajectory,
 )
+from nhbloch.cli import _csv_text, _write_text
 from nhbloch.core import bloch_to_density
 from nhbloch.dynamics import Trajectory, integrate_bloch, integrate_density, max_deviation
 from nhbloch.fit import residual_magnetization_stats
@@ -45,11 +46,7 @@ def main():
 
         purity = purity_closed_form(decay, times)
         path = outdir / f"{name}_magnetization.csv"
-        with open(path, "w", newline="\n") as handle:
-            handle.write("t,mx,my,mz,purity\n")
-            for i, t in enumerate(times):
-                row = exact.bloch[i]
-                handle.write(f"{t!r},{row[0]!r},{row[1]!r},{row[2]!r},{purity[i]!r}\n")
+        _write_text(str(path), _csv_text(times, *exact.bloch.T, purity))
 
         print(f"[{name}] wrote {path}")
         print(f"[{name}] 1/delta = {1e6 / decay.delta:.2f} us")

@@ -15,7 +15,8 @@ Exit codes: 0 success; 1 with one ``error:`` line when a flag, a flag
 combination or an input file is refused; 2 with one ``numerical failure:``
 line when the computation cannot answer (an ODE run over its step budget, a
 failed fit, a record whose m_y rules the fit model out, a result that strict
-JSON cannot hold), and 2 after writing the result of a fit that did not converge.
+JSON cannot hold, a fit stopped at its iteration cap, whose result is
+written first).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from itertools import islice, repeat
@@ -102,13 +104,19 @@ def _json_text(payload: dict) -> str:
 
 
 def _csv_text(times, mx, my, mz, purity=None):
-    """Yield the CSV table in chunks of _CSV_CHUNK_ROWS rows, each float as its repr."""
+    """Yield the CSV table in chunks of _CSV_CHUNK_ROWS rows, each float as its repr.
+
+    A chunk is one ``%`` format of the row pattern ``%r,...,%r\\n``, repeated
+    once per row, over the chunk's values in row order: the only per-value
+    work left in Python is ``repr`` itself.
+    """
     columns = [times, mx, my, mz] + ([purity] if purity is not None else [])
     yield "t,mx,my,mz" + (",purity" if purity is not None else "") + "\n"
     table = np.column_stack(columns)
+    row = ",".join(["%r"] * len(columns)) + "\n"
     for start in range(0, len(table), _CSV_CHUNK_ROWS):
-        rows = table[start : start + _CSV_CHUNK_ROWS].tolist()
-        yield "\n".join([",".join(map(repr, row)) for row in rows]) + "\n"
+        chunk = table[start : start + _CSV_CHUNK_ROWS]
+        yield (row * len(chunk)) % tuple(chunk.ravel().tolist())
 
 
 def _next_lines(handle) -> list[str]:
@@ -180,6 +188,23 @@ def _finite(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError("not a finite number")
     return value
+
+
+# A negative number in decimal or exponent form. argparse's own pattern (on
+# Python 3.10 and 3.11) matches plain decimals only, so it took "-1e-09" for a
+# flag, and "--field-hz -1e-09 0 1e3" failed with "expected 3 arguments".
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every negative number, exponent form too, as a value.
+
+    Its subparsers are of this class too (argparse makes them of the parent's).
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
 def _add_field_args(sp: argparse.ArgumentParser):
@@ -467,7 +492,15 @@ def cmd_fit(args) -> int:
         "seed": args.seed,
     }
     _write_text(args.out, _json_text(payload))
-    return EXIT_OK if result.converged else EXIT_NUMERICAL
+    if not result.converged:
+        print(
+            f"numerical failure: the fit stopped at its cap of {result.iterations} LM iterations"
+            " without converging; a free fit can drift along the delta ~ mu ridge, and"
+            " --fix-ratio pins delta = ratio * mu",
+            file=sys.stderr,
+        )
+        return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 def cmd_compare(args) -> int:
@@ -541,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     namespace and help text is formatted (at the terminal width of that
     moment) when it is printed.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nhbloch",
         description="Simulate, cross-check and fit damped two-level magnetization dynamics.",
     )

@@ -331,6 +331,109 @@ class TestBadFlagValues:
         assert "argument --rabi-hz: invalid float value: 'abc'" in err
 
 
+class TestRefusalsNoOtherCheckCatches:
+    """Refusals whose removal no other check would notice: without each, the run
+    exits 0 with a wrong answer, leaks a traceback or refuses with a message
+    that names the wrong thing."""
+
+    GRID = ("--t-max", "1e-3", "--samples", "5")
+
+    def refused(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        return err
+
+    @pytest.mark.parametrize("rabi_hz", ["-100", "0", "-0.0"])
+    def test_non_positive_rabi_hz(self, capsys, rabi_hz):
+        err = self.refused(capsys, "simulate", "--rabi-hz", rabi_hz, *self.GRID)
+        assert err == "error: --rabi-hz must be positive\n"
+
+    def test_zero_mu(self, capsys):
+        decay = ("--mu", "0", "--delta-mu-ratio", "2", "--nu", "0.1")
+        err = self.refused(capsys, "simulate", "--rabi-hz", "1e3", *decay, *self.GRID)
+        assert err == "error: decay rates must be positive\n"
+
+    def test_delta_together_with_ratio(self, capsys):
+        decay = ("--mu", "1e3", "--nu", "0.1", "--delta", "2e4", "--delta-mu-ratio", "20")
+        err = self.refused(capsys, "simulate", "--rabi-hz", "1e3", *decay, *self.GRID)
+        assert err == "error: give exactly one of --delta or --delta-mu-ratio\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "compare --a analytic --b ode-bloch"])
+    def test_missing_t_max(self, capsys, command):
+        err = self.refused(capsys, *command.split(), "--rabi-hz", "1e3")
+        assert err == "error: need --t-max\n"
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            "--t-max 0",
+            "--t-max=-1e-3",
+            "--t-start 1e-3 --t-max 1e-3",
+            "--t-start 1e-3 --t-max 1e-4",
+            # The ODE models with decay start at 1e-9 by default.
+            "--model ode-bloch --mu 1e3 --delta-mu-ratio 2 --nu 0.1 --t-max 1e-9",
+        ],
+    )
+    def test_t_max_at_or_below_the_start(self, capsys, grid):
+        err = self.refused(capsys, "simulate", "--rabi-hz", "1e3", *grid.split())
+        assert err == "error: --t-max must exceed the start time\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_out_naming_a_directory(self, tmp_path, capsys, fmt):
+        target = tmp_path / "table"
+        target.mkdir()
+        argv = ("simulate", "--rabi-hz", "1e3", *self.GRID, "--format", fmt, "--out", str(target))
+        err = self.refused(capsys, *argv)
+        assert str(target) in err
+        # The temporary sibling is removed, and the directory is left as it was.
+        assert [p.name for p in tmp_path.iterdir()] == ["table"]
+        assert list(target.iterdir()) == []
+
+
+class TestNegativeExponentValues:
+    """argparse reads plain decimals such as -0.5 as values; -1e-09 is one too."""
+
+    @pytest.mark.parametrize(
+        "words, values",
+        [
+            (["-1e-09", "0", "1e3"], [-1e-09, 0.0, 1e3]),
+            (["-2.5E+3", "-7e2", "-1e-300"], [-2500.0, -700.0, -1e-300]),
+            (["-.5e1", "-5.", "-0e0"], [-5.0, -5.0, -0.0]),
+            # Spellings argparse took before keep their meaning.
+            (["-0.5", "-1", "-.25"], [-0.5, -1.0, -0.25]),
+        ],
+    )
+    def test_field_hz_components(self, words, values):
+        args = cli.build_parser().parse_args(["simulate", "--field-hz", *words])
+        assert [v.hex() for v in args.field_hz] == [v.hex() for v in values]
+
+    def test_field_hz_table_matches_plain_decimal_spelling(self, capsys):
+        grid = ("--t-max", "1e-3", "--samples", "3")
+        code, out, err = run(capsys, "simulate", "--field-hz", "-1e-09", "0", "1e3", *grid)
+        assert code == EXIT_OK, err
+        assert run(capsys, "simulate", "--field-hz", "-0.000000001", "0", "1e3", *grid) == (EXIT_OK, out, "")
+
+    def test_guess_values(self):
+        words = ["6.05e3", "5.26e2", "-0e0", "2.2e4"]
+        args = cli.build_parser().parse_args(["fit", "record.csv", "--guess", *words])
+        assert [v.hex() for v in args.guess] == [v.hex() for v in (6050.0, 526.0, -0.0, 22000.0)]
+
+    def test_negative_guess_reaches_the_guess_check(self, record, capsys):
+        code, out, err = run(capsys, "fit", record, "--guess", "-1e-09", "500", "0.1", "22000")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: --guess: need delta >= mu > 0") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("word", ["--1e5", "-e5", "-1e", "-1e5x", "-inf"])
+    def test_other_dash_words_are_still_flags(self, tpp, capsys, word):
+        code, out, err = run(capsys, *tpp_flags(tpp), "--field-hz", word, "0", "0")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "argument --field-hz: expected 3 arguments" in err
+
+
 class TestFit:
     def test_round_trip_recovers_parameters(self, tpp, tmp_path, capsys):
         csv_path = tmp_path / "rec.csv"
@@ -383,6 +486,21 @@ class TestFit:
         assert payload["seed"] == 5
         assert payload["fixed_delta_mu_ratio"] == 11.5
         assert payload["nu"] == pytest.approx(tpp.decay.nu, rel=0.4)
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_capped_fit_writes_its_result_then_one_line(self, tmp_path, capsys, to_file):
+        # A free fit on this noisy record drifts along the delta ~ mu ridge
+        # until the iteration cap stops it.
+        record = tmp_path / "noisy.csv"
+        tpp = "--rabi-hz 22245.3 --mu 525.806 --delta-mu-ratio 11.5 --nu 0.0653 --t-max 500e-6"
+        run(capsys, "simulate", *tpp.split(), "--noise", "0.05", "--seed", "1", "--out", str(record))
+        result = tmp_path / "fit.json"
+        code, out, err = run(capsys, "fit", str(record), *(("--out", str(result)) if to_file else ()))
+        assert code == EXIT_NUMERICAL
+        payload = json.loads(result.read_text() if to_file else out)
+        assert (payload["converged"], payload["iterations"]) == (False, 200)
+        assert err.startswith("numerical failure: the fit stopped at its cap of 200 LM iterations")
+        assert err.count("\n") == 1 and "--fix-ratio" in err
 
     @pytest.mark.parametrize("extra", [("--fix-ratio", "11.5"), ()])
     def test_overflowing_trial_step_is_rejected(self, tpp, tmp_path, capsys, extra):
