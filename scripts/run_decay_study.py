@@ -11,15 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
-from nhbloch.analytic import (
-    damped_bloch,
-    damping_provider,
-    purity_closed_form,
-    trajectory,
-)
-from nhbloch.cli import _csv_text, _write_text
-from nhbloch.core import bloch_to_density
-from nhbloch.dynamics import Trajectory, integrate_bloch, integrate_density, max_deviation
+from nhbloch.analytic import purity_closed_form
+from nhbloch.cli import _csv_text, _simulate, _write_text
+from nhbloch.dynamics import max_deviation
 from nhbloch.fit import residual_magnetization_stats
 from nhbloch.nmr import P31_SAMPLES, p31_sample
 
@@ -37,12 +31,9 @@ def main():
     for name in P31_SAMPLES:
         field, decay = p31_sample(name)
         times = np.linspace(1e-9, args.t_max, args.samples)
-        exact = Trajectory(times, trajectory(field, decay, times))
-
-        lam = damping_provider(field, decay)
-        r0 = damped_bloch(field, decay, times[0])
-        ode_b = integrate_bloch(field, lam, r0, times)
-        ode_d = integrate_density(field, lam, bloch_to_density(r0), times)
+        exact, ode_b, ode_d = (
+            _simulate(model, field, decay, times) for model in ("analytic", "ode-bloch", "ode-density")
+        )
 
         purity = purity_closed_form(decay, times)
         path = outdir / f"{name}_magnetization.csv"

@@ -13,7 +13,6 @@ from .analytic import (
     damped_bloch,
     damping_provider,
     decay_f,
-    decay_g,
     g_root,
     gamma_coefficients,
     purity_closed_form,
@@ -81,7 +80,6 @@ __all__ = [
     "damped_bloch",
     "damping_provider",
     "decay_f",
-    "decay_g",
     "default_initial_guess",
     "density_to_bloch",
     "deviation_matrix",

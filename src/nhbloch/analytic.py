@@ -22,8 +22,8 @@ trajectory itself. Purity follows as P(t) = 1/2 + f(t)^2 / 2.
 grid as array expressions. :func:`damping_provider` is the per-step API: it
 fixes the field axis and the rates once and returns the ODE damping provider,
 which the integrators call once per distinct time, so it is written with
-:mod:`math` on plain floats, in the same operation order as :func:`decay_g`
-and :func:`coherent_bloch`. The other scalar functions
+:mod:`math` on plain floats, with :func:`coherent_bloch`'s operation order
+for r0; ``tests/test_oracle.py`` checks f, g and r0 to 40 digits. The others
 (:func:`coherent_bloch`, :func:`damped_bloch`, :func:`gamma_coefficients`)
 serve single-time callers and are the reference the kernel is tested
 against. A single state is a float triple (r_x, r_y, r_z) and a trajectory
@@ -120,28 +120,6 @@ def decay_f(model: DecayModel, t):
     return value if value.ndim else float(value)
 
 
-def decay_g(model: DecayModel, t):
-    """Damping modulation g(t) = f'(t) / (f(t)^2 - 1) for strictly positive t.
-
-    The denominator is formed from 1 - f = -expm1(-delta t) + nu expm1(-mu t)
-    so that no cancellation occurs for small arguments, where g ~ 1/(2t).
-    Where 1 - f still rounds to 0 (delta t and mu t subnormal or 0), g takes
-    that limit 1/(2t), as :func:`damping_provider` does.
-    """
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
-        raise ValueError("g(t) is defined for t > 0 only (1/(2t) divergence at 0)")
-    e_delta = np.exp(-model.delta * t)
-    e_mu = np.exp(-model.mu * t)
-    one_minus_f = -np.expm1(-model.delta * t) + model.nu * np.expm1(-model.mu * t)
-    f = e_delta - model.nu * np.expm1(-model.mu * t)
-    denominator = one_minus_f * (1.0 + f)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        value = (model.delta * e_delta - model.nu * model.mu * e_mu) / denominator
-    value = np.where(denominator == 0.0, 0.5 / t, value)
-    return value if value.ndim else float(value)
-
-
 def g_root(model: DecayModel) -> float:
     """Time at which g changes sign: delta e^{-delta t} = nu mu e^{-mu t}."""
     if model.nu <= 0.0:
@@ -187,12 +165,11 @@ def damping_provider(field: CoherentField, model: DecayModel):
 
     lambda_k(t) = g(t) r0_k(t) in rad/s, for t > 0. The field norm, the unit
     axis, the degenerate-field decision and the rates are fixed here, once;
-    each call then evaluates ``decay_g(model, t)`` times
-    ``coherent_bloch(field, t)`` with :mod:`math` on plain floats, in the same
-    operation order, so one call costs a couple of microseconds and its
-    value is bit-identical to those formulas evaluated per call. Where those
-    divide by zero (1 - f(t) rounds to 0 for subnormal delta t), it takes the
-    small-time limit g = 1/(2t).
+    each call evaluates g(t) times ``coherent_bloch(field, t)`` with
+    :mod:`math` on plain floats, a couple of microseconds. 1 - f is formed as
+    -expm1(-delta t) + nu expm1(-mu t), which does not cancel for small
+    arguments, where g ~ 1/(2t); where it still rounds to 0 (delta t and mu t
+    subnormal or 0), g takes that limit 1/(2t).
     """
     exp, expm1, sin = math.exp, math.expm1, math.sin
     delta, mu, nu = model.delta, model.mu, model.nu

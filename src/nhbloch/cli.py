@@ -15,8 +15,9 @@ Exit codes: 0 success; 1 with one ``error:`` line when a flag, a flag
 combination or an input file is refused; 2 with one ``numerical failure:``
 line when the computation cannot answer (an ODE run over its step budget, a
 failed fit, a record whose m_y rules the fit model out, a result that strict
-JSON cannot hold, a fit stopped at its iteration cap, whose result is
-written first).
+JSON cannot hold, a compare whose arithmetic overflows, a fit stopped at its
+iteration cap, whose result is written first). A CSV source is read by its
+format alone; ``fit`` then applies the fit's record rules to it.
 """
 
 from __future__ import annotations
@@ -172,11 +173,9 @@ def _read_series(path: str) -> Trajectory:
     if not len(data):
         raise UsageError(f"{path}:2: no data rows")
     try:
-        record = Trajectory(data[:, 0], data[:, 1:])
-        check_record(record)
+        return Trajectory(data[:, 0], data[:, 1:])
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from None
-    return record
 
 
 def _finite(text: str) -> float:
@@ -378,6 +377,8 @@ def _trajectories(args, sources) -> list[Trajectory]:
     strictest = max(models, key=lambda model: model.startswith("ode"))
     if files:
         _check_start(first, strictest, decay, path)
+        if len(times) < 2 and strictest.startswith("ode"):
+            raise UsageError(f"{path} has one row; the ODE models integrate between at least two times")
         grid = f"the times of {path}"
     else:
         times = _grid_from_args(args, strictest, decay)
@@ -409,6 +410,8 @@ def cmd_simulate(args) -> int:
     if args.noise is not None:
         rng = np.random.default_rng(args.seed)
         data = data + rng.normal(0.0, args.noise, data.shape)
+        if not np.all(np.isfinite(data)):
+            raise UsageError(f"--noise {args.noise!r} is out of range (the noisy table overflows)")
     if args.format == "csv":
         text = _csv_text(traj.times, data[:, 0], data[:, 1], data[:, 2], purity_col)
     else:
@@ -468,6 +471,10 @@ def cmd_fit(args) -> int:
         except ValueError as exc:
             raise UsageError(f"--guess: {exc}") from None
     series = _read_series(args.input)
+    try:
+        check_record(series)
+    except ValueError as exc:
+        raise UsageError(f"{args.input}: {exc}") from None
     _check_my_signal(series)
     result = fit_decay_model(series, guess, delta_mu_ratio=args.fix_ratio)
     payload = {
@@ -505,8 +512,11 @@ def cmd_fit(args) -> int:
 
 def cmd_compare(args) -> int:
     traj_a, traj_b = _trajectories(args, (args.a, args.b))
-    report = max_deviation(traj_a, traj_b)
-    fid = fidelity_trace(traj_a, traj_b)
+    with np.errstate(over="raise"):  # a table's finite values may overflow a square or difference
+        try:
+            report, fid = max_deviation(traj_a, traj_b), fidelity_trace(traj_a, traj_b)
+        except FloatingPointError:
+            raise ValueError(f"comparing {args.a} with {args.b} overflows") from None
     i_min = int(np.argmin(fid))
     payload = {
         "schema_version": "1",

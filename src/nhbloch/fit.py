@@ -56,6 +56,7 @@ from .core import Trajectory
 from .core import bloch_to_density, fidelity  # noqa: F401
 
 _MAX_COMPONENT = 1.5  # loose physical bound for measured data
+_TIME_SCALE = 1e150  # the fit squares t and 1 / span (envelope polyfit, LM Gram matrix)
 
 # LM iteration cap of fit_decay_model.
 _MAX_ITERATIONS = 200
@@ -66,7 +67,7 @@ class DegenerateJacobianError(RuntimeError):
 
 
 def check_record(record: Trajectory):
-    """Raise ValueError on fewer than 8 samples (no frequency estimate) or any |m_k| > 1.5."""
+    """Raise ValueError on < 8 samples, any |m_k| > 1.5, any |t| > 1e150 s or a span < 1e-150 s."""
     n = len(record)
     if n < 8:
         raise ValueError(f"need at least 8 samples, got {n}")
@@ -74,6 +75,12 @@ def check_record(record: Trajectory):
         worst = np.max(np.abs(record.bloch[:, k]))
         if worst > _MAX_COMPONENT:
             raise ValueError(f"|{name}| = {worst:.3f} exceeds the sanity bound {_MAX_COMPONENT}")
+    first, last = float(record.times[0]), float(record.times[-1])
+    if not (max(-first, last) <= _TIME_SCALE and (last - first) * _TIME_SCALE >= 1.0):
+        raise ValueError(
+            f"the times run from {first!r} to {last!r} s; the fit needs |t| <= {_TIME_SCALE:g} s"
+            f" and a span of at least {1.0 / _TIME_SCALE:g} s"
+        )
 
 
 @dataclass(frozen=True)
@@ -332,9 +339,10 @@ def fit_decay_model(
     DegenerateJacobianError when the design matrix carries no information,
     and ValueError when the record fails :func:`check_record`.
     """
-    check_record(series)
     if guess is None:
-        guess = default_initial_guess(series, delta_mu_ratio=delta_mu_ratio or 11.5)
+        guess = default_initial_guess(series, delta_mu_ratio=delta_mu_ratio or 11.5)  # checks the record
+    else:
+        check_record(series)
     _check_feasible(guess)
     if delta_mu_ratio is not None and delta_mu_ratio < 1.0:
         raise ValueError("delta_mu_ratio must be at least 1")

@@ -12,7 +12,6 @@ from nhbloch.analytic import (
     damped_bloch,
     damping_provider,
     decay_f,
-    decay_g,
     g_root,
     gamma_coefficients,
     purity_closed_form,
@@ -32,6 +31,11 @@ decay_models = st.builds(
     st.floats(1.0, 50.0),
     st.floats(0.0, 0.3),
 )
+
+
+def _g(model, t):
+    """The provider's g(t): its lambda_z on the zero field, whose r0 is the north pole."""
+    return damping_provider(CoherentField(0.0, 0.0, 0.0), model)(t)[2]
 
 
 def _bloch_rhs(field, lam, r):
@@ -120,9 +124,9 @@ class TestDecayFunctions:
 
     def test_g_rejects_nonpositive_time(self, tpp):
         with pytest.raises(ValueError, match="t > 0"):
-            decay_g(tpp.decay, 0.0)
+            _g(tpp.decay, 0.0)
         with pytest.raises(ValueError, match="t > 0"):
-            decay_g(tpp.decay, -1e-6)
+            _g(tpp.decay, -1e-6)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -134,18 +138,13 @@ class TestDecayFunctions:
         ],
     )
     def test_g_where_one_minus_f_underflows_is_the_small_time_limit(self, decay, t):
-        # 1 - f rounds to 0; the limit g = 1/(2t) is the provider's, and
-        # the other entries of an array keep their values.
-        provider = damping_provider(CoherentField(0.0, 0.0, 0.0), decay)
-        assert decay_g(decay, t) == 0.5 / t == provider(t)[2]
-        late = 1e300
-        got = decay_g(decay, np.array([t, late]))
-        np.testing.assert_array_equal(got, [0.5 / t, decay_g(decay, late)])
+        # 1 - f rounds to 0, and g takes its limit 1/(2t).
+        assert _g(decay, t) == 0.5 / t
 
     def test_g_small_time_divergence(self, tpp):
         # g ~ 1/(2t) toward the origin.
         for t in (1e-9 / tpp.decay.delta, 1e-8 / tpp.decay.delta, 1e-6 / tpp.decay.delta):
-            assert 2.0 * t * decay_g(tpp.decay, t) == pytest.approx(1.0, abs=1e-6)
+            assert 2.0 * t * _g(tpp.decay, t) == pytest.approx(1.0, abs=1e-6)
 
     def test_g_satisfies_defining_constraint(self, tpp):
         # g * (f^2 - 1) = f' at randomized times.
@@ -154,22 +153,27 @@ class TestDecayFunctions:
         t = 10.0 ** rng.uniform(-8, math.log10(20.0 / d.mu), size=1000)
         f = decay_f(d, t)
         fprime = -d.delta * np.exp(-d.delta * t) + d.nu * d.mu * np.exp(-d.mu * t)
-        lhs = decay_g(d, t) * (f * f - 1.0)
+        lhs = np.array([_g(d, v) for v in t]) * (f * f - 1.0)
         assert np.max(np.abs(lhs - fprime) / np.maximum(np.abs(fprime), 1e-300)) <= 1e-10
+
+    def test_g_root_needs_a_residual_radius(self):
+        with pytest.raises(ValueError) as info:
+            g_root(DecayModel(2.0, 1.0, 0.0))
+        assert str(info.value) == "g never vanishes for nu = 0"
 
     def test_g_sign_change_matches_bisection(self, tpp):
         d = tpp.decay
         t_star = g_root(d)
         lo, hi = 1e-6, 5e-3
-        assert decay_g(d, lo) > 0.0 > decay_g(d, hi)
+        assert _g(d, lo) > 0.0 > _g(d, hi)
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if decay_g(d, mid) > 0.0:
+            if _g(d, mid) > 0.0:
                 lo = mid
             else:
                 hi = mid
         assert t_star == pytest.approx(0.5 * (lo + hi), rel=1e-10)
-        assert abs(decay_g(d, t_star)) <= 1e-9 * d.delta
+        assert abs(_g(d, t_star)) <= 1e-9 * d.delta
 
 
 class TestDampedBloch:
@@ -259,29 +263,12 @@ class TestGammaCoefficients:
     def test_norm_equals_g(self, tpp):
         for t in (1e-6, 1e-4, 9e-4):
             lam = np.array(gamma_coefficients(tpp.field, tpp.decay, t))
-            assert np.linalg.norm(lam) == pytest.approx(abs(decay_g(tpp.decay, t)), rel=1e-12)
+            assert np.linalg.norm(lam) == pytest.approx(abs(_g(tpp.decay, t)), rel=1e-12)
 
     def test_vanishes_at_sign_change(self, tpp):
         t_star = g_root(tpp.decay)
         lam = np.array(gamma_coefficients(tpp.field, tpp.decay, t_star))
         assert np.max(np.abs(lam)) <= 1e-9 * tpp.decay.delta
-
-    @pytest.mark.parametrize("name", list(KERNEL_FIELDS))
-    def test_matches_numpy_decay_g_times_coherent_bloch(self, tpp, name):
-        # Same formulas on floats; math.exp and np.exp may differ in the last
-        # bit. Near the g root the numerator cancels, so the bound is a few
-        # ulp of its larger terms over the denominator.
-        field, d = KERNEL_FIELDS[name](tpp.omega1), tpp.decay
-        t_star = g_root(d)
-        for t in (1e-9, 1e-6, 0.5 * t_star, t_star, 2e-3, 1.0, 30.0):
-            g, r0 = decay_g(d, t), coherent_bloch(field, t)
-            ref = g * np.array(r0)
-            got = np.array(gamma_coefficients(field, d, t))
-            f = decay_f(d, t)
-            scale = (d.delta * math.exp(-d.delta * t) + d.nu * d.mu * math.exp(-d.mu * t)) / (
-                1.0 - f * f
-            )
-            assert np.all(np.abs(got - ref) <= 4.0 * np.spacing(scale)), t
 
     @pytest.mark.parametrize("t", [0.0, -1e-9])
     def test_rejects_non_positive_time(self, tpp, t):

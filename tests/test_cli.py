@@ -124,6 +124,14 @@ class TestSimulate:
         assert payload["seed"] == 3
         assert len(payload["t"]) == 31
 
+    @pytest.mark.filterwarnings("error")
+    def test_noise_that_overflows_the_table_is_usage_error(self, capsys):
+        # Draws of sigma 1.7e308 beyond about one sigma overflow to inf.
+        argv = ("simulate", "--rabi-hz", "1e3", "--t-max", "1e-3", "--samples", "5", "--noise", "1.7e308")
+        code, out, err = run(capsys, *argv, "--seed", "1")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: --noise 1.7e+308 is out of range (the noisy table overflows)\n"
+
     def test_noise_without_seed_is_usage_error(self, tpp, capsys):
         code, _, err = run(capsys, *tpp_flags(tpp, extra=("--noise", "0.01")))
         assert code == EXIT_USAGE
@@ -631,6 +639,12 @@ class TestCsvWriter:
         assert capsys.readouterr().out == reference_csv(*cols)
 
 
+def table(path, rows):
+    """Write a t,mx,my,mz table of the given rows."""
+    path.write_text("t,mx,my,mz\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows))
+    return str(path)
+
+
 def csv_rows(n, ncols):
     """n valid data lines of an ncols-column record (t, mx, my, mz[, purity])."""
     return [
@@ -695,7 +709,20 @@ def reader_cases(chunk):
             "\n".join(["t,mx,my,mz,purity"] + csv_rows(10, 4)) + "\n",
             ":2: expected 5 columns, got 4",
         ),
+        # The fit's record rules, which fit applies after reading.
         "too-short": ("\n".join(rec4[:4]) + "\n", ": need at least 8 samples, got 3"),
+        "beyond-bound": (
+            "\n".join(with_line(rec4, far, rec4[far - 1].split(",")[0] + ",0.0,0.0,2.0")) + "\n",
+            ": |mz| = 2.000 exceeds the sanity bound 1.5",
+        ),
+        "times-not-increasing": (
+            "\n".join(with_line(rec4, far, rec4[far - 2])) + "\n",
+            ": times must be strictly increasing",
+        ),
+        "nan-value": (
+            "\n".join(with_line(rec4, far, "1.0,nan,0.0,1.0")) + "\n",
+            ": trajectory contains non-finite entries",
+        ),
     }
 
 
@@ -732,6 +759,10 @@ class TestCsvReader:
         code, _, err = run(capsys, "fit", str(path))
         assert code == EXIT_USAGE
         assert err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
+
+    def test_reader_applies_no_fit_rule(self, tmp_path):
+        path = table(tmp_path / "rec.csv", [(0.0, 0.0, 0.0, 2.0)])
+        np.testing.assert_array_equal(cli._read_series(path).bloch, [[0.0, 0.0, 2.0]])
 
     def test_purity_column_is_not_parsed(self, tmp_path):
         lines = ["t,mx,my,mz,purity"] + [row[: row.rindex(",")] + ",n/a" for row in csv_rows(9, 5)]
@@ -921,6 +952,55 @@ class TestCompare:
         code, out, _ = run(capsys, "compare", "--a", str(csv_path), "--b", str(csv_path))
         assert code == EXIT_OK
         assert "min fidelity" in out
+
+
+class TestCompareReadsAnyWellFormedTable:
+    """compare takes any table the reader parses; the fit's record rules stay with fit."""
+
+    @pytest.mark.parametrize("samples", range(2, 8))
+    @pytest.mark.parametrize("against", ["itself", "analytic"])
+    def test_short_simulate_table(self, tpp, tmp_path, capsys, samples, against):
+        path = tmp_path / "short.csv"
+        assert run(capsys, *tpp_flags(tpp, samples=samples, extra=("--out", str(path))))[0] == EXIT_OK
+        other = str(path) if against == "itself" else "analytic"
+        model = tpp_flags(tpp)[3:-4]  # the field and decay flags, without the grid
+        code, out, err = run(capsys, "compare", "--a", str(path), "--b", other, *model, "--json")
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["overall"] == 0.0
+
+    @pytest.mark.parametrize("against", ["itself", "analytic"])
+    def test_table_beyond_the_fit_bound(self, tmp_path, capsys, against):
+        path = table(tmp_path / "big.csv", [(i * 1e-4, 0.0, 0.0, 2.0) for i in range(10)])
+        other = path if against == "itself" else "analytic"
+        code, out, err = run(capsys, "compare", "--a", path, "--b", other, "--rabi-hz", "1e3", "--json")
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["max_abs"]["mz"] == (0.0 if against == "itself" else 3.0)
+
+    @pytest.mark.parametrize("decay", [(), ("--mu", "1e3", "--delta-mu-ratio", "2", "--nu", "0.1")])
+    @pytest.mark.parametrize("model", ["ode-bloch", "ode-density"])
+    def test_one_row_table_against_an_ode_model(self, tmp_path, capsys, decay, model):
+        path = table(tmp_path / "one.csv", [(1e-3, 0.0, 0.0, 1.0)])
+        code, out, err = run(capsys, "compare", "--a", path, "--b", model, "--rabi-hz", "1e3", *decay)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: {path} has one row; the ODE models integrate between at least two times\n"
+
+    def test_one_row_table_against_the_closed_form(self, tmp_path, capsys):
+        path = table(tmp_path / "one.csv", [(0.0, 0.0, 0.0, 1.0)])
+        code, out, err = run(capsys, "compare", "--a", path, "--b", "analytic", "--rabi-hz", "1e3", "--json")
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["overall"] == 0.0
+
+    @pytest.mark.parametrize("flag", ["--json", None])
+    def test_overflowing_deviation_is_a_numerical_failure(self, tmp_path, capsys, flag):
+        # |r|^2 of 1e200 overflows: the fidelity cannot be formed, and no warning leaks.
+        rows = [(i * 1e-4, 1e200, 0.0, -1e200) for i in range(3)]
+        path = table(tmp_path / "huge.csv", rows)
+        argv = ["compare", "--a", path, "--b", "analytic", "--rabi-hz", "1e3"] + ([flag] if flag else [])
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert err == f"numerical failure: comparing {path} with analytic overflows\n"
 
 
 class TestThermal:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from nhbloch.core import (
     I0,
     IZ,
+    Trajectory,
     bloch_to_density,
     density_to_bloch,
     fidelity,
@@ -126,3 +127,32 @@ def test_bloch_vector_helpers():
     with pytest.raises(ValueError, match="outside the Bloch ball"):
         purity((1.2, 0.0, 0.0))
     assert I0[0, 0] == 0.5 and IZ[1, 1] == -0.5
+
+
+def test_density_to_bloch_rejects_other_shapes():
+    with pytest.raises(ValueError) as info:
+        density_to_bloch(np.eye(3) / 3.0)
+    assert str(info.value) == "expected a 2x2 matrix, got shape (3, 3)"
+
+
+class TestTrajectoryChecks:
+    """Each refusal of Trajectory's arrays, by its own message."""
+
+    @pytest.mark.parametrize("times", [[], [[0.0, 1.0]]], ids=["empty", "two-d"])
+    def test_times_must_be_a_non_empty_1d_array(self, times):
+        with pytest.raises(ValueError) as info:
+            Trajectory(np.array(times), np.zeros((2, 3)))
+        assert str(info.value) == "times must be a non-empty 1-d array"
+
+    def test_rho_shape(self):
+        rho = np.tile(bloch_to_density((0.0, 0.0, 1.0)), (3, 1, 1))
+        with pytest.raises(ValueError) as info:
+            Trajectory(np.array([0.0, 1.0]), np.tile([0.0, 0.0, 1.0], (2, 1)), rho)
+        assert str(info.value) == "rho shape (3, 2, 2) does not match 2 times"
+
+    def test_rho_must_be_hermitian(self):
+        rho = np.tile(bloch_to_density((0.0, 0.0, 1.0)), (2, 1, 1))
+        rho[1, 0, 1] = 0.25j  # rho[1, 1, 0] stays 0
+        with pytest.raises(ValueError) as info:
+            Trajectory(np.array([0.0, 1.0]), np.tile([0.0, 0.0, 1.0], (2, 1)), rho)
+        assert str(info.value) == "stored matrices not Hermitian (defect 2.500e-01)"

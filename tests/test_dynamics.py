@@ -586,3 +586,57 @@ class TestTrajectoryAndDeviation:
         times = np.array([0.0, 1.0])
         traj = Trajectory(times, np.array([[0.0, 0.0, 1.0], [1.1, 0.0, 0.0]]))
         assert len(traj) == 2
+
+
+class TestInputChecks:
+    """Each refusal of the integrators' inputs, by its own message."""
+
+    FIELD = CoherentField(0.0, 1e3, 0.0)
+
+    @pytest.mark.parametrize("integrate", [integrate_bloch, integrate_density])
+    @pytest.mark.parametrize(
+        "times, message",
+        [
+            ([1e-3], "need a 1-d time grid with at least two samples"),
+            ([[0.0, 1e-3]], "need a 1-d time grid with at least two samples"),
+            ([0.0, math.nan, 1e-3], "time grid contains non-finite entries"),
+            ([-1e-6, 1e-3], "time grid must start at t >= 0"),
+            ([0.0, 1e-3, 1e-3], "time grid must be strictly increasing"),
+        ],
+        ids=["one-sample", "two-d", "nan", "negative-start", "repeated"],
+    )
+    def test_grid(self, integrate, times, message):
+        state = (0.0, 0.0, 1.0) if integrate is integrate_bloch else bloch_to_density((0.0, 0.0, 1.0))
+        with pytest.raises(ValueError) as info:
+            integrate(self.FIELD, ZERO_LAMBDA, state, np.array(times))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("integrate", [integrate_bloch, integrate_density])
+    def test_grid_going_back_is_refused_before_stepping(self, tpp, integrate):
+        # The end points span 1e-3 s, within the step budget, but the first
+        # interval alone would take about 4e6 RK4 steps at the benchmark drive.
+        times = np.array([1e-9, 1.0, 1e-3])
+        state = (0.0, 0.0, 1.0) if integrate is integrate_bloch else bloch_to_density((0.0, 0.0, 1.0))
+        with pytest.raises(ValueError) as info:
+            integrate(tpp.field, ZERO_LAMBDA, state, times)
+        assert str(info.value) == "time grid must be strictly increasing"
+
+    @pytest.mark.parametrize("integrate", [integrate_bloch, integrate_density])
+    @pytest.mark.parametrize("step", [0.0, -1e-6])
+    def test_step_must_be_positive(self, integrate, step):
+        state = (0.0, 0.0, 1.0) if integrate is integrate_bloch else bloch_to_density((0.0, 0.0, 1.0))
+        with pytest.raises(ValueError) as info:
+            integrate(self.FIELD, ZERO_LAMBDA, state, np.array([0.0, 1e-3]), step=step)
+        assert str(info.value) == "step must be positive"
+
+    @pytest.mark.parametrize("r0", [(0.0, 1.0), (0.0, 0.0, math.inf)])
+    def test_bloch_initial_state(self, r0):
+        with pytest.raises(ValueError) as info:
+            integrate_bloch(self.FIELD, ZERO_LAMBDA, r0, np.array([0.0, 1e-3]))
+        assert str(info.value) == "initial state must be a finite length-3 vector"
+
+    @pytest.mark.parametrize("rho0", [np.eye(3) / 3.0, np.array([[1.0, 0.0], [0.0, math.nan]])])
+    def test_density_initial_state(self, rho0):
+        with pytest.raises(ValueError) as info:
+            integrate_density(self.FIELD, ZERO_LAMBDA, rho0, np.array([0.0, 1e-3]))
+        assert str(info.value) == "initial state must be a finite 2x2 matrix"

@@ -8,6 +8,7 @@ from nhbloch.core import Trajectory, bloch_to_density
 from nhbloch.dynamics import fidelity_trace
 from nhbloch.fit import (
     DegenerateJacobianError,
+    _check_rank,
     _demodulate,
     check_record,
     default_initial_guess,
@@ -350,3 +351,78 @@ class TestSeriesValidation:
         t = np.linspace(0.0, 1.0, 5)
         with pytest.raises(ValueError, match="8 samples"):
             entry(Trajectory(t, np.zeros((5, 3))))
+
+    @pytest.mark.parametrize("with_guess", [False, True])
+    def test_fit_checks_the_record_once(self, tpp_truth, tpp_series, monkeypatch, with_guess):
+        from nhbloch import fit
+
+        calls = []
+        check = fit.check_record
+        monkeypatch.setattr(fit, "check_record", lambda series: calls.append(series) or check(series))
+        fit_decay_model(tpp_series, tpp_truth if with_guess else None, delta_mu_ratio=11.5)
+        assert calls == [tpp_series]
+
+    @pytest.mark.parametrize(
+        "times",
+        [np.linspace(0.0, 1e-320, 10), np.linspace(0.0, 1e151, 10), np.linspace(-1e151, 0.0, 10)],
+        ids=["subnormal-span", "late", "early"],
+    )
+    def test_time_scale(self, times):
+        bloch = np.tile([0.0, 0.0, 1.0], (10, 1))
+        with pytest.raises(ValueError) as info:
+            check_record(Trajectory(times, bloch))
+        first, last = float(times[0]), float(times[-1])
+        assert str(info.value) == (
+            f"the times run from {first!r} to {last!r} s;"
+            " the fit needs |t| <= 1e+150 s and a span of at least 1e-150 s"
+        )
+
+
+class TestRefusalsByMessage:
+    """The fit's internal refusals, each by its own message."""
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ((math.nan, 1.0, 0.1, 1.0), "parameters must be finite"),
+            ((2.0, 1.0, math.inf, 1.0), "parameters must be finite"),
+            ((2.0, 1.0, 1.5, 1.0), "nu=1.5 outside [0, 1)"),
+            ((2.0, 1.0, -0.1, 1.0), "nu=-0.1 outside [0, 1)"),
+        ],
+    )
+    def test_infeasible_parameters(self, tpp_series, params, message):
+        with pytest.raises(ValueError) as info:
+            residuals(params, tpp_series)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "params, ratio, message",
+        [
+            ((math.nan, 1.0, 0.1, 1e5), None, "non-finite Jacobian"),
+            ((1e3, 1e3, 0.1, 1e5), None, "design matrix is numerically rank deficient"),
+        ],
+    )
+    def test_rank_check_at_the_start(self, tpp_series, params, ratio, message):
+        with pytest.raises(DegenerateJacobianError) as info:
+            _check_rank(params, tpp_series.times, ratio)
+        assert str(info.value) == message
+
+    def test_ratio_below_one_with_a_guess(self, tpp_truth, tpp_series):
+        with pytest.raises(ValueError) as info:
+            fit_decay_model(tpp_series, tpp_truth, delta_mu_ratio=0.5)
+        assert str(info.value) == "delta_mu_ratio must be at least 1"
+
+    def test_ratio_below_one_in_the_guess(self, tpp_series):
+        with pytest.raises(ValueError) as info:
+            default_initial_guess(tpp_series, delta_mu_ratio=0.5)
+        assert str(info.value) == "delta_mu_ratio must be at least 1"
+
+    def test_non_finite_normal_equations_mid_fit(self, tpp_truth, tpp_series, monkeypatch):
+        # A start that passes the rank check keeps the Gram matrix finite on
+        # records like this one, so a non-finite one is stood in for.
+        from nhbloch import fit
+
+        monkeypatch.setattr(fit, "_normal_equations", lambda *args: ([[math.inf, 0.0], [0.0, 1.0]], [0.0, 0.0]))
+        with pytest.raises(DegenerateJacobianError) as info:
+            fit_decay_model(tpp_series, tpp_truth, delta_mu_ratio=11.5)
+        assert str(info.value) == "non-finite Jacobian"
