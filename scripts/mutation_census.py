@@ -8,9 +8,8 @@ survivor: no test fails without that refusal. A mutant that runs out of
 time is counted as caught (the refusal is what stops a loop), and reported
 as such. The working tree is never modified.
 
-    python scripts/mutation_census.py                    # every raise, whole suite
+    python scripts/mutation_census.py                    # every raise
     python scripts/mutation_census.py --site dynamics.py:124 --site fit.py:72
-    python scripts/mutation_census.py --tests tests/test_dynamics.py
 
 Exits 1 when a mutant survives, 0 otherwise.
 
@@ -30,6 +29,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "nhbloch"
 COPIED = ("src", "tests", "perfbench", "scripts", "pyproject.toml")
+TIMEOUT = 300.0  # seconds per mutant
 
 
 def raise_sites(source: str):
@@ -47,45 +47,31 @@ def mutate(source: str, site) -> str:
     return "".join(lines[: line - 1] + [head + "pass" + tail] + lines[end_line:])
 
 
-def run_suite(workdir: Path, tests: list[str], timeout: float) -> str:
-    """'SURVIVED' when the suite run in workdir passes, else 'caught' or 'timeout'."""
+def run_suite(workdir: Path) -> str:
+    """'SURVIVED' when the whole suite run in workdir passes, else 'caught' or 'timeout'."""
     env = dict(os.environ, PYTHONPATH=str(workdir / "src"), PYTHONDONTWRITEBYTECODE="1")
-    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
     try:
-        proc = subprocess.run(argv, cwd=workdir, env=env, capture_output=True, timeout=timeout)
+        proc = subprocess.run(argv, cwd=workdir, env=env, capture_output=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return "timeout"
     return "SURVIVED" if proc.returncode == 0 else "caught"
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--site", action="append", default=[], help="only this FILE:LINE (repeatable)")
-    parser.add_argument("--tests", nargs="*", default=[], help="pytest arguments (default: the whole suite)")
-    parser.add_argument("--timeout", type=float, default=120.0, help="seconds per mutant (default 120)")
-    parser.add_argument("--workdir", help="directory for the copy (default: a new temporary one)")
-    args = parser.parse_args()
-
-    workdir = Path(args.workdir or tempfile.mkdtemp(prefix="mutation-census-"))
-    for name in COPIED:
-        src, dst = ROOT / name, workdir / name
-        if src.is_dir():
-            shutil.copytree(src, dst, dirs_exist_ok=True, ignore=shutil.ignore_patterns("__pycache__"))
-        else:
-            shutil.copy2(src, dst)
-
-    if run_suite(workdir, args.tests, args.timeout) != "SURVIVED":  # the unmutated copy must pass
+def census(workdir: Path, sites: list[str]) -> list[str]:
+    """Run each selected mutant in workdir, print its verdict, and return the survivors."""
+    if run_suite(workdir) != "SURVIVED":  # the unmutated copy must pass
         sys.exit("the suite does not pass on the unmutated copy")
     survivors, count = [], 0
     for path in sorted((workdir / PACKAGE).glob("*.py")):
         original = path.read_text(encoding="utf-8")
         for site in raise_sites(original):
             label = f"{path.name}:{site[0]}"
-            if args.site and label not in args.site:
+            if sites and label not in sites:
                 continue
             path.write_text(mutate(original, site), encoding="utf-8")
             try:
-                verdict = run_suite(workdir, args.tests, args.timeout)
+                verdict = run_suite(workdir)
             finally:
                 path.write_text(original, encoding="utf-8")
             count += 1
@@ -94,12 +80,28 @@ def main():
             if verdict == "SURVIVED":
                 survivors.append(f"{PACKAGE / label}  {text}")
     print(f"\n{count} mutants, {len(survivors)} survived")
+    return survivors
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--site", action="append", default=[], help="only this FILE:LINE (repeatable)")
+    args = parser.parse_args()
+
+    workdir = Path(tempfile.mkdtemp(prefix="mutation-census-"))
+    try:
+        for name in COPIED:
+            src, dst = ROOT / name, workdir / name
+            if src.is_dir():
+                shutil.copytree(src, dst, ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy2(src, dst)
+        survivors = census(workdir, args.site)
+    finally:
+        shutil.rmtree(workdir)
     for line in survivors:
         print(f"  {line}")
-    if not args.workdir:
-        shutil.rmtree(workdir)
     sys.exit(1 if survivors else 0)
-
 
 if __name__ == "__main__":
     main()
