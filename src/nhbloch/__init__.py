@@ -37,6 +37,7 @@ from .dynamics import (
 )
 from .fit import (
     DegenerateJacobianError,
+    FitRangeError,
     FitResult,
     check_record,
     default_initial_guess,
@@ -67,6 +68,7 @@ __all__ = [
     "DecayModel",
     "DegenerateJacobianError",
     "DeviationReport",
+    "FitRangeError",
     "FitResult",
     "GammaOperator",
     "HBAR",

@@ -16,8 +16,12 @@ combination or an input file is refused; 2 with one ``numerical failure:``
 line when the computation cannot answer (an ODE run over its step budget, a
 failed fit, a record whose m_y rules the fit model out, a result that strict
 JSON cannot hold, a compare whose arithmetic overflows, a fit stopped at its
-iteration cap, whose result is written first). A CSV source is read by its
-format alone; ``fit`` then applies the fit's record rules to it.
+iteration cap, whose result is written first, or a free fit whose LM step
+leaves the float range). A CSV source is read by its format alone; ``fit``
+then applies the fit's record rules to it. numpy's C tokenizer reads a table
+whose bytes are printable ASCII, tab, LF and CR and whose rows it accepts;
+every other table goes to a per-line parser, which gives the same numbers
+and names the line of any fault.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import os
 import re
 import sys
 import tempfile
-from itertools import islice, repeat
+import warnings
 
 import numpy as np
 
@@ -53,7 +57,7 @@ from .dynamics import (
     integrate_density,
     max_deviation,
 )
-from .fit import _check_feasible, check_record, fit_decay_model
+from .fit import FitRangeError, _check_feasible, check_record, fit_decay_model
 from .nmr import ROOM_TEMPERATURE_K, drive_field, partition_function, polarization_factor, thermal_argument
 
 EXIT_OK = 0
@@ -69,9 +73,20 @@ _SINGULAR_T0 = 1e-9
 # many standard deviations below white noise's (see _check_my_signal).
 _MY_SIGNAL_Z = 5.0
 
-# Rows per chunk when CSV tables are formatted or parsed: whole-table text
-# costs memory in proportion to the record, a few thousand rows do not.
+# Rows per chunk when CSV tables are formatted: whole-table text costs
+# memory in proportion to the record, a few thousand rows do not.
 _CSV_CHUNK_ROWS = 4096
+
+# Bytes on which numpy's C tokenizer and the per-line parser agree: printable
+# ASCII, tab, LF and CR. str.splitlines also breaks lines at \x0b, \x0c and
+# \x1c-\x1e, and numpy strips \x1c-\x1f around a number where float() refuses it.
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n\r"
+
+# The C parser's row type per accepted header: purity is read as one byte, never as a number.
+_ROW_DTYPES = {
+    "t,mx,my,mz": np.dtype([("t", float), ("m", float, 3)]),
+    "t,mx,my,mz,purity": np.dtype([("t", float), ("m", float, 3), ("purity", "S1")]),
+}
 
 
 class UsageError(Exception):
@@ -120,60 +135,67 @@ def _csv_text(times, mx, my, mz, purity=None):
         yield (row * len(chunk)) % tuple(chunk.ravel().tolist())
 
 
-def _next_lines(handle) -> list[str]:
-    """The next chunk of lines, split exactly as str.splitlines splits the whole file."""
-    try:
-        return "".join(islice(handle, _CSV_CHUNK_ROWS)).splitlines()
-    except UnicodeDecodeError as exc:
-        # The decoder's byte position is relative to its read buffer, not the file.
-        raise UsageError(f"{handle.name}: not UTF-8 text ({exc.reason})") from None
+def _read_plain(path: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """The (times, bloch) of a table by numpy's C parser, or None.
 
-
-def _parse_rows(path: str, lines: list[str], lineno: int, ncols: int) -> np.ndarray:
-    """The (t, mx, my, mz) rows of one chunk whose first line is numbered lineno."""
-    if list(map(str.count, lines, repeat(","))).count(ncols - 1) == len(lines):
-        tokens = ",".join(lines).split(",")
-        if ncols == 5:
-            del tokens[4::5]  # the purity column is output only, never parsed
+    Its numbers are used only where they provably equal _parse_lines': bytes
+    in _PLAIN_BYTES only, an accepted header, rows of that header's columns,
+    and no '#' taken for a comment. Any other file, a row numpy refuses and a
+    file with no rows give None, and _parse_lines reads the file.
+    """
+    with open(path, "r", encoding="ascii") as handle:  # universal newlines break lines as splitlines does here
+        if not handle.seekable():
+            return None  # a pipe: _parse_lines reads it once
+        for block in iter(functools.partial(handle.buffer.read, 1 << 16), b""):
+            if block.translate(None, _PLAIN_BYTES):
+                return None
+        handle.seek(0)
+        dtype = _ROW_DTYPES.get(handle.readline().strip())
+        if dtype is None:
+            return None
         try:
-            return np.fromiter(map(float, tokens), float, len(tokens)).reshape(-1, 4)
-        except ValueError:
-            pass  # the per-line loop below names the line
-    # Blank lines, ragged rows and bad numbers: one line at a time.
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", UserWarning)  # numpy warns, not raises, on no rows
+                rows = np.loadtxt(handle, dtype, delimiter=",", comments=None, ndmin=1)
+        except (ValueError, UserWarning):
+            return None
+    return rows["t"], rows["m"]
+
+
+def _parse_lines(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (times, bloch) of a table, one line at a time; a refusal names the first bad line."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            lines = handle.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if not lines:
+        raise UsageError(f"{path}:1: empty file, expected header 't,mx,my,mz'")
+    header = lines[0].strip()
+    if header not in _ROW_DTYPES:
+        raise UsageError(f"{path}:1: bad header {header!r}, expected 't,mx,my,mz[,purity]'")
+    ncols = header.count(",") + 1
     rows = []
-    for lineno, line in enumerate(lines, start=lineno):
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
         if len(parts) != ncols:
             raise UsageError(f"{path}:{lineno}: expected {ncols} columns, got {len(parts)}")
         try:
-            rows.append([float(p) for p in parts[:4]])
+            rows.append([float(p) for p in parts[:4]])  # the purity column is output only, never parsed
         except ValueError as exc:
             raise UsageError(f"{path}:{lineno}: {exc}") from None
-    return np.array(rows).reshape(-1, 4)
+    if not rows:
+        raise UsageError(f"{path}:2: no data rows")
+    data = np.array(rows)
+    return data[:, 0], data[:, 1:]
 
 
 def _read_series(path: str) -> Trajectory:
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = _next_lines(handle)
-        if not lines:
-            raise UsageError(f"{path}:1: empty file, expected header 't,mx,my,mz'")
-        header = lines[0].strip()
-        if header not in ("t,mx,my,mz", "t,mx,my,mz,purity"):
-            raise UsageError(f"{path}:1: bad header {header!r}, expected 't,mx,my,mz[,purity]'")
-        ncols = header.count(",") + 1
-        blocks = [np.empty((0, 4))]
-        lineno, lines = 2, lines[1:]
-        while lines:
-            blocks.append(_parse_rows(path, lines, lineno, ncols))
-            lineno += len(lines)
-            lines = _next_lines(handle)
-    data = np.concatenate(blocks)
-    if not len(data):
-        raise UsageError(f"{path}:2: no data rows")
+    columns = _read_plain(path) or _parse_lines(path)
     try:
-        return Trajectory(data[:, 0], data[:, 1:])
+        return Trajectory(*columns)
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from None
 
@@ -476,7 +498,11 @@ def cmd_fit(args) -> int:
     except ValueError as exc:
         raise UsageError(f"{args.input}: {exc}") from None
     _check_my_signal(series)
-    result = fit_decay_model(series, guess, delta_mu_ratio=args.fix_ratio)
+    try:
+        result = fit_decay_model(series, guess, delta_mu_ratio=args.fix_ratio)
+    except FitRangeError as exc:
+        hint = "the record does not pin delta and mu, and --fix-ratio pins delta = ratio * mu"
+        raise ValueError(f"{exc}; {hint}") from None
     payload = {
         "schema_version": "1",
         "command": "fit",

@@ -66,6 +66,10 @@ class DegenerateJacobianError(RuntimeError):
     """Raised when the fit design has no usable signal (rank-deficient)."""
 
 
+class FitRangeError(ValueError):
+    """Raised when an LM trial step takes (delta, mu, omega1) out of the float range."""
+
+
 def check_record(record: Trajectory):
     """Raise ValueError on < 8 samples, any |m_k| > 1.5, any |t| > 1e150 s or a span < 1e-150 s."""
     n = len(record)
@@ -187,16 +191,16 @@ def _project(record: np.ndarray, times: np.ndarray, theta: Sequence[float], rati
 
     Returns ``(params, cost, frame)``; ``frame`` holds the arrays that the
     normal equations at this point reuse. Raises OverflowError when decoding
-    ``theta`` overflows.
+    ``theta`` overflows, and ValueError when it decodes to a rate of 0 or inf.
     """
     delta, mu, omega1 = _decode(theta, ratio)
+    _check_feasible((delta, mu, 0.0, omega1))  # before numpy sees the rates; nu is clipped below
     p, q, a, b = _demodulate(record, times, delta, mu, omega1)
     g = p - a
     bb = float(b @ b)
     nu_star = float(b @ g) / bb if bb > 0.0 else 0.0
     nu = min(max(nu_star, 0.0), _NU_MAX)
     params = (delta, mu, nu, omega1)
-    _check_feasible(params)
     r = g - nu * b
     cost = float(r @ r) + float(q @ q)
     return params, cost, (p, q, a, b, r, bb, bb > 0.0 and nu == nu_star)
@@ -337,7 +341,8 @@ def fit_decay_model(
     for the rank check at the start. Returns with ``converged=False`` when
     the cap of 200 LM iterations (``_MAX_ITERATIONS``) is hit; raises
     DegenerateJacobianError when the design matrix carries no information,
-    and ValueError when the record fails :func:`check_record`.
+    FitRangeError when a trial step leaves the float range, and ValueError
+    when the record fails :func:`check_record`.
     """
     if guess is None:
         guess = default_initial_guess(series, delta_mu_ratio=delta_mu_ratio or 11.5)  # checks the record
@@ -378,6 +383,14 @@ def fit_decay_model(
                 # exp() of the trial step overflows: reject it like an uphill step.
                 damping *= 10.0
                 continue
+            except ValueError:
+                # A rate underflowed to 0 or overflowed to inf. Rejecting the step
+                # lets the fit wander on over a cost surface this flat.
+                delta, mu, omega1 = _decode(candidate, delta_mu_ratio)
+                raise FitRangeError(
+                    f"a trial step of LM iteration {iterations} took the fit out of the float range"
+                    f" (delta = {delta!r}, mu = {mu!r} 1/s, omega1 = {omega1!r} rad/s)"
+                ) from None
             if new_cost <= cost:
                 accepted = True
                 theta, params, frame = candidate, cand_params, cand_frame

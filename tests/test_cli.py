@@ -510,6 +510,28 @@ class TestFit:
         assert err.startswith("numerical failure: the fit stopped at its cap of 200 LM iterations")
         assert err.count("\n") == 1 and "--fix-ratio" in err
 
+    # Records whose decay (delta = 1e6 / s) is over before the second sample:
+    # a free fit's trial step takes mu to 0 (the first) or delta to inf (the
+    # second, where numpy used to warn first). Rejecting such a step and going
+    # on let the first record "converge" to delta = 1.2e45 and rabi_hz = 50.8.
+    @pytest.mark.parametrize(
+        "grid, rates",
+        [
+            ("--t-max 0.02 --samples 8", "delta = 0.0, mu = 0.0 1/s"),
+            ("--t-max 0.003 --samples 40 --noise 0.05 --seed 1", "delta = inf, mu = "),
+        ],
+    )
+    def test_free_fit_that_leaves_the_float_range(self, tmp_path, capsys, grid, rates):
+        record = tmp_path / "fast-decay.csv"
+        flags = "--rabi-hz 1000 --mu 1e3 --nu 1e-3 --delta-mu-ratio 1e3 " + grid
+        run(capsys, "simulate", *flags.split(), "--out", str(record))
+        code, out, err = run(capsys, "fit", str(record))
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert err.startswith("numerical failure: a trial step of LM iteration ") and err.count("\n") == 1
+        assert f"took the fit out of the float range ({rates}" in err
+        assert err.endswith("; the record does not pin delta and mu, and --fix-ratio pins delta = ratio * mu\n")
+
     @pytest.mark.parametrize("extra", [("--fix-ratio", "11.5"), ()])
     def test_overflowing_trial_step_is_rejected(self, tpp, tmp_path, capsys, extra):
         # On this record an LM trial step is so long that decoding it overflows
@@ -653,6 +675,13 @@ def csv_rows(n, ncols):
     ]
 
 
+def valid_across_chunks(ncols, newline):
+    """The valid file of TestCsvReader.test_valid_file_across_chunks: 2 chunks and 3 rows, two blank lines."""
+    rows = csv_rows(2 * cli._CSV_CHUNK_ROWS + 3, ncols)
+    lines = ["t,mx,my,mz" + (",purity" if ncols == 5 else "")] + rows[:7] + ["", "  "] + rows[7:]
+    return newline.join(lines) + newline
+
+
 def with_line(lines, lineno, text):
     """Replace the line numbered lineno (1-based, header is line 1)."""
     lines = list(lines)
@@ -729,6 +758,61 @@ def reader_cases(chunk):
 READER_CASES = reader_cases(cli._CSV_CHUNK_ROWS)
 
 
+def agreement_cases():
+    """Files on which numpy's tokenizer and the per-line parser could differ, and whether the fast path answers.
+
+    Each guard of cli._read_plain has a case here that fails without it: the
+    byte set (unit separator, vertical tab, form feed, BOM, non-ASCII digit),
+    the header, the column count, comments=None ('#'), the warning fallback
+    (header only) and ndmin=1 (one row).
+    """
+    rows = csv_rows(12, 5)
+    rec4 = "t,mx,my,mz\n" + "".join(row[: row.rindex(",")] + "\n" for row in rows)
+    rec5 = "t,mx,my,mz,purity\n" + "".join(row + "\n" for row in rows)
+    cases = {
+        "plain-4": (rec4, True),
+        "plain-5": (rec5, True),
+        "one-row": ("t,mx,my,mz\n0.5,0.0,0.0,1.0\n", True),
+        "no-final-newline": (rec4.rstrip("\n"), True),
+        "crlf": (rec5.replace("\n", "\r\n"), True),
+        "lone-cr": (rec5.replace("\n", "\r"), True),
+        "padded-header-and-fields": (" t,mx,my,mz\t\n 0.5 ,\t0.0,0.0 , 1.0\n", True),
+        "empty-lines": (rec4.replace("\n", "\n\n"), True),
+        "purity-text": (rec5.replace(",1.0\n", ",n/a\n"), True),
+        "purity-empty": (rec5.replace(",1.0\n", ",\n"), True),
+        "purity-hash": (rec5.replace(",1.0\n", ",#1\n"), True),
+        "whitespace-lines": (rec4.replace("\n", "\n \t\n", 3), False),
+        "underscore-digits": (rec4 + "1_0,0.0,0.0,1.0\n", False),
+        "arabic-indic-digit": (rec4 + "\u0661\u0660,0.0,0.0,1.0\n", False),
+        "bom": ("\ufeff" + rec4, False),
+        "unit-separator": (rec4 + "10.0,0.0,0.0,1.0\x1f\n", False),
+        "vertical-tab-after-comma": (rec4 + "10.0,\x0b0.0,0.0,1.0\n", False),
+        "form-feed-after-comma": (rec4 + "10.0,\x0c0.0,0.0,1.0\n", False),
+        "hash-in-field": (rec4 + "10.0,0.0,0.0,1.0#x\n", False),
+        "hash-line": (rec4 + "#10.0,0.0,0.0,1.0\n", False),
+        "row-4-in-5": (rec5 + "10.0,0.0,0.0,1.0\n", False),
+        "row-6-in-5": (rec5 + "10.0,0.0,0.0,1.0,1.0,1.0\n", False),
+        "row-5-in-4": (rec4 + "10.0,0.0,0.0,1.0,1.0\n", False),
+        "empty-field": (rec4 + "10.0,,0.0,1.0\n", False),
+        "bad-header": (rec4.replace("t,mx", "t,x", 1), False),
+        "header-only": ("t,mx,my,mz\n\n", False),
+    }
+    for name, (text, _) in READER_CASES.items():
+        cases[f"reader-{name}"] = (text, None)
+    for ncols in (4, 5):
+        for name, newline in (("lf", "\n"), ("crlf", "\r\n")):
+            cases[f"valid-across-chunks-{ncols}-{name}"] = (valid_across_chunks(ncols, newline), None)
+    return cases
+
+
+AGREEMENT_CASES = agreement_cases()
+
+
+def bits(columns):
+    """Shape and bytes of each column, so that -0.0 and 0.0, or two NaNs, are told apart."""
+    return [(column.shape, np.ascontiguousarray(column).tobytes()) for column in columns]
+
+
 class TestCsvReader:
     @pytest.mark.parametrize("case", list(READER_CASES))
     def test_malformed_file_message(self, case, tmp_path, capsys):
@@ -759,6 +843,56 @@ class TestCsvReader:
         code, _, err = run(capsys, "fit", str(path))
         assert code == EXIT_USAGE
         assert err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
+
+    def test_undecodable_byte_is_named_before_an_earlier_bad_line(self, tmp_path, capsys):
+        # The per-line parser decodes the whole file first, so the rule does
+        # not depend on how far ahead a reader buffers.
+        path = tmp_path / "mixed.csv"
+        lines = with_line(["t,mx,my,mz"] + csv_rows(2 * cli._CSV_CHUNK_ROWS, 4), 3, "oops,0.0,0.0,1.0")
+        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8") + b"0.5,\xff,0.0,1.0\n")
+        code, _, err = run(capsys, "fit", str(path))
+        assert code == EXIT_USAGE
+        assert err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
+
+    @pytest.mark.parametrize("case", list(AGREEMENT_CASES))
+    def test_fast_path_agrees_with_the_per_line_parser(self, case, tmp_path):
+        text, fast_answers = AGREEMENT_CASES[case]
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        fast = cli._read_plain(str(path))
+        if fast_answers is not None:
+            assert (fast is not None) == fast_answers
+        try:
+            slow = cli._parse_lines(str(path))
+        except cli.UsageError:
+            assert fast is None
+            return
+        if fast is not None:
+            assert bits(fast) == bits(slow)
+
+    @pytest.mark.parametrize("ncols", [4, 5])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_fast_path_reads_awkward_numbers_bit_for_bit(self, ncols, newline, tmp_path):
+        header = "t,mx,my,mz" + (",purity" if ncols == 5 else "")
+        words = [repr(float(v)) for v in AWKWARD] + ["1e308", "-2.5E-310", "+.5", "7.", "0001.25"]
+        rows = [
+            ",".join([repr(i * 1e-6)] + [words[(i + k) % len(words)] for k in range(ncols - 1)]) for i in range(999)
+        ]
+        path = tmp_path / "ok.csv"
+        path.write_bytes((newline.join([header] + rows) + newline).encode("utf-8"))
+        fast = cli._read_plain(str(path))
+        assert fast is not None
+        assert bits(fast) == bits(cli._parse_lines(str(path)))
+
+    def test_pipe_is_read_by_the_per_line_parser(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        assert main(["simulate", "--rabi-hz", "1000", "--t-max", "1e-3", "--out", str(path)]) == EXIT_OK
+        argv = ["compare", "--a", "/dev/stdin", "--b", "analytic", "--rabi-hz", "1000", "--json"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "nhbloch.cli", *argv], input=path.read_bytes(), capture_output=True, timeout=60
+        )
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+        assert json.loads(proc.stdout)["overall"] == 0.0
 
     def test_reader_applies_no_fit_rule(self, tmp_path):
         path = table(tmp_path / "rec.csv", [(0.0, 0.0, 0.0, 2.0)])

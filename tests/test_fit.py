@@ -426,3 +426,46 @@ class TestRefusalsByMessage:
         with pytest.raises(DegenerateJacobianError) as info:
             fit_decay_model(tpp_series, tpp_truth, delta_mu_ratio=11.5)
         assert str(info.value) == "non-finite Jacobian"
+
+
+class TestRejectedTrialSteps:
+    """The LM loop's two trial-step rejections, each stood in for on a clean record.
+
+    A rejected step raises the damping tenfold and the loop tries again, so
+    the fit still converges and the next damped solve gets ten times the shift.
+    """
+
+    @staticmethod
+    def solve_shifts(monkeypatch, *, first_pivot_fails):
+        """The first diagonal shift of each damped solve, in call order."""
+        from nhbloch import fit
+
+        shifts, solve = [], fit._solve_damped
+
+        def stand_in(normal, shift, rhs):
+            shifts.append(shift[0])
+            return None if first_pivot_fails and len(shifts) == 1 else solve(normal, shift, rhs)
+
+        monkeypatch.setattr(fit, "_solve_damped", stand_in)
+        return shifts
+
+    def test_non_positive_pivot(self, tpp_truth, tpp_series, monkeypatch):
+        shifts = self.solve_shifts(monkeypatch, first_pivot_fails=True)
+        assert fit_decay_model(tpp_series, tpp_truth, delta_mu_ratio=11.5).converged
+        assert shifts[1] / shifts[0] == pytest.approx(10.0, rel=1e-15)
+
+    def test_overflowing_trial_step(self, tpp_truth, tpp_series, monkeypatch):
+        from nhbloch import fit
+
+        shifts = self.solve_shifts(monkeypatch, first_pivot_fails=False)
+        calls, project = [], fit._project
+
+        def stand_in(record, times, theta, ratio):
+            calls.append(theta)
+            if len(calls) == 2:  # the first trial step; the first call evaluates the start
+                raise OverflowError("math range error")
+            return project(record, times, theta, ratio)
+
+        monkeypatch.setattr(fit, "_project", stand_in)
+        assert fit_decay_model(tpp_series, tpp_truth, delta_mu_ratio=11.5).converged
+        assert shifts[1] / shifts[0] == pytest.approx(10.0, rel=1e-15)
