@@ -469,3 +469,25 @@ class TestRejectedTrialSteps:
         monkeypatch.setattr(fit, "_project", stand_in)
         assert fit_decay_model(tpp_series, tpp_truth, delta_mu_ratio=11.5).converged
         assert shifts[1] / shifts[0] == pytest.approx(10.0, rel=1e-15)
+
+    @pytest.mark.parametrize("ratio", [11.5, None])
+    def test_no_step_accepted_at_any_damping(self, tpp_truth, tpp_series, monkeypatch, ratio):
+        # Every trial step goes uphill: the damping climbs tenfold from 1e-3
+        # past 1e15 without an accepted step, and the fit stops at its start,
+        # labelled converged on the first iteration.
+        from nhbloch import fit
+
+        starts, costs, project = [], [], fit._project
+
+        def stand_in(record, times, theta, ratio):
+            params, cost, frame = project(record, times, theta, ratio)
+            starts.append(params)
+            costs.append(cost if len(starts) == 1 else 2.0 * cost + 1.0)
+            return params, costs[-1], frame
+
+        monkeypatch.setattr(fit, "_project", stand_in)
+        res = fit_decay_model(tpp_series, tpp_truth, delta_mu_ratio=ratio)
+        assert (res.iterations, res.converged) == (1, True)
+        assert len(starts) == 1 + 18  # the start, then one trial per damping 1e-3 ... 1e14
+        assert (res.delta, res.mu, res.nu, res.omega1) == starts[0]
+        assert res.rms == math.sqrt(costs[0] / (2 * len(tpp_series)))
