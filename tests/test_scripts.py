@@ -95,3 +95,14 @@ def test_decay_study_writes_tables_and_cross_checks(tmp_path):
     ]
     assert len(deviations) == 4  # bloch and density ODE, both samples
     assert max(deviations) <= 1e-6
+
+
+def test_fit_digest_repeats(tmp_path, monkeypatch):
+    # Two in-process runs of the same calls hash alike; the 1e5-sample set is
+    # left out for time.
+    script = load_script("fit_digest.py")
+    monkeypatch.chdir(tmp_path)
+    sets = [build() for name, build in script.SETS.items() if name != "record-1e5"]
+    first = [script.digest(calls) for calls in sets]
+    assert [script.digest(calls) for calls in sets] == first
+    assert len(set(first)) == len(first)
