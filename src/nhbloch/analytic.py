@@ -38,6 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Why a decaying model has no time before 0: f(t) > 1 there.
+DECAY_DOMAIN = "the decay f(t) holds for t >= 0 only (|r| > 1 before t = 0)"
+
 # Relative scale below which the field is treated as exactly zero: the
 # rotation axis is then undefined and the state simply stays put.
 _DEGENERATE_FIELD = 1e-12

@@ -41,6 +41,7 @@ import numpy as np
 from .analytic import (
     CoherentField,
     DecayModel,
+    DECAY_DOMAIN,
     coherent_bloch,
     damped_bloch,
     damping_provider,
@@ -57,7 +58,7 @@ from .dynamics import (
     integrate_density,
     max_deviation,
 )
-from .fit import FitRangeError, _check_feasible, check_record, fit_decay_model
+from .fit import FitRangeError, _encode, check_record, fit_decay_model
 from .nmr import ROOM_TEMPERATURE_K, drive_field, partition_function, polarization_factor, thermal_argument
 
 EXIT_OK = 0
@@ -322,7 +323,7 @@ def _check_start(start: float, model: str, decay: DecayModel | None, source: str
     elif ode and start < 0.0:
         reason = "the ODE models start at t >= 0"
     elif decay is not None and start < 0.0:
-        reason = "the decay f(t) holds for t >= 0 only (|r| > 1 before t = 0)"
+        reason = DECAY_DOMAIN
     else:
         return
     if source is None:
@@ -484,12 +485,14 @@ def _check_my_signal(series: Trajectory):
 def cmd_fit(args) -> int:
     if args.fix_ratio is not None and args.fix_ratio < 1.0:
         raise UsageError("--fix-ratio must be at least 1")
+    cure = "--fix-ratio pins delta = ratio * mu"
+    pinned = "" if args.fix_ratio is None else f"with delta pinned at {args.fix_ratio!r} * mu by --fix-ratio"
     guess = None
     if args.guess is not None:
         delta, mu, nu, rabi_hz = args.guess
         guess = (delta, mu, nu, 2.0 * math.pi * rabi_hz)
         try:
-            _check_feasible(guess)
+            _encode(guess, args.fix_ratio)
         except ValueError as exc:
             raise UsageError(f"--guess: {exc}") from None
     series = _read_series(args.input)
@@ -501,8 +504,8 @@ def cmd_fit(args) -> int:
     try:
         result = fit_decay_model(series, guess, delta_mu_ratio=args.fix_ratio)
     except FitRangeError as exc:
-        hint = "the record does not pin delta and mu, and --fix-ratio pins delta = ratio * mu"
-        raise ValueError(f"{exc}; {hint}") from None
+        hint = f"does not pin mu {pinned}" if pinned else f"does not pin delta and mu, and {cure}"
+        raise ValueError(f"{exc}; the record {hint}") from None
     payload = {
         "schema_version": "1",
         "command": "fit",
@@ -526,10 +529,10 @@ def cmd_fit(args) -> int:
     }
     _write_text(args.out, _json_text(payload))
     if not result.converged:
+        hint = f", {pinned}" if pinned else f"; a free fit can drift along the delta ~ mu ridge, and {cure}"
         print(
             f"numerical failure: the fit stopped at its cap of {result.iterations} LM iterations"
-            " without converging; a free fit can drift along the delta ~ mu ridge, and"
-            " --fix-ratio pins delta = ratio * mu",
+            f" without converging{hint}",
             file=sys.stderr,
         )
         return EXIT_NUMERICAL

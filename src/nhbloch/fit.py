@@ -49,7 +49,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .analytic import CoherentField, DecayModel, trajectory
+from .analytic import DECAY_DOMAIN, CoherentField, DecayModel, trajectory
 from .core import Trajectory
 
 # Unused here; perfbench/tracing.py wraps fit.fidelity and fit.bloch_to_density by name.
@@ -71,7 +71,7 @@ class FitRangeError(ValueError):
 
 
 def check_record(record: Trajectory):
-    """Raise ValueError on < 8 samples, any |m_k| > 1.5, any |t| > 1e150 s or a span < 1e-150 s."""
+    """Raise ValueError on < 8 samples, any |m_k| > 1.5, any |t| > 1e150 s, a span < 1e-150 s or a t < 0."""
     n = len(record)
     if n < 8:
         raise ValueError(f"need at least 8 samples, got {n}")
@@ -85,6 +85,8 @@ def check_record(record: Trajectory):
             f"the times run from {first!r} to {last!r} s; the fit needs |t| <= {_TIME_SCALE:g} s"
             f" and a span of at least {1.0 / _TIME_SCALE:g} s"
         )
+    if first < 0.0:
+        raise ValueError(f"the times start at t = {first!r} s; {DECAY_DOMAIN}")
 
 
 @dataclass(frozen=True)
@@ -158,11 +160,17 @@ _NU_MAX = 1.0 - 2.0**-53
 
 
 def _encode(params: Sequence[float], ratio: float | None) -> tuple[float, ...]:
-    """LM coordinates of (delta, mu, omega1); nu is not one of them."""
+    """LM coordinates of (delta, mu, omega1); nu is not one of them.
+
+    Raises ValueError on infeasible ``params``, and in the free mode on a
+    delta / mu that overflows, where log(delta / mu - 1) has no finite value.
+    """
+    _check_feasible(params)
     delta, mu, _, omega1 = params
     if ratio is None:
-        excess = max(delta / mu - 1.0, 1e-8)
-        return math.log(excess), math.log(mu), math.log(omega1)
+        if delta / mu == math.inf:
+            raise ValueError(f"delta / mu overflows, got delta={delta}, mu={mu}")
+        return math.log(max(delta / mu - 1.0, 1e-8)), math.log(mu), math.log(omega1)
     return math.log(mu), math.log(omega1)
 
 
@@ -348,11 +356,9 @@ def fit_decay_model(
         guess = default_initial_guess(series, delta_mu_ratio=delta_mu_ratio or 11.5)  # checks the record
     else:
         check_record(series)
-    _check_feasible(guess)
+    theta = _encode(guess, delta_mu_ratio)
     if delta_mu_ratio is not None and delta_mu_ratio < 1.0:
         raise ValueError("delta_mu_ratio must be at least 1")
-
-    theta = _encode(guess, delta_mu_ratio)
     delta, mu, omega1 = _decode(theta, delta_mu_ratio)
     _check_rank((delta, mu, guess[2], omega1), series.times, delta_mu_ratio)
     times, record = series.times, series.bloch[:, 2] + 1j * series.bloch[:, 0]

@@ -507,8 +507,54 @@ class TestFit:
         assert code == EXIT_NUMERICAL
         payload = json.loads(result.read_text() if to_file else out)
         assert (payload["converged"], payload["iterations"]) == (False, 200)
-        assert err.startswith("numerical failure: the fit stopped at its cap of 200 LM iterations")
-        assert err.count("\n") == 1 and "--fix-ratio" in err
+        assert err == (
+            "numerical failure: the fit stopped at its cap of 200 LM iterations without converging;"
+            " a free fit can drift along the delta ~ mu ridge, and --fix-ratio pins delta = ratio * mu\n"
+        )
+
+    def test_ratio_pinned_fit_at_the_cap(self, tmp_path, capsys):
+        # The cap's hint names the pin that is already given, not --fix-ratio as a cure.
+        record = tmp_path / "fast-decay.csv"
+        flags = "--rabi-hz 1000 --t-max 0.02 --samples 8 --mu 1e3 --nu 1e-3 --delta-mu-ratio 1e3"
+        run(capsys, "simulate", *flags.split(), "--out", str(record))
+        code, out, err = run(capsys, "fit", str(record), "--fix-ratio", "1000")
+        assert code == EXIT_NUMERICAL
+        payload = json.loads(out)
+        assert (payload["converged"], payload["iterations"]) == (False, 200)
+        assert err == (
+            "numerical failure: the fit stopped at its cap of 200 LM iterations without converging,"
+            " with delta pinned at 1000.0 * mu by --fix-ratio\n"
+        )
+
+    def test_ratio_pinned_fit_that_leaves_the_float_range(self, tmp_path, capsys):
+        # A pin a thousand times the record's ratio: a trial step takes delta to inf.
+        record = tmp_path / "fast-decay.csv"
+        flags = "--rabi-hz 1000 --t-max 0.003 --samples 40 --mu 1e3 --nu 1e-3 --delta-mu-ratio 100"
+        run(capsys, "simulate", *flags.split(), "--out", str(record))
+        code, out, err = run(capsys, "fit", str(record), "--fix-ratio", "1e6")
+        assert (code, out) == (EXIT_NUMERICAL, "")
+        assert err.startswith("numerical failure: a trial step of LM iteration ") and err.count("\n") == 1
+        assert "took the fit out of the float range (delta = inf, mu = " in err
+        assert err.endswith("; the record does not pin mu with delta pinned at 1000000.0 * mu by --fix-ratio\n")
+
+    def test_guess_whose_ratio_overflows(self, record, capsys):
+        # The free LM coordinate log(delta / mu - 1) cannot hold delta / mu = 1e608;
+        # numpy used to warn three times before a "non-finite Jacobian" failure.
+        code, out, err = run(capsys, "fit", record, "--guess", "1e308", "1e-300", "0.1", "1000")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: --guess: delta / mu overflows, got delta=1e+308, mu=1e-300\n"
+
+    def test_record_that_starts_before_zero(self, tmp_path, capsys):
+        # f(t) > 1 before t = 0; the fit used to fail with a float-range message.
+        record = tmp_path / "early.csv"
+        flags = "--rabi-hz 1000 --t-start -0.002 --t-max 0.001 --samples 64 --noise 0.01 --seed 2"
+        assert run(capsys, "simulate", *flags.split(), "--out", str(record))[0] == EXIT_OK
+        code, out, err = run(capsys, "fit", str(record))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            f"error: {record}: the times start at t = -0.002 s;"
+            " the decay f(t) holds for t >= 0 only (|r| > 1 before t = 0)\n"
+        )
 
     # Records whose decay (delta = 1e6 / s) is over before the second sample:
     # a free fit's trial step takes mu to 0 (the first) or delta to inf (the

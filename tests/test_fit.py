@@ -377,6 +377,15 @@ class TestSeriesValidation:
             " the fit needs |t| <= 1e+150 s and a span of at least 1e-150 s"
         )
 
+    def test_times_before_zero(self):
+        # After the time-scale rule, so that an early record out of scale keeps its message.
+        times = np.linspace(-1e-3, 1e-3, 10)
+        with pytest.raises(ValueError) as info:
+            check_record(Trajectory(times, np.tile([0.0, 0.0, 1.0], (10, 1))))
+        assert str(info.value) == (
+            "the times start at t = -0.001 s; the decay f(t) holds for t >= 0 only (|r| > 1 before t = 0)"
+        )
+
 
 class TestRefusalsByMessage:
     """The fit's internal refusals, each by its own message."""
@@ -406,6 +415,11 @@ class TestRefusalsByMessage:
         with pytest.raises(DegenerateJacobianError) as info:
             _check_rank(params, tpp_series.times, ratio)
         assert str(info.value) == message
+
+    def test_free_guess_whose_ratio_overflows(self, tpp_series):
+        with pytest.raises(ValueError) as info:
+            fit_decay_model(tpp_series, (1e308, 1e-300, 0.1, 1e5))
+        assert str(info.value) == "delta / mu overflows, got delta=1e+308, mu=1e-300"
 
     def test_ratio_below_one_with_a_guess(self, tpp_truth, tpp_series):
         with pytest.raises(ValueError) as info:
