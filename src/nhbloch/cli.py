@@ -160,7 +160,7 @@ def _read_plain(path: str) -> tuple[np.ndarray, np.ndarray] | None:
                 rows = np.loadtxt(handle, dtype, delimiter=",", comments=None, ndmin=1)
         except (ValueError, UserWarning):
             return None
-    return rows["t"], rows["m"]
+    return rows["t"].copy(), rows["m"].copy()  # contiguous: the fields are strided, unaligned views
 
 
 def _parse_lines(path: str) -> tuple[np.ndarray, np.ndarray]:

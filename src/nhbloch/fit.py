@@ -28,11 +28,20 @@ feasible by construction:
 Its Jacobian is the analytic one at fixed nu with the direction b projected
 out (Kaufman's form of the variable-projection Jacobian; the exact form did
 not lower the iteration counts on noisy benchmark records), or the plain one
-while nu sits on a bound of its clip. The lab-frame :func:`residuals`, which
-evaluates the closed-form kernel :func:`~nhbloch.analytic.trajectory`, and
-:func:`_jacobian` stay the reference definitions: the loop and the reference
-rest on two independent formulations of the model. The standard errors come
-from :func:`_jacobian`.
+while nu sits on a bound of its clip.
+
+Every evaluation of an iterate (:func:`_project`) computes one frame: the
+rotation e^{-i w1 t}, p and q as views of the rotated record, a, b, the
+residual r = p - a - nu b, b.b and whether nu lies inside its clip. The
+normal equations at that iterate are built from it, and the frames of the
+start and of the optimum also feed the lab-frame Jacobian :func:`_jacobian`
+of the rank check and of the standard errors: cos w1 t and sin w1 t are the
+real part and minus the imaginary part of the rotation, and a and b stand
+for exp(-delta t) and -expm1(-mu t). (numpy's complex exp gave np.cos and
+-np.sin bit for bit in 2e6 samples on x86-64 with numpy 2.4.) The lab-frame
+:func:`residuals`, which evaluates the closed-form kernel
+:func:`~nhbloch.analytic.trajectory`, stays the reference definition: the
+loop and the reference rest on two independent formulations of the model.
 
 m_y never enters the objective, because the model pins it to zero; its rms is
 reported separately as a model-mismatch indicator.
@@ -43,7 +52,9 @@ rows; the fit and the initial guess first apply :func:`check_record` to it.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -132,17 +143,19 @@ def residuals(params: Sequence[float], series: Trajectory) -> np.ndarray:
     return np.concatenate([series.bloch[:, 0] - model[:, 0], series.bloch[:, 2] - model[:, 2]])
 
 
-def _jacobian(params: Sequence[float], times: np.ndarray) -> np.ndarray:
-    """d(residual)/d(delta, mu, nu, omega1), shape (2N, 4)."""
+def _jacobian(params: Sequence[float], times: np.ndarray, frame) -> np.ndarray:
+    """d(residual)/d(delta, mu, nu, omega1), shape (2N, 4), from the frame of (delta, mu, omega1).
+
+    ``frame`` begins with the rotation e^{-i w1 t} = cos - i sin, p, q,
+    exp(-delta t) and -expm1(-mu t), as :func:`_demodulate` returns them.
+    """
     delta, mu, nu, omega1 = params
-    e_delta = np.exp(-delta * times)
+    rotation, _, _, e_delta, df_dnu = frame[:5]
+    cos, sin = rotation.real, -rotation.imag
     e_mu = np.exp(-mu * times)
-    f = e_delta - nu * np.expm1(-mu * times)
-    phase = omega1 * times
-    sin, cos = np.sin(phase), np.cos(phase)
+    f = e_delta + nu * df_dnu
     df_ddelta = -times * e_delta
     df_dmu = nu * times * e_mu
-    df_dnu = -np.expm1(-mu * times)
     jac = np.empty((2 * len(times), 4))
     jac[: len(times), 0] = -df_ddelta * sin
     jac[: len(times), 1] = -df_dmu * sin
@@ -186,98 +199,116 @@ def _decode(theta: Sequence[float], ratio: float | None) -> tuple[float, float, 
     return delta, mu, math.exp(w)
 
 
-def _demodulate(
-    record: np.ndarray, times: np.ndarray, delta: float, mu: float, omega1: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(p, q, a, b) of the complex record m_z + i m_x; see the module docstring."""
-    rotated = record * np.exp((-1j * omega1) * times)
-    return rotated.real, rotated.imag, np.exp(-delta * times), -np.expm1(-mu * times)
+def _demodulate(record: np.ndarray, times: np.ndarray, delta: float, mu: float, omega1: float) -> tuple:
+    """(rotation, p, q, a, b) of the complex record m_z + i m_x; see the module docstring.
+
+    p and q are views of the rotated record, so their products keep its stride.
+    """
+    rotation = np.exp((-1j * omega1) * times)
+    rotated = record * rotation
+    return rotation, rotated.real, rotated.imag, np.exp(-delta * times), -np.expm1(-mu * times)
 
 
 def _project(record: np.ndarray, times: np.ndarray, theta: Sequence[float], ratio: float | None):
     """Evaluate LM coordinates with nu solved in closed form.
 
-    Returns ``(params, cost, frame)``; ``frame`` holds the arrays that the
-    normal equations at this point reuse. Raises OverflowError when decoding
-    ``theta`` overflows, and ValueError when it decodes to a rate of 0 or inf.
+    Returns ``(params, cost, frame)``; ``frame`` is :func:`_demodulate`'s
+    tuple followed by (r, b.b, whether nu lies inside its clip), which the
+    normal equations, the rank check and the standard errors at this point
+    reuse. Raises OverflowError when decoding ``theta`` overflows, and
+    ValueError when it decodes to a rate of 0 or inf.
     """
     delta, mu, omega1 = _decode(theta, ratio)
-    _check_feasible((delta, mu, 0.0, omega1))  # before numpy sees the rates; nu is clipped below
-    p, q, a, b = _demodulate(record, times, delta, mu, omega1)
+    if not (0.0 < mu <= delta < math.inf and 0.0 < omega1 < math.inf):
+        _check_feasible((delta, mu, 0.0, omega1))  # raises before numpy sees the rates; nu is clipped below
+    rotation, p, q, a, b = _demodulate(record, times, delta, mu, omega1)
     g = p - a
     bb = float(b @ b)
     nu_star = float(b @ g) / bb if bb > 0.0 else 0.0
     nu = min(max(nu_star, 0.0), _NU_MAX)
-    params = (delta, mu, nu, omega1)
     r = g - nu * b
     cost = float(r @ r) + float(q @ q)
-    return params, cost, (p, q, a, b, r, bb, bb > 0.0 and nu == nu_star)
+    return (delta, mu, nu, omega1), cost, (rotation, p, q, a, b, r, bb, bb > 0.0 and nu == nu_star)
 
 
 def _normal_equations(times: np.ndarray, params, frame, ratio: float | None):
-    """J^T J and J^T r of the residual [p - a - nu b; q] in LM coordinates, as lists."""
+    """J^T J and J^T r of the residual [p - a - nu b; q] in LM coordinates, as tuples."""
     delta, mu, nu, omega1 = params
-    p, q, a, b, r, bb, interior = frame
+    _, p, q, a, b, r, bb, interior = frame
     ta = times * a
     # d(p - a - nu b) at fixed nu, one row per coordinate: (s,) log mu, log omega1.
-    rows = [delta * ta - (nu * mu) * (times - times * b), omega1 * (times * q)]
+    rows = (delta * ta - (nu * mu) * (times - times * b), omega1 * (times * q))
     if ratio is None:
-        rows.insert(0, (delta - mu) * ta)
-    k = len(rows)
+        rows = ((delta - mu) * ta, *rows)
     # One Gram matrix holds every product needed; -omega1 t p is d q / d log omega1.
     vectors = np.array((*rows, b, r, omega1 * (times * p), q))
     gram = (vectors @ vectors.T).tolist()
-    normal = [row[:k] for row in gram[:k]]
-    grad = [row[k + 1] for row in gram[:k]]
+    # Row by row: the coordinates' products with (the coordinates, b, r), then
+    # b.r, and (-omega1 t p).(-omega1 t p, q) for the q-terms of log omega1.
+    if ratio is not None:
+        (n00, n01, j0, g0, _, _), (n10, n11, j1, g1, _, _), (_, _, _, br, _, _), _, (*_, pp, pq), _ = gram
+        if interior:
+            # nu follows the iterate: project b out of every row (Kaufman's form).
+            g0, g1 = g0 - j0 * br / bb, g1 - j1 * br / bb
+            n00, n01 = n00 - j0 * j0 / bb, n01 - j0 * j1 / bb
+            n10, n11 = n10 - j1 * j0 / bb, n11 - j1 * j1 / bb
+        return ((n00, n01), (n10, n11 + pp)), (g0, g1 - pq)
+    (n00, n01, n02, j0, g0, _, _), (n10, n11, n12, j1, g1, _, _), (n20, n21, n22, j2, g2, _, _) = gram[:3]
+    (_, _, _, _, br, _, _), (*_, pp, pq) = gram[3], gram[5]
     if interior:
-        # nu follows the iterate: project b out of every row (Kaufman's form).
-        jb = [row[k] for row in gram[:k]]
-        br = gram[k][k + 1]
-        for i in range(k):
-            grad[i] -= jb[i] * br / bb
-            for j in range(k):
-                normal[i][j] -= jb[i] * jb[j] / bb
-    normal[-1][-1] += gram[k + 2][k + 2]
-    grad[-1] -= gram[k + 2][k + 3]
-    return normal, grad
+        g0, g1, g2 = g0 - j0 * br / bb, g1 - j1 * br / bb, g2 - j2 * br / bb
+        n00, n01, n02 = n00 - j0 * j0 / bb, n01 - j0 * j1 / bb, n02 - j0 * j2 / bb
+        n10, n11, n12 = n10 - j1 * j0 / bb, n11 - j1 * j1 / bb, n12 - j1 * j2 / bb
+        n20, n21, n22 = n20 - j2 * j0 / bb, n21 - j2 * j1 / bb, n22 - j2 * j2 / bb
+    return ((n00, n01, n02), (n10, n11, n12), (n20, n21, n22 + pp)), (g0, g1, g2 - pq)
 
 
-def _solve_damped(
-    normal: list[list[float]], shift: list[float], rhs: list[float]
-) -> list[float] | None:
-    """Solve (normal + diag(shift)) x = rhs; None unless that matrix is positive definite.
+def _solve_damped(normal, shift, rhs) -> tuple[float, ...] | None:
+    """Solve (normal + diag(shift)) x = rhs in 2 or 3 unknowns; None unless it is positive definite.
 
-    Gaussian elimination without pivoting, which is stable on a symmetric
-    positive definite matrix and fails on a pivot <= 0 otherwise. At two or
-    three unknowns, plain floats cost a few microseconds where
-    np.linalg.solve costs tens.
+    Gaussian elimination without pivoting, written out, which is stable on
+    a symmetric positive definite matrix and fails on a pivot <= 0
+    otherwise. Plain floats cost about a microsecond where np.linalg.solve
+    costs tens.
     """
-    k = len(rhs)
-    a = [row[:] for row in normal]
-    x = list(rhs)
-    for i in range(k):
-        a[i][i] += shift[i]
-    for i in range(k):
-        pivot = a[i][i]
-        if not pivot > 0.0:
+    if len(rhs) == 2:
+        (a00, a01), (a10, a11) = normal
+        (s0, s1), (x0, x1) = shift, rhs
+        a00 += s0
+        if not a00 > 0.0:
             return None
-        for j in range(i + 1, k):
-            factor = a[j][i] / pivot
-            for m in range(i + 1, k):
-                a[j][m] -= factor * a[i][m]
-            x[j] -= factor * x[i]
-    for i in reversed(range(k)):
-        s = x[i]
-        for m in range(i + 1, k):
-            s -= a[i][m] * x[m]
-        x[i] = s / a[i][i]
-    return x
+        f1 = a10 / a00
+        a11 = a11 + s1 - f1 * a01
+        if not a11 > 0.0:
+            return None
+        x1 = (x1 - f1 * x0) / a11
+        return (x0 - a01 * x1) / a00, x1
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = normal
+    (s0, s1, s2), (x0, x1, x2) = shift, rhs
+    a00 += s0
+    if not a00 > 0.0:
+        return None
+    f1, f2 = a10 / a00, a20 / a00
+    a11, a12, x1 = a11 + s1 - f1 * a01, a12 - f1 * a02, x1 - f1 * x0
+    a21, a22, x2 = a21 - f2 * a01, a22 + s2 - f2 * a02, x2 - f2 * x0
+    if not a11 > 0.0:
+        return None
+    f3 = a21 / a11
+    a22, x2 = a22 - f3 * a12, x2 - f3 * x1
+    if not a22 > 0.0:
+        return None
+    x2 /= a22
+    x1 = (x1 - a12 * x2) / a11
+    return (x0 - a01 * x1 - a02 * x2) / a00, x1, x2
 
 
-def _check_rank(params: Sequence[float], times: np.ndarray, ratio: float | None):
-    """Refuse a start whose lab-frame Jacobian in (LM coordinates, nu) is rank deficient."""
+def _check_rank(params: Sequence[float], times: np.ndarray, ratio: float | None, frame):
+    """Refuse a start whose lab-frame Jacobian in (LM coordinates, nu) is rank deficient.
+
+    ``frame`` is the start's, from :func:`_project`; ``params`` carry the guess's nu.
+    """
     delta, mu, _, omega1 = params
-    jac = _jacobian(params, times)
+    jac = _jacobian(params, times, frame)
     cols = [delta * jac[:, 0] + mu * jac[:, 1], jac[:, 2], omega1 * jac[:, 3]]
     if ratio is None:
         cols.insert(0, (delta - mu) * jac[:, 0])
@@ -359,30 +390,29 @@ def fit_decay_model(
     theta = _encode(guess, delta_mu_ratio)
     if delta_mu_ratio is not None and delta_mu_ratio < 1.0:
         raise ValueError("delta_mu_ratio must be at least 1")
-    delta, mu, omega1 = _decode(theta, delta_mu_ratio)
-    _check_rank((delta, mu, guess[2], omega1), series.times, delta_mu_ratio)
     times, record = series.times, series.bloch[:, 2] + 1j * series.bloch[:, 0]
     params, cost, frame = _project(record, times, theta, delta_mu_ratio)
+    _check_rank((*params[:2], guess[2], params[3]), times, delta_mu_ratio, frame)
     damping = 1e-3
     iterations = 0
     converged = False
 
     for iterations in range(1, _MAX_ITERATIONS + 1):
         normal, grad = _normal_equations(times, params, frame, delta_mu_ratio)
-        if not all(math.isfinite(v) for v in grad + [v for row in normal for v in row]):
+        if not all(map(math.isfinite, itertools.chain(grad, *normal))):
             raise DegenerateJacobianError("non-finite Jacobian")
-        diag = [normal[i][i] for i in range(len(grad))]
+        diag = [row[i] for i, row in enumerate(normal)]
         floor = 1e-12 * max(diag)
         scale = [max(d, floor) for d in diag]
         minus_grad = [-g for g in grad]
 
         accepted = False
         while damping < 1e15:
-            step = _solve_damped(normal, [damping * s for s in scale], minus_grad)
+            step = _solve_damped(normal, tuple(map(damping.__mul__, scale)), minus_grad)
             if step is None:
                 damping *= 10.0
                 continue
-            candidate = tuple(x + d for x, d in zip(theta, step))
+            candidate = tuple(map(operator.add, theta, step))
             try:
                 cand_params, new_cost, cand_frame = _project(record, times, candidate, delta_mu_ratio)
             except OverflowError:
@@ -415,7 +445,7 @@ def fit_decay_model(
             break
 
     delta, mu, nu, omega1 = params
-    errs = _standard_errors(params, series, delta_mu_ratio, cost)
+    errs = _standard_errors(params, times, delta_mu_ratio, cost, frame)
     n = len(series)
     return FitResult(
         delta=delta,
@@ -434,18 +464,15 @@ def fit_decay_model(
 
 
 def _standard_errors(
-    params: Sequence[float],
-    series: Trajectory,
-    ratio: float | None,
-    cost: float,
+    params: Sequence[float], times: np.ndarray, ratio: float | None, cost: float, frame
 ) -> tuple[float, float, float, float]:
-    """Jacobian-based covariance estimate at the optimum."""
-    jac = _jacobian(params, series.times)
+    """Jacobian-based covariance estimate at the optimum, whose frame :func:`_project` gave."""
+    jac = _jacobian(params, times, frame)
     if ratio is not None:
         # Free parameters are (mu, nu, omega1) with delta carried along.
         jac = np.column_stack([jac[:, 1] + ratio * jac[:, 0], jac[:, 2], jac[:, 3]])
     k = jac.shape[1]
-    dof = max(2 * len(series) - k, 1)
+    dof = max(2 * len(times) - k, 1)
     sigma2 = cost / dof
     cov = sigma2 * np.linalg.pinv(jac.T @ jac)
     err = np.sqrt(np.maximum(np.diag(cov), 0.0))

@@ -176,7 +176,7 @@ class TestRotatingFrame:
                 mu = rng.uniform(50.0, 5000.0)
                 delta, nu = mu * rng.uniform(1.0, 30.0), rng.uniform(0.0, 1.0)
                 params = (delta, mu, nu, rng.uniform(0.5, 2.0) * tpp.omega1)
-                p, q, a, b = _demodulate(record, times, delta, mu, params[3])
+                _, p, q, a, b = _demodulate(record, times, delta, mu, params[3])
                 r = p - a - nu * b
                 lab = residuals(params, series)
                 assert float(r @ r + q @ q) == pytest.approx(float(lab @ lab), rel=1e-13)
@@ -412,8 +412,10 @@ class TestRefusalsByMessage:
         ],
     )
     def test_rank_check_at_the_start(self, tpp_series, params, ratio, message):
+        times, record = tpp_series.times, tpp_series.bloch[:, 2] + 1j * tpp_series.bloch[:, 0]
+        frame = _demodulate(record, times, params[0], params[1], params[3])
         with pytest.raises(DegenerateJacobianError) as info:
-            _check_rank(params, tpp_series.times, ratio)
+            _check_rank(params, times, ratio, frame)
         assert str(info.value) == message
 
     def test_free_guess_whose_ratio_overflows(self, tpp_series):
