@@ -144,11 +144,7 @@ def residuals(params: Sequence[float], series: Trajectory) -> np.ndarray:
 
 
 def _jacobian(params: Sequence[float], times: np.ndarray, frame) -> np.ndarray:
-    """d(residual)/d(delta, mu, nu, omega1), shape (2N, 4), from the frame of (delta, mu, omega1).
-
-    ``frame`` begins with the rotation e^{-i w1 t} = cos - i sin, p, q,
-    exp(-delta t) and -expm1(-mu t), as :func:`_demodulate` returns them.
-    """
+    """d(residual)/d(delta, mu, nu, omega1), shape (2N, 4), from a frame at (delta, mu, omega1)."""
     delta, mu, nu, omega1 = params
     rotation, _, _, e_delta, df_dnu = frame[:5]
     cos, sin = rotation.real, -rotation.imag
@@ -175,16 +171,18 @@ _NU_MAX = 1.0 - 2.0**-53
 def _encode(params: Sequence[float], ratio: float | None) -> tuple[float, ...]:
     """LM coordinates of (delta, mu, omega1); nu is not one of them.
 
-    Raises ValueError on infeasible ``params``, and in the free mode on a
-    delta / mu that overflows, where log(delta / mu - 1) has no finite value.
+    Raises ValueError on infeasible ``params``, and on coordinates that decode
+    to an infinite delta: a delta / mu (free) or ratio * mu (pinned) that overflows.
     """
     _check_feasible(params)
     delta, mu, _, omega1 = params
-    if ratio is None:
-        if delta / mu == math.inf:
-            raise ValueError(f"delta / mu overflows, got delta={delta}, mu={mu}")
-        return math.log(max(delta / mu - 1.0, 1e-8)), math.log(mu), math.log(omega1)
-    return math.log(mu), math.log(omega1)
+    if ratio is not None:
+        if ratio * mu == math.inf:
+            raise ValueError(f"ratio * mu overflows, got ratio={ratio}, mu={mu}")
+        return math.log(mu), math.log(omega1)
+    if delta / mu == math.inf:
+        raise ValueError(f"delta / mu overflows, got delta={delta}, mu={mu}")
+    return math.log(max(delta / mu - 1.0, 1e-8)), math.log(mu), math.log(omega1)
 
 
 def _decode(theta: Sequence[float], ratio: float | None) -> tuple[float, float, float]:
@@ -303,9 +301,9 @@ def _solve_damped(normal, shift, rhs) -> tuple[float, ...] | None:
 
 
 def _check_rank(params: Sequence[float], times: np.ndarray, ratio: float | None, frame):
-    """Refuse a start whose lab-frame Jacobian in (LM coordinates, nu) is rank deficient.
+    """Refuse a start (``params`` with the guess's nu, and its frame) whose Jacobian is rank deficient.
 
-    ``frame`` is the start's, from :func:`_project`; ``params`` carry the guess's nu.
+    The Jacobian is the lab-frame one in (LM coordinates, nu).
     """
     delta, mu, _, omega1 = params
     jac = _jacobian(params, times, frame)

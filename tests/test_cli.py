@@ -537,12 +537,24 @@ class TestFit:
         assert "took the fit out of the float range (delta = inf, mu = " in err
         assert err.endswith("; the record does not pin mu with delta pinned at 1000000.0 * mu by --fix-ratio\n")
 
-    def test_guess_whose_ratio_overflows(self, record, capsys):
-        # The free LM coordinate log(delta / mu - 1) cannot hold delta / mu = 1e608;
-        # numpy used to warn three times before a "non-finite Jacobian" failure.
-        code, out, err = run(capsys, "fit", record, "--guess", "1e308", "1e-300", "0.1", "1000")
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            # The free LM coordinate log(delta / mu - 1) cannot hold delta / mu = 1e608.
+            (("--guess", "1e308", "1e-300", "0.1", "1000"), "delta / mu overflows, got delta=1e+308, mu=1e-300"),
+            # Pinned, delta = ratio * mu = 1e310.
+            (
+                ("--guess", "1e10", "1e10", "0.1", "1000", "--fix-ratio", "1e300"),
+                "ratio * mu overflows, got ratio=1e+300, mu=10000000000.0",
+            ),
+        ],
+        ids=["free", "pinned"],
+    )
+    def test_guess_whose_delta_overflows(self, record, capsys, flags, message):
+        # numpy used to warn before a "non-finite Jacobian" failure.
+        code, out, err = run(capsys, "fit", record, *flags)
         assert (code, out) == (EXIT_USAGE, "")
-        assert err == "error: --guess: delta / mu overflows, got delta=1e+308, mu=1e-300\n"
+        assert err == f"error: --guess: {message}\n"
 
     def test_record_that_starts_before_zero(self, tmp_path, capsys):
         # f(t) > 1 before t = 0; the fit used to fail with a float-range message.
