@@ -45,15 +45,11 @@ WORKING_POINT = [
 T_MAX = "500e-6"
 
 
-def _simulate(out, *, samples=251, noise=None, seed=None, phi=None, detuning_hz=None):
+def _simulate(out, *extra, samples=251, noise=None, seed=None):
     argv = ["simulate", *WORKING_POINT, "--t-max", T_MAX, "--samples", str(samples), "--out", out]
     if noise is not None:
         argv += ["--noise", repr(noise), "--seed", str(seed)]
-    if phi is not None:
-        argv += ["--phi", repr(phi)]
-    if detuning_hz is not None:
-        argv += ["--detuning-hz", repr(detuning_hz)]
-    return argv
+    return argv + list(extra)
 
 
 def _fit(record, out, *, pinned):
@@ -62,11 +58,11 @@ def _fit(record, out, *, pinned):
 
 def fit_sweep():
     calls = []
-    cases = [{}] * 16 + [{"phi": 1.0}] * 2 + [{"detuning_hz": 5000.0}] * 2
+    cases = [()] * 16 + [("--phi", "1.0")] * 2 + [("--detuning-hz", "5000.0")] * 2
     for level, sigma in enumerate((0.002, 0.01, 0.05)):
         for i, case in enumerate(cases):
             record = f"sweep-{sigma}-{i}.csv"
-            calls.append(_simulate(record, noise=sigma, seed=100 * level + i, **case))
+            calls.append(_simulate(record, *case, noise=sigma, seed=100 * level + i))
             calls.append(_fit(record, f"sweep-{sigma}-{i}-pinned.json", pinned=True))
             calls.append(_fit(record, f"sweep-{sigma}-{i}-free.json", pinned=False))
     return calls

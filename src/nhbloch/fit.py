@@ -200,7 +200,7 @@ def _decode(theta: Sequence[float], ratio: float | None) -> tuple[float, float, 
 def _demodulate(record: np.ndarray, times: np.ndarray, delta: float, mu: float, omega1: float) -> tuple:
     """(rotation, p, q, a, b) of the complex record m_z + i m_x; see the module docstring.
 
-    p and q are views of the rotated record, so their products keep its stride.
+    p and q are views of the rotated record, so their dot products keep its memory layout.
     """
     rotation = np.exp((-1j * omega1) * times)
     rotated = record * rotation

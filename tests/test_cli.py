@@ -941,6 +941,8 @@ class TestCsvReader:
         fast = cli._read_plain(str(path))
         assert fast is not None
         assert bits(fast) == bits(cli._parse_lines(str(path)))
+        # Copies, not views of the row records: every vector operation of a fit runs on them.
+        assert all(column.flags.c_contiguous and column.flags.aligned for column in fast)
 
     def test_pipe_is_read_by_the_per_line_parser(self, tmp_path):
         path = tmp_path / "rec.csv"
