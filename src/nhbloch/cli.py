@@ -39,9 +39,9 @@ import warnings
 import numpy as np
 
 from .analytic import (
+    DECAY_DOMAIN,
     CoherentField,
     DecayModel,
-    DECAY_DOMAIN,
     coherent_bloch,
     damped_bloch,
     damping_provider,
