@@ -8,8 +8,11 @@ tables use the CSV contract
     t,mx,my,mz[,purity]
 
 with LF line endings, '.' decimals and seconds for time; the purity column
-appears on output only. JSON results carry ``schema_version`` "1" and are
-strict JSON (no NaN or Infinity). File writes are whole-file atomic.
+appears on output only. On Linux, when this process may run on two CPUs or
+more, a table of _PARALLEL_MIN_ROWS rows or more is formatted by two
+processes, a forked worker writing the back half, with the same bytes as
+on one. JSON results carry ``schema_version`` "1" and are strict JSON (no
+NaN or Infinity). File writes are whole-file atomic.
 
 Exit codes: 0 success; 1 with one ``error:`` line when a flag, a flag
 combination or an input file is refused; 2 with one ``numerical failure:``
@@ -28,13 +31,16 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import os
 import re
+import signal
 import sys
 import tempfile
 import warnings
+from typing import NoReturn
 
 import numpy as np
 
@@ -58,7 +64,7 @@ from .dynamics import (
     integrate_density,
     max_deviation,
 )
-from .fit import FitRangeError, _encode, check_record, fit_decay_model
+from .fit import _DOT_BLOCK, FitRangeError, _blocked_dot, _encode, check_record, fit_decay_model
 from .nmr import ROOM_TEMPERATURE_K, drive_field, partition_function, polarization_factor, thermal_argument
 
 EXIT_OK = 0
@@ -78,6 +84,21 @@ _MY_SIGNAL_Z = 5.0
 # memory in proportion to the record, a few thousand rows do not.
 _CSV_CHUNK_ROWS = 4096
 
+# Rows from which a table is formatted by two processes (see _csv_text). On a
+# 2-vCPU x86-64 host two processes take about 15-20 ms longer than half the
+# one-process time (the fork, copy-on-write page faults, the pipe): they won
+# nearly every timing from 6 chunks up, and lost or split them at 2-4 chunks.
+# It must exceed _CSV_CHUNK_ROWS, so that each process has rows to format.
+_PARALLEL_MIN_ROWS = 6 * _CSV_CHUNK_ROWS
+
+# Bytes per read of the worker's text from its pipe, the pipe's default
+# capacity on Linux: the parent holds at most this much of it at a time.
+_PIPE_READ_BYTES = 1 << 16
+
+# The DeprecationWarning of Python 3.12 and later on a fork in a process with
+# threads; numpy's OpenBLAS threads count.
+_FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead to deadlocks"
+
 # Bytes on which numpy's C tokenizer and the per-line parser agree: printable
 # ASCII, tab, LF and CR. str.splitlines also breaks lines at \x0b, \x0c and
 # \x1c-\x1e, and numpy strips \x1c-\x1f around a number where float() refuses it.
@@ -95,29 +116,89 @@ class UsageError(Exception):
 
 
 def _write_text(path: str | None, text):
-    """Write ``text``, a string or an iterable of string chunks, to stdout or path.
+    """Write ``text``, a string or a generator of string chunks, to stdout or path.
 
     A file is written to a temporary sibling and renamed into place, so it
-    appears whole or not at all however many chunks it was streamed in.
+    appears whole or not at all however many chunks it was streamed in. A
+    generator is closed on the way out, a failed write included, so that its
+    clean-up runs at once.
     """
     chunks = (text,) if isinstance(text, str) else text
-    if path is None:
-        sys.stdout.writelines(chunks)
-        return
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".nhbloch-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        if path is None:
+            sys.stdout.writelines(chunks)
+            return
+        directory = os.path.dirname(os.path.abspath(path))
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".nhbloch-")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+                handle.writelines(chunks)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    finally:
+        if not isinstance(text, str):
+            text.close()
 
 
 def _json_text(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _csv_chunks(table: np.ndarray, row: str, start: int, stop: int):
+    """Yield rows start:stop of ``table`` as text, _CSV_CHUNK_ROWS rows per ``%`` format of ``row``."""
+    for begin in range(start, stop, _CSV_CHUNK_ROWS):
+        chunk = table[begin : min(begin + _CSV_CHUNK_ROWS, stop)]
+        yield (row * len(chunk)) % tuple(chunk.ravel().tolist())
+
+
+def _csv_worker(table: np.ndarray, row: str, start: int, read_fd: int, write_fd: int) -> NoReturn:
+    """The forked worker of _csv_text: write rows start: of ``table`` to ``write_fd`` as ASCII, then exit.
+
+    It formats every row before it writes, so that it runs while the parent
+    formats the rows before ``start`` rather than waiting on a full pipe.
+    It leaves by os._exit alone: status 0 once every byte is written, 1 on
+    any exception, without unwinding into the parent's code.
+    """
+    code = 1
+    try:
+        gc.disable()  # a collection could run finalizers of the parent's objects, say flush a shared file
+        os.close(read_fd)
+        blocks = [text.encode("ascii") for text in _csv_chunks(table, row, start, len(table))]
+        for block in blocks:
+            view = memoryview(block)
+            while view:
+                view = view[os.write(write_fd, view) :]
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _fork_csv_worker(table: np.ndarray, row: str) -> tuple[int, int, int]:
+    """(pid, pipe read end, first row) of a forked _csv_worker for the back half of ``table``.
+
+    The first row is a chunk boundary near the middle. When fork fails it
+    returns (0, -1, len(table)): no worker, and the caller formats every row.
+    """
+    split = _CSV_CHUNK_ROWS * max(1, round(len(table) / (2 * _CSV_CHUNK_ROWS)))
+    read_fd, write_fd = os.pipe()
+    with warnings.catch_warnings():
+        # The threads of this process (numpy's OpenBLAS pool) hold no lock the
+        # worker needs: it formats floats already in memory and writes them to
+        # a pipe, with no import, no lock, no BLAS call, and leaves by os._exit.
+        warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            return 0, -1, len(table)
+        if pid == 0:
+            _csv_worker(table, row, split, read_fd, write_fd)  # the worker never leaves this block
+    os.close(write_fd)
+    return pid, read_fd, split
 
 
 def _csv_text(times, mx, my, mz, purity=None):
@@ -126,14 +207,50 @@ def _csv_text(times, mx, my, mz, purity=None):
     A chunk is one ``%`` format of the row pattern ``%r,...,%r\\n``, repeated
     once per row, over the chunk's values in row order: the only per-value
     work left in Python is ``repr`` itself.
+
+    A table of at least _PARALLEL_MIN_ROWS rows is formatted by two
+    processes on Linux when this process may run on two CPUs or more: a
+    forked worker formats the back half (see _fork_csv_worker) while this
+    process formats the front half, and its text is then passed on in blocks
+    of at most _PIPE_READ_BYTES. The bytes are the same as on one process.
+    Closing the generator early, or any exception in it, kills and reaps the
+    worker; a worker that fails or sends too few rows raises OSError.
     """
     columns = [times, mx, my, mz] + ([purity] if purity is not None else [])
-    yield "t,mx,my,mz" + (",purity" if purity is not None else "") + "\n"
     table = np.column_stack(columns)
     row = ",".join(["%r"] * len(columns)) + "\n"
-    for start in range(0, len(table), _CSV_CHUNK_ROWS):
-        chunk = table[start : start + _CSV_CHUNK_ROWS]
-        yield (row * len(chunk)) % tuple(chunk.ravel().tolist())
+    two_processes = (
+        len(table) >= _PARALLEL_MIN_ROWS
+        and sys.platform == "linux"
+        and hasattr(os, "fork")
+        and len(os.sched_getaffinity(0)) >= 2
+    )
+    pid, read_fd, split = _fork_csv_worker(table, row) if two_processes else (0, -1, len(table))
+    try:
+        yield "t,mx,my,mz" + (",purity" if purity is not None else "") + "\n"
+        yield from _csv_chunks(table, row, 0, split)
+        if not pid:
+            return
+        # One buffer serves every read. A bytes object per read, which os.read
+        # shrinks to the bytes it got, leaves holes in the heap: over 30 tables
+        # it raised the peak RSS of a process that keeps running by 5 MiB.
+        rows, buffer = 0, bytearray(_PIPE_READ_BYTES)
+        while count := os.readv(read_fd, [buffer]):
+            rows += buffer.count(b"\n", 0, count)
+            yield str(memoryview(buffer)[:count], "ascii")
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        pid = 0
+        if code != 0 or rows != len(table) - split:
+            raise OSError(
+                f"the CSV formatting worker exited with status {code} after {rows}"
+                f" of its {len(table) - split} rows"
+            )
+    finally:
+        if read_fd >= 0:
+            os.close(read_fd)
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _read_plain(path: str) -> tuple[np.ndarray, np.ndarray] | None:
@@ -468,7 +585,7 @@ def _check_my_signal(series: Trajectory):
     clean resonant record) and is never signal.
     """
     mx, my, mz = series.bloch.T
-    power = float(my @ my)
+    power = float(my @ my) if len(my) <= _DOT_BLOCK else _blocked_dot(my, my)
     my_rms = math.sqrt(power / len(my))
     amplitude = max(float(np.max(np.abs(mx))), float(np.max(np.abs(mz))))
     if not my_rms > math.sqrt(np.finfo(float).eps) * amplitude:

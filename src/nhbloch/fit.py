@@ -207,6 +207,17 @@ def _demodulate(record: np.ndarray, times: np.ndarray, delta: float, mu: float, 
     return rotation, rotated.real, rotated.imag, np.exp(-delta * times), -np.expm1(-mu * times)
 
 
+# OpenBLAS splits a dot product of more than 10,000 elements across its
+# threads, and the rounding of the sum then follows the thread count. Longer
+# vectors are summed over fixed blocks of this many samples instead, in order.
+_DOT_BLOCK = 8192
+
+
+def _blocked_dot(x: np.ndarray, y: np.ndarray) -> float:
+    """x . y as the in-order sum of the dot products of its _DOT_BLOCK-sample blocks."""
+    return sum(float(x[i : i + _DOT_BLOCK] @ y[i : i + _DOT_BLOCK]) for i in range(0, len(x), _DOT_BLOCK))
+
+
 def _project(record: np.ndarray, times: np.ndarray, theta: Sequence[float], ratio: float | None):
     """Evaluate LM coordinates with nu solved in closed form.
 
@@ -221,11 +232,12 @@ def _project(record: np.ndarray, times: np.ndarray, theta: Sequence[float], rati
         _check_feasible((delta, mu, 0.0, omega1))  # raises before numpy sees the rates; nu is clipped below
     rotation, p, q, a, b = _demodulate(record, times, delta, mu, omega1)
     g = p - a
-    bb = float(b @ b)
-    nu_star = float(b @ g) / bb if bb > 0.0 else 0.0
+    dot = operator.matmul if len(times) <= _DOT_BLOCK else _blocked_dot
+    bb = float(dot(b, b))
+    nu_star = float(dot(b, g)) / bb if bb > 0.0 else 0.0
     nu = min(max(nu_star, 0.0), _NU_MAX)
     r = g - nu * b
-    cost = float(r @ r) + float(q @ q)
+    cost = float(dot(r, r)) + float(dot(q, q))
     return (delta, mu, nu, omega1), cost, (rotation, p, q, a, b, r, bb, bb > 0.0 and nu == nu_star)
 
 

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -495,6 +497,25 @@ class TestFit:
         assert payload["fixed_delta_mu_ratio"] == 11.5
         assert payload["nu"] == pytest.approx(tpp.decay.nu, rel=0.4)
 
+    def test_long_record_fit_is_independent_of_blas_threads(self, tpp, tmp_path, capsys):
+        # OpenBLAS splits a dot product of more than 10,000 elements across its
+        # threads, and the sum's rounding then follows the thread count: this
+        # fit wrote different JSON under OPENBLAS_NUM_THREADS=1 and =2.
+        record = tmp_path / "noisy-20k.csv"
+        noise = ("--noise", "0.01", "--seed", "3", "--out", str(record))
+        assert run(capsys, *tpp_flags(tpp, samples=20_000, extra=noise))[0] == EXIT_OK
+        outputs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "nhbloch.cli", "fit", str(record), "--fix-ratio", "11.5"],
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+                capture_output=True,
+                timeout=60,
+            )
+            assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("to_file", [False, True])
     def test_capped_fit_writes_its_result_then_one_line(self, tmp_path, capsys, to_file):
         # A free fit on this noisy record drifts along the delta ~ mu ridge
@@ -699,24 +720,133 @@ def reference_csv(times, mx, my, mz, purity=None):
 # Values whose repr is easy to get wrong: signed zero, the smallest subnormal,
 # a float beyond 2**53 and a decimal fraction with no exact binary form.
 AWKWARD = np.array([-0.0, 5e-324, 1e16, 0.1, -1.0 / 3.0, 2.5e-300, 123456789.0])
+CHUNK = cli._CSV_CHUNK_ROWS
+
+
+def awkward_columns(rows, with_purity=True):
+    return [np.resize(np.roll(AWKWARD, k), rows) for k in range(5 if with_purity else 4)]
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestCsvWriter:
     @pytest.mark.parametrize("offset", [None, -1, 0, 1])
     @pytest.mark.parametrize("with_purity", [True, False])
     def test_bytes_match_per_row_repr(self, offset, with_purity, tmp_path):
-        n = 1 if offset is None else cli._CSV_CHUNK_ROWS + offset
-        cols = [np.resize(np.roll(AWKWARD, k), n) for k in range(5)]
-        if not with_purity:
-            cols = cols[:4]
+        cols = awkward_columns(1 if offset is None else CHUNK + offset, with_purity)
         out = tmp_path / "w.csv"
         cli._write_text(str(out), cli._csv_text(*cols))
         assert out.read_bytes() == reference_csv(*cols).encode("utf-8")
 
     def test_stdout_matches_per_row_repr(self, capsys):
-        cols = [np.resize(np.roll(AWKWARD, k), cli._CSV_CHUNK_ROWS + 1) for k in range(5)]
+        cols = awkward_columns(CHUNK + 1)
         cli._write_text(None, cli._csv_text(*cols))
         assert capsys.readouterr().out == reference_csv(*cols)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The os.fork calls, each made by the real fork; tables from one chunk and a row up get a worker."""
+        if not (sys.platform == "linux" and len(os.sched_getaffinity(0)) >= 2):
+            pytest.skip("the two-process path needs Linux and two CPUs")
+        monkeypatch.setattr(cli, "_PARALLEL_MIN_ROWS", CHUNK + 1)
+        calls, fork = [], os.fork
+
+        def counted():
+            calls.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        return calls
+
+    @pytest.mark.parametrize("extra_rows", [1, CHUNK - 1, CHUNK, 2 * CHUNK + 5])
+    @pytest.mark.parametrize("with_purity", [True, False])
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_two_processes_match_per_row_repr(self, forks, tmp_path, capsys, extra_rows, with_purity, to_file):
+        cols = awkward_columns(CHUNK + extra_rows, with_purity)
+        out = tmp_path / "w.csv"
+        cli._write_text(str(out) if to_file else None, cli._csv_text(*cols))
+        written = out.read_text() if to_file else capsys.readouterr().out
+        assert written == reference_csv(*cols)
+        assert len(forks) == 1
+        assert_no_child()
+
+    @pytest.mark.parametrize("stop", ["close", "interrupt", "failed write"])
+    def test_early_exit_leaves_no_child(self, forks, monkeypatch, stop):
+        chunks = cli._csv_text(*awkward_columns(3 * CHUNK))
+        if stop == "failed write":
+
+            class FullStdout:
+                def writelines(self, lines):
+                    next(lines)
+                    raise OSError(28, "No space left on device")
+
+            monkeypatch.setattr(sys, "stdout", FullStdout())
+            with pytest.raises(OSError, match="No space left"):
+                cli._write_text(None, chunks)
+        else:
+            assert next(chunks) == "t,mx,my,mz,purity\n"
+            if stop == "close":
+                chunks.close()
+            else:
+                with pytest.raises(KeyboardInterrupt):
+                    chunks.throw(KeyboardInterrupt)
+        assert len(forks) == 1
+        assert_no_child()
+
+    @pytest.mark.parametrize("fault, status", [("raises", 1), ("stops short", 0), ("exits 3", 3)])
+    def test_failed_worker_is_an_error_and_leaves_no_file(
+        self, forks, tpp, tmp_path, capsys, monkeypatch, fault, status
+    ):
+        # The worker formats from a row past 0, the parent from row 0.
+        samples = 2 * CHUNK + 1
+        rows = {"raises": 0, "stops short": 1, "exits 3": samples - CHUNK}[fault]
+        chunks, exit_ = cli._csv_chunks, os._exit
+
+        def faulty(table, row, start, stop):
+            if start > 0 and fault == "raises":
+                raise RuntimeError("formatting fault")
+            return chunks(table, row, start, start + 1 if start > 0 and fault == "stops short" else stop)
+
+        monkeypatch.setattr(cli, "_csv_chunks", faulty)
+        if fault == "exits 3":
+            monkeypatch.setattr(os, "_exit", lambda code: exit_(code + 3))
+        out = tmp_path / "table.csv"
+        code, _, err = run(capsys, *tpp_flags(tpp, samples=samples, extra=("--out", str(out))))
+        assert code == EXIT_USAGE
+        assert err == (
+            f"error: the CSV formatting worker exited with status {status} after {rows}"
+            f" of its {samples - CHUNK} rows\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+        assert len(forks) == 1
+        assert_no_child()
+
+    def test_failed_fork_formats_on_one_process(self, forks, tmp_path, monkeypatch):
+        def fork():
+            forks.append(None)
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        cols = awkward_columns(2 * CHUNK + 5)
+        out = tmp_path / "w.csv"
+        cli._write_text(str(out), cli._csv_text(*cols))
+        assert out.read_text() == reference_csv(*cols)
+        assert len(forks) == 1
+        assert_no_child()
+
+    def test_simulate_emits_no_warning(self, forks, tpp, tmp_path, capsys):
+        # Python 3.12 and later warn on a fork in a process with threads, and
+        # numpy's OpenBLAS pool makes this one such.
+        out = tmp_path / "table.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, *tpp_flags(tpp, samples=3 * CHUNK, extra=("--out", str(out))))
+        assert (code, err) == (EXIT_OK, "")
+        assert len(forks) == 1
+        assert_no_child()
 
 
 def table(path, rows):
