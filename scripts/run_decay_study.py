@@ -12,10 +12,11 @@ from pathlib import Path
 import numpy as np
 
 from nhbloch.analytic import purity_closed_form
-from nhbloch.cli import _csv_text, _simulate, _write_text
+from nhbloch.cli import _simulate
 from nhbloch.dynamics import max_deviation
 from nhbloch.fit import residual_magnetization_stats
 from nhbloch.nmr import P31_SAMPLES, p31_sample
+from nhbloch.table import _csv_text, _write_text
 
 
 def main():

@@ -3,16 +3,9 @@
 Frequencies are taken in Hz on the command line and converted by 2*pi
 internally; decay rates are plain 1/s; angles are given in units of pi
 (``--phi 1.5`` means 3*pi/2). Every float flag must be finite. Trajectory
-tables use the CSV contract
-
-    t,mx,my,mz[,purity]
-
-with LF line endings, '.' decimals and seconds for time; the purity column
-appears on output only. On Linux, when this process may run on two CPUs or
-more, a table of _PARALLEL_MIN_ROWS rows or more is formatted by two
-processes, a forked worker writing the back half, with the same bytes as
-on one. JSON results carry ``schema_version`` "1" and are strict JSON (no
-NaN or Infinity). File writes are whole-file atomic.
+tables are written and read by :mod:`nhbloch.table`, whose module docstring
+states their CSV contract. JSON results carry ``schema_version`` "1" and are
+strict JSON (no NaN or Infinity). File writes are whole-file atomic.
 
 Exit codes: 0 success; 1 with one ``error:`` line when a flag, a flag
 combination or an input file is refused; 2 with one ``numerical failure:``
@@ -21,26 +14,17 @@ failed fit, a record whose m_y rules the fit model out, a result that strict
 JSON cannot hold, a compare whose arithmetic overflows, a fit stopped at its
 iteration cap, whose result is written first, or a free fit whose LM step
 leaves the float range). A CSV source is read by its format alone; ``fit``
-then applies the fit's record rules to it. numpy's C tokenizer reads a table
-whose bytes are printable ASCII, tab, LF and CR and whose rows it accepts;
-every other table goes to a per-line parser, which gives the same numbers
-and names the line of any fault.
+then applies the fit's record rules to it.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import gc
 import json
 import math
-import os
 import re
-import signal
 import sys
-import tempfile
-import warnings
-from typing import NoReturn
 
 import numpy as np
 
@@ -66,6 +50,7 @@ from .dynamics import (
 )
 from .fit import _DOT_BLOCK, FitRangeError, _blocked_dot, _encode, check_record, fit_decay_model
 from .nmr import ROOM_TEMPERATURE_K, drive_field, partition_function, polarization_factor, thermal_argument
+from .table import UsageError, _csv_text, _read_series, _write_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -80,242 +65,8 @@ _SINGULAR_T0 = 1e-9
 # many standard deviations below white noise's (see _check_my_signal).
 _MY_SIGNAL_Z = 5.0
 
-# Rows per chunk when CSV tables are formatted: whole-table text costs
-# memory in proportion to the record, a few thousand rows do not.
-_CSV_CHUNK_ROWS = 4096
-
-# Rows from which a table is formatted by two processes (see _csv_text). On a
-# 2-vCPU x86-64 host two processes take about 15-20 ms longer than half the
-# one-process time (the fork, copy-on-write page faults, the pipe): they won
-# nearly every timing from 6 chunks up, and lost or split them at 2-4 chunks.
-# It must exceed _CSV_CHUNK_ROWS, so that each process has rows to format.
-_PARALLEL_MIN_ROWS = 6 * _CSV_CHUNK_ROWS
-
-# Bytes per read of the worker's text from its pipe, the pipe's default
-# capacity on Linux: the parent holds at most this much of it at a time.
-_PIPE_READ_BYTES = 1 << 16
-
-# The DeprecationWarning of Python 3.12 and later on a fork in a process with
-# threads; numpy's OpenBLAS threads count.
-_FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead to deadlocks"
-
-# Bytes on which numpy's C tokenizer and the per-line parser agree: printable
-# ASCII, tab, LF and CR. str.splitlines also breaks lines at \x0b, \x0c and
-# \x1c-\x1e, and numpy strips \x1c-\x1f around a number where float() refuses it.
-_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n\r"
-
-# The C parser's row type per accepted header: purity is read as one byte, never as a number.
-_ROW_DTYPES = {
-    "t,mx,my,mz": np.dtype([("t", float), ("m", float, 3)]),
-    "t,mx,my,mz,purity": np.dtype([("t", float), ("m", float, 3), ("purity", "S1")]),
-}
-
-
-class UsageError(Exception):
-    pass
-
-
-def _write_text(path: str | None, text):
-    """Write ``text``, a string or a generator of string chunks, to stdout or path.
-
-    A file is written to a temporary sibling and renamed into place, so it
-    appears whole or not at all however many chunks it was streamed in. A
-    generator is closed on the way out, a failed write included, so that its
-    clean-up runs at once.
-    """
-    chunks = (text,) if isinstance(text, str) else text
-    try:
-        if path is None:
-            sys.stdout.writelines(chunks)
-            return
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".nhbloch-")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-                handle.writelines(chunks)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-    finally:
-        if not isinstance(text, str):
-            text.close()
-
-
 def _json_text(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
-def _csv_chunks(table: np.ndarray, row: str, start: int, stop: int):
-    """Yield rows start:stop of ``table`` as text, _CSV_CHUNK_ROWS rows per ``%`` format of ``row``."""
-    for begin in range(start, stop, _CSV_CHUNK_ROWS):
-        chunk = table[begin : min(begin + _CSV_CHUNK_ROWS, stop)]
-        yield (row * len(chunk)) % tuple(chunk.ravel().tolist())
-
-
-def _csv_worker(table: np.ndarray, row: str, start: int, read_fd: int, write_fd: int) -> NoReturn:
-    """The forked worker of _csv_text: write rows start: of ``table`` to ``write_fd`` as ASCII, then exit.
-
-    It formats every row before it writes, so that it runs while the parent
-    formats the rows before ``start`` rather than waiting on a full pipe.
-    It leaves by os._exit alone: status 0 once every byte is written, 1 on
-    any exception, without unwinding into the parent's code.
-    """
-    code = 1
-    try:
-        gc.disable()  # a collection could run finalizers of the parent's objects, say flush a shared file
-        os.close(read_fd)
-        blocks = [text.encode("ascii") for text in _csv_chunks(table, row, start, len(table))]
-        for block in blocks:
-            view = memoryview(block)
-            while view:
-                view = view[os.write(write_fd, view) :]
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _fork_csv_worker(table: np.ndarray, row: str) -> tuple[int, int, int]:
-    """(pid, pipe read end, first row) of a forked _csv_worker for the back half of ``table``.
-
-    The first row is a chunk boundary near the middle. When fork fails it
-    returns (0, -1, len(table)): no worker, and the caller formats every row.
-    """
-    split = _CSV_CHUNK_ROWS * max(1, round(len(table) / (2 * _CSV_CHUNK_ROWS)))
-    read_fd, write_fd = os.pipe()
-    with warnings.catch_warnings():
-        # The threads of this process (numpy's OpenBLAS pool) hold no lock the
-        # worker needs: it formats floats already in memory and writes them to
-        # a pipe, with no import, no lock, no BLAS call, and leaves by os._exit.
-        warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-            return 0, -1, len(table)
-        if pid == 0:
-            _csv_worker(table, row, split, read_fd, write_fd)  # the worker never leaves this block
-    os.close(write_fd)
-    return pid, read_fd, split
-
-
-def _csv_text(times, mx, my, mz, purity=None):
-    """Yield the CSV table in chunks of _CSV_CHUNK_ROWS rows, each float as its repr.
-
-    A chunk is one ``%`` format of the row pattern ``%r,...,%r\\n``, repeated
-    once per row, over the chunk's values in row order: the only per-value
-    work left in Python is ``repr`` itself.
-
-    A table of at least _PARALLEL_MIN_ROWS rows is formatted by two
-    processes on Linux when this process may run on two CPUs or more: a
-    forked worker formats the back half (see _fork_csv_worker) while this
-    process formats the front half, and its text is then passed on in blocks
-    of at most _PIPE_READ_BYTES. The bytes are the same as on one process.
-    Closing the generator early, or any exception in it, kills and reaps the
-    worker; a worker that fails or sends too few rows raises OSError.
-    """
-    columns = [times, mx, my, mz] + ([purity] if purity is not None else [])
-    table = np.column_stack(columns)
-    row = ",".join(["%r"] * len(columns)) + "\n"
-    two_processes = (
-        len(table) >= _PARALLEL_MIN_ROWS
-        and sys.platform == "linux"
-        and hasattr(os, "fork")
-        and len(os.sched_getaffinity(0)) >= 2
-    )
-    pid, read_fd, split = _fork_csv_worker(table, row) if two_processes else (0, -1, len(table))
-    try:
-        yield "t,mx,my,mz" + (",purity" if purity is not None else "") + "\n"
-        yield from _csv_chunks(table, row, 0, split)
-        if not pid:
-            return
-        # One buffer serves every read. A bytes object per read, which os.read
-        # shrinks to the bytes it got, leaves holes in the heap: over 30 tables
-        # it raised the peak RSS of a process that keeps running by 5 MiB.
-        rows, buffer = 0, bytearray(_PIPE_READ_BYTES)
-        while count := os.readv(read_fd, [buffer]):
-            rows += buffer.count(b"\n", 0, count)
-            yield str(memoryview(buffer)[:count], "ascii")
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        pid = 0
-        if code != 0 or rows != len(table) - split:
-            raise OSError(
-                f"the CSV formatting worker exited with status {code} after {rows}"
-                f" of its {len(table) - split} rows"
-            )
-    finally:
-        if read_fd >= 0:
-            os.close(read_fd)
-        if pid:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _read_plain(path: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """The (times, bloch) of a table by numpy's C parser, or None.
-
-    Its numbers are used only where they provably equal _parse_lines': bytes
-    in _PLAIN_BYTES only, an accepted header, rows of that header's columns,
-    and no '#' taken for a comment. Any other file, a row numpy refuses and a
-    file with no rows give None, and _parse_lines reads the file.
-    """
-    with open(path, "r", encoding="ascii") as handle:  # universal newlines break lines as splitlines does here
-        if not handle.seekable():
-            return None  # a pipe: _parse_lines reads it once
-        for block in iter(functools.partial(handle.buffer.read, 1 << 16), b""):
-            if block.translate(None, _PLAIN_BYTES):
-                return None
-        handle.seek(0)
-        dtype = _ROW_DTYPES.get(handle.readline().strip())
-        if dtype is None:
-            return None
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", UserWarning)  # numpy warns, not raises, on no rows
-                rows = np.loadtxt(handle, dtype, delimiter=",", comments=None, ndmin=1)
-        except (ValueError, UserWarning):
-            return None
-    return rows["t"].copy(), rows["m"].copy()  # contiguous: the fields are strided, unaligned views
-
-
-def _parse_lines(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """The (times, bloch) of a table, one line at a time; a refusal names the first bad line."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            lines = handle.read().splitlines()
-        except UnicodeDecodeError as exc:
-            raise UsageError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    if not lines:
-        raise UsageError(f"{path}:1: empty file, expected header 't,mx,my,mz'")
-    header = lines[0].strip()
-    if header not in _ROW_DTYPES:
-        raise UsageError(f"{path}:1: bad header {header!r}, expected 't,mx,my,mz[,purity]'")
-    ncols = header.count(",") + 1
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != ncols:
-            raise UsageError(f"{path}:{lineno}: expected {ncols} columns, got {len(parts)}")
-        try:
-            rows.append([float(p) for p in parts[:4]])  # the purity column is output only, never parsed
-        except ValueError as exc:
-            raise UsageError(f"{path}:{lineno}: {exc}") from None
-    if not rows:
-        raise UsageError(f"{path}:2: no data rows")
-    data = np.array(rows)
-    return data[:, 0], data[:, 1:]
-
-
-def _read_series(path: str) -> Trajectory:
-    columns = _read_plain(path) or _parse_lines(path)
-    try:
-        return Trajectory(*columns)
-    except ValueError as exc:
-        raise UsageError(f"{path}: {exc}") from None
 
 
 def _finite(text: str) -> float:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from nhbloch import cli
+from nhbloch import table as table_io
 from nhbloch.analytic import CoherentField, decay_f
 from nhbloch.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from nhbloch.nmr import HBAR, KB, ROOM_TEMPERATURE_K
@@ -720,7 +721,7 @@ def reference_csv(times, mx, my, mz, purity=None):
 # Values whose repr is easy to get wrong: signed zero, the smallest subnormal,
 # a float beyond 2**53 and a decimal fraction with no exact binary form.
 AWKWARD = np.array([-0.0, 5e-324, 1e16, 0.1, -1.0 / 3.0, 2.5e-300, 123456789.0])
-CHUNK = cli._CSV_CHUNK_ROWS
+CHUNK = table_io._CSV_CHUNK_ROWS
 
 
 def awkward_columns(rows, with_purity=True):
@@ -738,12 +739,12 @@ class TestCsvWriter:
     def test_bytes_match_per_row_repr(self, offset, with_purity, tmp_path):
         cols = awkward_columns(1 if offset is None else CHUNK + offset, with_purity)
         out = tmp_path / "w.csv"
-        cli._write_text(str(out), cli._csv_text(*cols))
+        table_io._write_text(str(out), table_io._csv_text(*cols))
         assert out.read_bytes() == reference_csv(*cols).encode("utf-8")
 
     def test_stdout_matches_per_row_repr(self, capsys):
         cols = awkward_columns(CHUNK + 1)
-        cli._write_text(None, cli._csv_text(*cols))
+        table_io._write_text(None, table_io._csv_text(*cols))
         assert capsys.readouterr().out == reference_csv(*cols)
 
     @pytest.fixture
@@ -751,7 +752,7 @@ class TestCsvWriter:
         """The os.fork calls, each made by the real fork; tables from one chunk and a row up get a worker."""
         if not (sys.platform == "linux" and len(os.sched_getaffinity(0)) >= 2):
             pytest.skip("the two-process path needs Linux and two CPUs")
-        monkeypatch.setattr(cli, "_PARALLEL_MIN_ROWS", CHUNK + 1)
+        monkeypatch.setattr(table_io, "_PARALLEL_MIN_ROWS", CHUNK + 1)
         calls, fork = [], os.fork
 
         def counted():
@@ -767,7 +768,7 @@ class TestCsvWriter:
     def test_two_processes_match_per_row_repr(self, forks, tmp_path, capsys, extra_rows, with_purity, to_file):
         cols = awkward_columns(CHUNK + extra_rows, with_purity)
         out = tmp_path / "w.csv"
-        cli._write_text(str(out) if to_file else None, cli._csv_text(*cols))
+        table_io._write_text(str(out) if to_file else None, table_io._csv_text(*cols))
         written = out.read_text() if to_file else capsys.readouterr().out
         assert written == reference_csv(*cols)
         assert len(forks) == 1
@@ -775,7 +776,7 @@ class TestCsvWriter:
 
     @pytest.mark.parametrize("stop", ["close", "interrupt", "failed write"])
     def test_early_exit_leaves_no_child(self, forks, monkeypatch, stop):
-        chunks = cli._csv_text(*awkward_columns(3 * CHUNK))
+        chunks = table_io._csv_text(*awkward_columns(3 * CHUNK))
         if stop == "failed write":
 
             class FullStdout:
@@ -785,7 +786,7 @@ class TestCsvWriter:
 
             monkeypatch.setattr(sys, "stdout", FullStdout())
             with pytest.raises(OSError, match="No space left"):
-                cli._write_text(None, chunks)
+                table_io._write_text(None, chunks)
         else:
             assert next(chunks) == "t,mx,my,mz,purity\n"
             if stop == "close":
@@ -803,14 +804,14 @@ class TestCsvWriter:
         # The worker formats from a row past 0, the parent from row 0.
         samples = 2 * CHUNK + 1
         rows = {"raises": 0, "stops short": 1, "exits 3": samples - CHUNK}[fault]
-        chunks, exit_ = cli._csv_chunks, os._exit
+        chunks, exit_ = table_io._csv_chunks, os._exit
 
         def faulty(table, row, start, stop):
             if start > 0 and fault == "raises":
                 raise RuntimeError("formatting fault")
             return chunks(table, row, start, start + 1 if start > 0 and fault == "stops short" else stop)
 
-        monkeypatch.setattr(cli, "_csv_chunks", faulty)
+        monkeypatch.setattr(table_io, "_csv_chunks", faulty)
         if fault == "exits 3":
             monkeypatch.setattr(os, "_exit", lambda code: exit_(code + 3))
         out = tmp_path / "table.csv"
@@ -832,7 +833,7 @@ class TestCsvWriter:
         monkeypatch.setattr(os, "fork", fork)
         cols = awkward_columns(2 * CHUNK + 5)
         out = tmp_path / "w.csv"
-        cli._write_text(str(out), cli._csv_text(*cols))
+        table_io._write_text(str(out), table_io._csv_text(*cols))
         assert out.read_text() == reference_csv(*cols)
         assert len(forks) == 1
         assert_no_child()
@@ -865,7 +866,7 @@ def csv_rows(n, ncols):
 
 def valid_across_chunks(ncols, newline):
     """The valid file of TestCsvReader.test_valid_file_across_chunks: 2 chunks and 3 rows, two blank lines."""
-    rows = csv_rows(2 * cli._CSV_CHUNK_ROWS + 3, ncols)
+    rows = csv_rows(2 * table_io._CSV_CHUNK_ROWS + 3, ncols)
     lines = ["t,mx,my,mz" + (",purity" if ncols == 5 else "")] + rows[:7] + ["", "  "] + rows[7:]
     return newline.join(lines) + newline
 
@@ -943,13 +944,13 @@ def reader_cases(chunk):
     }
 
 
-READER_CASES = reader_cases(cli._CSV_CHUNK_ROWS)
+READER_CASES = reader_cases(table_io._CSV_CHUNK_ROWS)
 
 
 def agreement_cases():
     """Files on which numpy's tokenizer and the per-line parser could differ, and whether the fast path answers.
 
-    Each guard of cli._read_plain has a case here that fails without it: the
+    Each guard of table_io._read_plain has a case here that fails without it: the
     byte set (unit separator, vertical tab, form feed, BOM, non-ASCII digit),
     the header, the column count, comments=None ('#'), the warning fallback
     (header only) and ndmin=1 (one row).
@@ -1016,17 +1017,17 @@ class TestCsvReader:
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     def test_valid_file_across_chunks(self, ncols, newline, tmp_path):
         header = "t,mx,my,mz" + (",purity" if ncols == 5 else "")
-        rows = csv_rows(2 * cli._CSV_CHUNK_ROWS + 3, ncols)
+        rows = csv_rows(2 * table_io._CSV_CHUNK_ROWS + 3, ncols)
         lines = [header] + rows[:7] + ["", "  "] + rows[7:]
         path = tmp_path / "ok.csv"
         path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
-        series = cli._read_series(str(path))
+        series = table_io._read_series(str(path))
         expected = np.array([[float(x) for x in row.split(",")[:4]] for row in rows])
         np.testing.assert_array_equal(np.column_stack([series.times, series.bloch]), expected)
 
     def test_undecodable_bytes_are_a_parse_error(self, tmp_path, capsys):
         path = tmp_path / "latin1.csv"
-        lines = ["t,mx,my,mz"] + csv_rows(2 * cli._CSV_CHUNK_ROWS, 4)
+        lines = ["t,mx,my,mz"] + csv_rows(2 * table_io._CSV_CHUNK_ROWS, 4)
         path.write_bytes(("\n".join(lines) + "\n").encode("utf-8") + b"0.5,\xff,0.0,1.0\n")
         code, _, err = run(capsys, "fit", str(path))
         assert code == EXIT_USAGE
@@ -1036,7 +1037,7 @@ class TestCsvReader:
         # The per-line parser decodes the whole file first, so the rule does
         # not depend on how far ahead a reader buffers.
         path = tmp_path / "mixed.csv"
-        lines = with_line(["t,mx,my,mz"] + csv_rows(2 * cli._CSV_CHUNK_ROWS, 4), 3, "oops,0.0,0.0,1.0")
+        lines = with_line(["t,mx,my,mz"] + csv_rows(2 * table_io._CSV_CHUNK_ROWS, 4), 3, "oops,0.0,0.0,1.0")
         path.write_bytes(("\n".join(lines) + "\n").encode("utf-8") + b"0.5,\xff,0.0,1.0\n")
         code, _, err = run(capsys, "fit", str(path))
         assert code == EXIT_USAGE
@@ -1047,12 +1048,12 @@ class TestCsvReader:
         text, fast_answers = AGREEMENT_CASES[case]
         path = tmp_path / "t.csv"
         path.write_bytes(text.encode("utf-8"))
-        fast = cli._read_plain(str(path))
+        fast = table_io._read_plain(str(path))
         if fast_answers is not None:
             assert (fast is not None) == fast_answers
         try:
-            slow = cli._parse_lines(str(path))
-        except cli.UsageError:
+            slow = table_io._parse_lines(str(path))
+        except table_io.UsageError:
             assert fast is None
             return
         if fast is not None:
@@ -1068,9 +1069,9 @@ class TestCsvReader:
         ]
         path = tmp_path / "ok.csv"
         path.write_bytes((newline.join([header] + rows) + newline).encode("utf-8"))
-        fast = cli._read_plain(str(path))
+        fast = table_io._read_plain(str(path))
         assert fast is not None
-        assert bits(fast) == bits(cli._parse_lines(str(path)))
+        assert bits(fast) == bits(table_io._parse_lines(str(path)))
         # Copies, not views of the row records: every vector operation of a fit runs on them.
         assert all(column.flags.c_contiguous and column.flags.aligned for column in fast)
 
@@ -1086,15 +1087,226 @@ class TestCsvReader:
 
     def test_reader_applies_no_fit_rule(self, tmp_path):
         path = table(tmp_path / "rec.csv", [(0.0, 0.0, 0.0, 2.0)])
-        np.testing.assert_array_equal(cli._read_series(path).bloch, [[0.0, 0.0, 2.0]])
+        np.testing.assert_array_equal(table_io._read_series(path).bloch, [[0.0, 0.0, 2.0]])
 
     def test_purity_column_is_not_parsed(self, tmp_path):
         lines = ["t,mx,my,mz,purity"] + [row[: row.rindex(",")] + ",n/a" for row in csv_rows(9, 5)]
         path = tmp_path / "p.csv"
         path.write_text("\n".join(lines) + "\n")
-        series = cli._read_series(str(path))
+        series = table_io._read_series(str(path))
         assert len(series) == 9
         np.testing.assert_array_equal(series.bloch[:, 0], [math.sin(i) for i in range(9)])
+
+
+def split_of(data: bytes) -> int:
+    """Where the two-process reader splits ``data``: just after the first LF at or after the byte midpoint."""
+    newline = data.find(b"\n", len(data) // 2)
+    return len(data) if newline < 0 else newline + 1
+
+
+def insert_at_split(lines, inserted, newline, where):
+    """``lines`` with ``inserted`` lines placed just "before" or just "after" the reader's split of the file.
+
+    Leading zeros on the last row's m_y field ("0.0" of csv_rows) move the
+    midpoint a byte at a time without changing any number.
+    """
+    middle = len(lines) // 2
+    for pad in range(80):
+        padded = lines[:-1] + [lines[-1].replace(",0.0,", "," + "0" * pad + "0.0,", 1)]
+        for index in range(middle - 3, middle + 3):
+            candidate = padded[:index] + inserted + padded[index:]
+            data = (newline.join(candidate) + newline).encode("ascii")
+            boundary = index + (len(inserted) if where == "before" else 0)
+            if split_of(data) == len(newline.join(candidate[:boundary]) + newline):
+                return candidate
+    raise AssertionError("no insertion point lands on the split")
+
+
+class TestSplitReader:
+    """The reader on two processes: the threshold lowered to one byte, each fork made by the real os.fork."""
+
+    ROWS = 2000
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        if not (sys.platform == "linux" and len(os.sched_getaffinity(0)) >= 2):
+            pytest.skip("the two-process path needs Linux and two CPUs")
+        monkeypatch.setattr(table_io, "_PARALLEL_MIN_BYTES", 1)
+        calls, fork = [], os.fork
+
+        def counted():
+            calls.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        return calls
+
+    @staticmethod
+    def one_process(path, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(table_io, "_PARALLEL_MIN_BYTES", 1 << 62)
+            return table_io._read_plain(path)
+
+    def write(self, tmp_path, lines, newline="\n"):
+        path = tmp_path / "split.csv"
+        path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+        return str(path)
+
+    @pytest.mark.parametrize("ncols", [4, 5])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_same_arrays_as_one_process(self, forks, tmp_path, monkeypatch, ncols, newline):
+        header = "t,mx,my,mz" + (",purity" if ncols == 5 else "")
+        words = [repr(float(v)) for v in AWKWARD] + ["1e308", "-2.5E-310", "+.5", "7.", "0001.25"]
+        rows = [
+            ",".join([repr(i * 1e-6)] + [words[(i + k) % len(words)] for k in range(ncols - 1)])
+            for i in range(self.ROWS)
+        ]
+        path = self.write(tmp_path, [header] + rows, newline)
+        two = table_io._read_plain(path)
+        assert two is not None
+        assert bits(two) == bits(self.one_process(path, monkeypatch)) == bits(table_io._parse_lines(path))
+        assert all(column.flags.c_contiguous and column.flags.aligned for column in two)
+        assert len(forks) == (0 if newline == "\r" else 1)  # CR-only has no LF to split at
+        assert_no_child()
+
+    @pytest.mark.parametrize("ncols", [4, 5])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("inserted", [[""], ["", ""], ["  "], ["", "\t ", ""]])
+    @pytest.mark.parametrize("where", ["before", "after"])
+    def test_blank_lines_at_the_split(self, forks, tmp_path, monkeypatch, ncols, newline, inserted, where):
+        header = "t,mx,my,mz" + (",purity" if ncols == 5 else "")
+        lines = insert_at_split([header] + csv_rows(self.ROWS, ncols), inserted, newline, where)
+        path = self.write(tmp_path, lines, newline)
+        two = table_io._read_plain(path)
+        slow = table_io._parse_lines(path)
+        if all(line == "" for line in inserted):
+            assert two is not None  # empty lines are no refusal
+        assert bits(table_io._read_series(path).times) == bits(slow[0])
+        if two is not None:
+            assert bits(two) == bits(self.one_process(path, monkeypatch)) == bits(slow)
+        assert len(forks) == 2
+        assert_no_child()
+
+    def test_crlf_cut_between_two_reads(self, forks, tmp_path, monkeypatch):
+        # Leading zeros on the m_y field of the last row that ends in the
+        # first 64 KiB read move its CR to the read's last byte, its LF after.
+        lines = ["t,mx,my,mz"] + csv_rows(self.ROWS, 4)
+        block = table_io._PIPE_READ_BYTES
+        ends = np.cumsum([len(line) + 2 for line in lines]) - 2  # the offset of each line's CR
+        last = int(np.searchsorted(ends, block - 1, side="right")) - 1
+        pad = block - 1 - int(ends[last])
+        lines[last] = lines[last].replace(",0.0,", "," + "0" * pad + "0.0,", 1)
+        data = ("\r\n".join(lines) + "\r\n").encode("ascii")
+        assert data[block - 1 : block + 1] == b"\r\n"
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(data)
+        one = self.one_process(str(path), monkeypatch)
+        assert one is not None
+        assert bits(one) == bits(table_io._read_plain(str(path))) == bits(table_io._parse_lines(str(path)))
+        assert len(forks) == 1
+        assert_no_child()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("1.0,oops,0.0,1.0", "could not convert string to float: 'oops'"),
+            ("#10.0,0.0,0.0,1.0", "could not convert string to float: '#10.0'"),
+            ("0.5,\u00e9,0.0,1.0", "could not convert string to float: '\u00e9'"),
+            ("1.0,2.0,3.0", "expected 4 columns, got 3"),
+        ],
+    )
+    def test_fault_in_the_back_half_only(self, forks, tmp_path, capsys, line, message):
+        lines = ["t,mx,my,mz"] + csv_rows(self.ROWS, 4)
+        lineno = len(lines) - 10
+        path = self.write(tmp_path, with_line(lines, lineno, line))
+        with open(path, "rb") as handle:
+            data = handle.read()
+        assert data.index(line.encode("utf-8")) > split_of(data)
+        code, out, err = run(capsys, "fit", path)
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {path}:{lineno}: {message}\n")
+        assert len(forks) == 1
+        assert_no_child()
+
+    @pytest.mark.parametrize("case", list(READER_CASES))
+    def test_malformed_file_message(self, forks, case, tmp_path, capsys):
+        text, suffix = READER_CASES[case]
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode("utf-8"))
+        code, out, err = run(capsys, "fit", str(path))
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {path}{suffix}\n")
+        assert_no_child()
+
+    def test_pipe_is_read_by_one_process(self, forks, tmp_path):
+        lines = ["t,mx,my,mz"] + csv_rows(200, 4)
+        data = ("\n".join(lines) + "\n").encode("ascii")
+        assert len(data) < 1 << 16  # the pipe holds it all
+        read_fd, write_fd = os.pipe()
+        try:
+            os.write(write_fd, data)
+            os.close(write_fd)
+            series = table_io._read_series(f"/dev/fd/{read_fd}")
+        finally:
+            os.close(read_fd)
+        path = self.write(tmp_path, lines)
+        assert bits([series.times, series.bloch]) == bits(table_io._parse_lines(path))
+        assert forks == []
+        assert_no_child()
+
+    def test_failed_fork_reads_on_one_process(self, forks, tmp_path, monkeypatch):
+        def fork():
+            forks.append(None)
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        path = self.write(tmp_path, ["t,mx,my,mz,purity"] + csv_rows(self.ROWS, 5))
+        two = table_io._read_plain(path)
+        assert bits(two) == bits(self.one_process(path, monkeypatch))
+        assert len(forks) == 1
+        assert_no_child()
+
+    @pytest.mark.parametrize(
+        "fault, status, how",
+        [("killed", -9, "before"), ("raises", 1, "before"), ("stops short", 0, "before"), ("exits 3", 3, "after")],
+    )
+    def test_failed_worker_is_an_error(self, forks, tmp_path, capsys, monkeypatch, fault, status, how):
+        # The worker reads from the split, the parent from byte 0.
+        lines, send, exit_ = table_io._lines, table_io._send, os._exit
+
+        def faulty_lines(fd, start, stop):
+            if start > 0 and fault == "killed":
+                os.kill(os.getpid(), 9)
+            if start > 0 and fault == "raises":
+                raise RuntimeError("parsing fault")
+            return lines(fd, start, stop)
+
+        monkeypatch.setattr(table_io, "_lines", faulty_lines)
+        if fault == "stops short":
+            monkeypatch.setattr(table_io, "_send", lambda pipe, *blocks: send(pipe, *blocks[:2]))
+        if fault == "exits 3":
+            monkeypatch.setattr(os, "_exit", lambda code: exit_(code + 3))
+        path = self.write(tmp_path, ["t,mx,my,mz"] + csv_rows(self.ROWS, 4))
+        with open(path, "rb") as handle:
+            split = split_of(handle.read())
+        code, out, err = run(capsys, "fit", path)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            f"error: the CSV parsing worker exited with status {status} {how} sending every row of {path}"
+            f" from byte {split}\n"
+        )
+        assert len(forks) == 1
+        assert_no_child()
+
+    def test_fit_emits_no_warning(self, forks, tpp, tmp_path, capsys):
+        # Python 3.12 and later warn on a fork in a process with threads, and
+        # numpy's OpenBLAS pool makes this one such.
+        record = tmp_path / "record.csv"
+        assert main(tpp_flags(tpp, samples=self.ROWS, extra=("--out", str(record)))) == EXIT_OK
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "fit", str(record), "--fix-ratio", "11.5")
+        assert (code, err) == (EXIT_OK, "")
+        assert len(forks) == 1
+        assert_no_child()
 
 
 class TestCompare:
@@ -1325,6 +1537,39 @@ class TestCompareReadsAnyWellFormedTable:
         assert code == EXIT_NUMERICAL
         assert out == ""
         assert err == f"numerical failure: comparing {path} with analytic overflows\n"
+
+
+class TestBoundaryValues:
+    """Each refusal at the exact value its message names: the edge itself is accepted or refused as stated."""
+
+    GRID = ("--t-max", "1e-3", "--samples", "16")
+
+    def test_zero_noise_is_accepted(self, capsys):
+        code, out, err = run(capsys, "simulate", "--rabi-hz", "1e3", *self.GRID, "--noise", "0", "--seed", "1")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.count("\n") == 17
+
+    def test_fix_ratio_one_is_accepted(self, tpp, tmp_path, capsys):
+        record = tmp_path / "r.csv"
+        assert main(tpp_flags(tpp, extra=("--noise", "0.01", "--seed", "3", "--out", str(record)))) == EXIT_OK
+        code, out, err = run(capsys, "fit", str(record), "--fix-ratio", "1")
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["fixed_delta_mu_ratio"] == 1.0
+
+    def test_fix_ratio_just_below_one_is_refused(self, tmp_path, capsys):
+        # The ratio is checked before the record is read.
+        code, out, err = run(capsys, "fit", str(tmp_path / "absent.csv"), "--fix-ratio", "0.9999999999999999")
+        assert (code, out, err) == (EXIT_USAGE, "", "error: --fix-ratio must be at least 1\n")
+
+    def test_zero_mu_with_positive_delta_is_refused(self, capsys):
+        decay = ("--mu", "0", "--delta", "1e3", "--nu", "0.1")
+        code, out, err = run(capsys, "simulate", "--rabi-hz", "1e3", *decay, *self.GRID)
+        assert (code, out, err) == (EXIT_USAGE, "", "error: decay rates must be positive\n")
+
+    def test_zero_larmor_frequency_is_a_usage_error(self, capsys):
+        # cli's own check answers before nmr.thermal_argument's ValueError, which would exit 2.
+        code, out, err = run(capsys, "thermal", "--larmor-hz", "0")
+        assert (code, out, err) == (EXIT_USAGE, "", "error: larmor frequency and temperature must be positive\n")
 
 
 class TestThermal:

@@ -22,6 +22,7 @@ LAYERS = {
     "dynamics": {"analytic", "core"},
     "fit": {"analytic", "core"},
     "nmr": {"analytic", "core"},
+    "table": {"core"},
 }
 TOP = ("__init__", "cli")
 

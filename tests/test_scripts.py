@@ -6,9 +6,9 @@ from pathlib import Path
 
 import numpy as np
 
-from nhbloch import cli
 from nhbloch.analytic import trajectory
 from nhbloch.nmr import p31_sample
+from nhbloch.table import _read_series
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -86,7 +86,7 @@ def test_decay_study_writes_tables_and_cross_checks(tmp_path):
         path = tmp_path / f"{name}_magnetization.csv"
         assert path.read_text().splitlines()[0] == "t,mx,my,mz,purity"
         # The table reads back through the CLI's reader, bit for bit.
-        table = cli._read_series(str(path))
+        table = _read_series(str(path))
         field, decay = p31_sample(name)
         np.testing.assert_array_equal(table.times, times)
         np.testing.assert_array_equal(table.bloch, trajectory(field, decay, times))
