@@ -39,7 +39,9 @@ from .fit import (
     DegenerateJacobianError,
     FitRangeError,
     FitResult,
+    check_guess,
     check_record,
+    check_resonance,
     default_initial_guess,
     fit_decay_model,
     residual_magnetization_stats,
@@ -77,7 +79,9 @@ __all__ = [
     "ROOM_TEMPERATURE_K",
     "Trajectory",
     "bloch_to_density",
+    "check_guess",
     "check_record",
+    "check_resonance",
     "coherent_bloch",
     "damped_bloch",
     "damping_provider",

@@ -14,7 +14,7 @@ failed fit, a record whose m_y rules the fit model out, a result that strict
 JSON cannot hold, a compare whose arithmetic overflows, a fit stopped at its
 iteration cap, whose result is written first, or a free fit whose LM step
 leaves the float range). A CSV source is read by its format alone; ``fit``
-then applies the fit's record rules to it.
+calls the input rules of :mod:`nhbloch.fit` and maps their refusals to exit codes.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .dynamics import (
     integrate_density,
     max_deviation,
 )
-from .fit import _DOT_BLOCK, FitRangeError, _blocked_dot, _encode, check_record, fit_decay_model
+from .fit import FitRangeError, check_guess, check_record, check_resonance, fit_decay_model
 from .nmr import ROOM_TEMPERATURE_K, drive_field, partition_function, polarization_factor, thermal_argument
 from .table import UsageError, _csv_text, _read_series, _write_text
 
@@ -61,9 +61,6 @@ _MODELS = ("analytic", "ode-bloch", "ode-density")
 # Seed time for ODE runs with decay: the damping coefficients diverge at 0.
 _SINGULAR_T0 = 1e-9
 
-# fit refuses a record whose m_y ratio of successive differences lies this
-# many standard deviations below white noise's (see _check_my_signal).
-_MY_SIGNAL_Z = 5.0
 
 def _json_text(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
@@ -324,32 +321,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _check_my_signal(series: Trajectory):
-    """Refuse, with a ValueError, a record whose m_y rules the fit model out.
-
-    The model drives on resonance along -y (phi = 1.5 pi), which keeps m_y
-    at 0; any other phase or a detuning puts signal there. The von Neumann
-    ratio eta = sum(diff(my)^2) / sum(my^2) of white noise about zero is 2
-    with variance 4/N, and smooth structure pulls it toward 0, so
-    z = (2 - eta) / sqrt(4/N) > _MY_SIGNAL_Z flags signal. An m_y below
-    sqrt(eps) of the record's amplitude is rounding residue (about 1e-16 on a
-    clean resonant record) and is never signal.
-    """
-    mx, my, mz = series.bloch.T
-    power = float(my @ my) if len(my) <= _DOT_BLOCK else _blocked_dot(my, my)
-    my_rms = math.sqrt(power / len(my))
-    amplitude = max(float(np.max(np.abs(mx))), float(np.max(np.abs(mz))))
-    if not my_rms > math.sqrt(np.finfo(float).eps) * amplitude:
-        return
-    eta = float(np.sum(np.diff(my) ** 2)) / power
-    z = (2.0 - eta) / math.sqrt(4.0 / len(my))
-    if z > _MY_SIGNAL_Z:
-        raise ValueError(
-            f"m_y carries signal (rms {my_rms:.3g}, von Neumann z = {z:.1f} > {_MY_SIGNAL_Z:g});"
-            " the fit model assumes a resonant drive (phi = 1.5 pi, no detuning), which keeps m_y at 0"
-        )
-
-
 def cmd_fit(args) -> int:
     if args.fix_ratio is not None and args.fix_ratio < 1.0:
         raise UsageError("--fix-ratio must be at least 1")
@@ -357,10 +328,9 @@ def cmd_fit(args) -> int:
     pinned = "" if args.fix_ratio is None else f"with delta pinned at {args.fix_ratio!r} * mu by --fix-ratio"
     guess = None
     if args.guess is not None:
-        delta, mu, nu, rabi_hz = args.guess
-        guess = (delta, mu, nu, 2.0 * math.pi * rabi_hz)
+        guess = (*args.guess[:3], 2.0 * math.pi * args.guess[3])
         try:
-            _encode(guess, args.fix_ratio)
+            check_guess(guess, args.fix_ratio)
         except ValueError as exc:
             raise UsageError(f"--guess: {exc}") from None
     series = _read_series(args.input)
@@ -368,7 +338,7 @@ def cmd_fit(args) -> int:
         check_record(series)
     except ValueError as exc:
         raise UsageError(f"{args.input}: {exc}") from None
-    _check_my_signal(series)
+    check_resonance(series)
     try:
         result = fit_decay_model(series, guess, delta_mu_ratio=args.fix_ratio)
     except FitRangeError as exc:

@@ -47,7 +47,8 @@ m_y never enters the objective, because the model pins it to zero; its rms is
 reported separately as a model-mismatch indicator.
 
 A record is a :class:`~nhbloch.core.Trajectory` of measured (m_x, m_y, m_z)
-rows; the fit and the initial guess first apply :func:`check_record` to it.
+rows. The fit's input rules are :func:`check_record`, which the fit and the
+initial guess apply first, :func:`check_resonance` and :func:`check_guess`.
 """
 
 from __future__ import annotations
@@ -71,6 +72,8 @@ _TIME_SCALE = 1e150  # the fit squares t and 1 / span (envelope polyfit, LM Gram
 
 # LM iteration cap of fit_decay_model.
 _MAX_ITERATIONS = 200
+
+_MY_SIGNAL_Z = 5.0  # check_resonance's bound on the z of m_y's von Neumann ratio
 
 
 class DegenerateJacobianError(RuntimeError):
@@ -98,6 +101,31 @@ def check_record(record: Trajectory):
         )
     if first < 0.0:
         raise ValueError(f"the times start at t = {first!r} s; {DECAY_DOMAIN}")
+
+
+def check_resonance(record: Trajectory):
+    """Raise ValueError on a record whose m_y rules the fit model out.
+
+    The model drives on resonance along -y (phi = 1.5 pi), which keeps m_y at 0; any
+    other phase or a detuning puts signal there. The von Neumann ratio
+    eta = sum(diff(my)^2) / sum(my^2) of white noise about zero is 2 with variance 4/N,
+    and smooth structure pulls it toward 0, so z = (2 - eta) / sqrt(4/N) > _MY_SIGNAL_Z
+    flags signal. An m_y below sqrt(eps) of the record's amplitude is rounding residue
+    (about 1e-16 on a clean resonant record) and is never signal.
+    """
+    mx, my, mz = record.bloch.T
+    power = float(_dot(len(my))(my, my))
+    my_rms = math.sqrt(power / len(my))
+    amplitude = max(float(np.max(np.abs(mx))), float(np.max(np.abs(mz))))
+    if not my_rms > math.sqrt(np.finfo(float).eps) * amplitude:
+        return
+    eta = float(np.sum(np.diff(my) ** 2)) / power
+    z = (2.0 - eta) / math.sqrt(4.0 / len(my))
+    if z > _MY_SIGNAL_Z:
+        raise ValueError(
+            f"m_y carries signal (rms {my_rms:.3g}, von Neumann z = {z:.1f} > {_MY_SIGNAL_Z:g});"
+            " the fit model assumes a resonant drive (phi = 1.5 pi, no detuning), which keeps m_y at 0"
+        )
 
 
 @dataclass(frozen=True)
@@ -168,20 +196,24 @@ def _jacobian(params: Sequence[float], times: np.ndarray, frame) -> np.ndarray:
 _NU_MAX = 1.0 - 2.0**-53
 
 
-def _encode(params: Sequence[float], ratio: float | None) -> tuple[float, ...]:
-    """LM coordinates of (delta, mu, omega1); nu is not one of them.
+def check_guess(guess: Sequence[float], ratio: float | None):
+    """Raise ValueError on an infeasible start (delta, mu, nu, omega1), on a delta / mu (free) or
+    ratio * mu (pinned) that overflows, and on a pinned ``ratio`` below 1."""
+    _check_feasible(guess)
+    delta, mu = guess[:2]
+    if ratio is None and delta / mu == math.inf:
+        raise ValueError(f"delta / mu overflows, got delta={delta}, mu={mu}")
+    if ratio is not None and ratio * mu == math.inf:
+        raise ValueError(f"ratio * mu overflows, got ratio={ratio}, mu={mu}")
+    if ratio is not None and ratio < 1.0:
+        raise ValueError("delta_mu_ratio must be at least 1")
 
-    Raises ValueError on infeasible ``params``, and on coordinates that decode
-    to an infinite delta: a delta / mu (free) or ratio * mu (pinned) that overflows.
-    """
-    _check_feasible(params)
+
+def _encode(params: Sequence[float], ratio: float | None) -> tuple[float, ...]:
+    """LM coordinates of (delta, mu, omega1) of a guess that passes check_guess; nu is not one of them."""
     delta, mu, _, omega1 = params
     if ratio is not None:
-        if ratio * mu == math.inf:
-            raise ValueError(f"ratio * mu overflows, got ratio={ratio}, mu={mu}")
         return math.log(mu), math.log(omega1)
-    if delta / mu == math.inf:
-        raise ValueError(f"delta / mu overflows, got delta={delta}, mu={mu}")
     return math.log(max(delta / mu - 1.0, 1e-8)), math.log(mu), math.log(omega1)
 
 
@@ -213,9 +245,11 @@ def _demodulate(record: np.ndarray, times: np.ndarray, delta: float, mu: float, 
 _DOT_BLOCK = 8192
 
 
-def _blocked_dot(x: np.ndarray, y: np.ndarray) -> float:
-    """x . y as the in-order sum of the dot products of its _DOT_BLOCK-sample blocks."""
-    return sum(float(x[i : i + _DOT_BLOCK] @ y[i : i + _DOT_BLOCK]) for i in range(0, len(x), _DOT_BLOCK))
+def _dot(n: int):
+    """The dot product of two n-sample vectors: x @ y, or beyond _DOT_BLOCK samples the in-order sum of its blocks'."""
+    if n <= _DOT_BLOCK:
+        return operator.matmul
+    return lambda x, y: sum(float(x[i : i + _DOT_BLOCK] @ y[i : i + _DOT_BLOCK]) for i in range(0, n, _DOT_BLOCK))
 
 
 def _project(record: np.ndarray, times: np.ndarray, theta: Sequence[float], ratio: float | None):
@@ -232,7 +266,7 @@ def _project(record: np.ndarray, times: np.ndarray, theta: Sequence[float], rati
         _check_feasible((delta, mu, 0.0, omega1))  # raises before numpy sees the rates; nu is clipped below
     rotation, p, q, a, b = _demodulate(record, times, delta, mu, omega1)
     g = p - a
-    dot = operator.matmul if len(times) <= _DOT_BLOCK else _blocked_dot
+    dot = _dot(len(times))
     bb = float(dot(b, b))
     nu_star = float(dot(b, g)) / bb if bb > 0.0 else 0.0
     nu = min(max(nu_star, 0.0), _NU_MAX)
@@ -340,6 +374,8 @@ def default_initial_guess(
     quarter of the record; nu from the mean envelope over the last tenth;
     mu anchors to delta / delta_mu_ratio.
     """
+    if delta_mu_ratio < 1.0:
+        raise ValueError("delta_mu_ratio must be at least 1")
     check_record(series)
     n = len(series)
     mx, mz = series.bloch[:, 0], series.bloch[:, 2]
@@ -369,8 +405,6 @@ def default_initial_guess(
         delta = delta_floor
     tail = max(n // 10, 2)
     nu = float(np.clip(np.mean(envelope[-tail:]), 1e-6, 1.0 - 1e-6))
-    if delta_mu_ratio < 1.0:
-        raise ValueError("delta_mu_ratio must be at least 1")
     mu = delta / delta_mu_ratio
     return delta, mu, nu, omega1
 
@@ -391,15 +425,14 @@ def fit_decay_model(
     the cap of 200 LM iterations (``_MAX_ITERATIONS``) is hit; raises
     DegenerateJacobianError when the design matrix carries no information,
     FitRangeError when a trial step leaves the float range, and ValueError
-    when the record fails :func:`check_record`.
+    when the record fails :func:`check_record` or the guess :func:`check_guess`.
     """
     if guess is None:
         guess = default_initial_guess(series, delta_mu_ratio=delta_mu_ratio or 11.5)  # checks the record
     else:
         check_record(series)
+    check_guess(guess, delta_mu_ratio)
     theta = _encode(guess, delta_mu_ratio)
-    if delta_mu_ratio is not None and delta_mu_ratio < 1.0:
-        raise ValueError("delta_mu_ratio must be at least 1")
     times, record = series.times, series.bloch[:, 2] + 1j * series.bloch[:, 0]
     params, cost, frame = _project(record, times, theta, delta_mu_ratio)
     _check_rank((*params[:2], guess[2], params[3]), times, delta_mu_ratio, frame)

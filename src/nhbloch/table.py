@@ -277,64 +277,61 @@ def _line_after_middle(fd: int, size: int) -> int:
     return size
 
 
-def _read_plain(path: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """The (times, bloch) of a table by numpy's C parser, or None.
+def _read_plain(handle, path: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """The (times, bloch) of the table ``path`` open as ``handle`` (unbuffered, binary) by numpy's C parser, or None.
 
     Its numbers are used only where they provably equal _parse_lines': bytes
     in _PLAIN_BYTES only, an accepted header, rows of that header's columns,
     and no '#' taken for a comment. Any other file, a row numpy refuses and a
-    file with no rows give None, and _parse_lines reads the file. From
-    _PARALLEL_MIN_BYTES, a worker (see _Fork) may check and parse the rows
-    from the first line start after the byte midpoint, reading the same open
-    file by offset, and send them to be read straight into the result; one
-    that fails or sends too little raises OSError.
+    file with no rows give None, and _parse_lines reads the handle, whose offset
+    os.pread leaves at 0. From _PARALLEL_MIN_BYTES, a worker (see _Fork) may
+    check and parse the rows from the first line start after the byte midpoint,
+    reading the same open file by offset, and send them to be read straight
+    into the result; one that fails or sends too little raises OSError.
     """
-    with open(path, "rb", buffering=0) as handle:
-        if not (handle.seekable() and hasattr(os, "pread")):
-            return None  # a pipe (or no os.pread): _parse_lines reads it once
-        fd = handle.fileno()
-        size = os.fstat(fd).st_size
-        split = _line_after_middle(fd, size) if size >= _PARALLEL_MIN_BYTES else size
-        lines = _lines(fd, 0, split)
-        try:
-            dtype = _ROW_DTYPES.get(next(lines, "").strip())
-        except ValueError:
+    if not (handle.seekable() and hasattr(os, "pread")):
+        return None  # a pipe (or no os.pread): _parse_lines reads it once
+    fd = handle.fileno()
+    size = os.fstat(fd).st_size
+    split = _line_after_middle(fd, size) if size >= _PARALLEL_MIN_BYTES else size
+    lines = _lines(fd, 0, split)
+    try:
+        dtype = _ROW_DTYPES.get(next(lines, "").strip())
+    except ValueError:
+        return None
+    if dtype is None:
+        return None
+    with _Fork(split < size, _send_rows, fd, split, size, dtype) as worker:
+        if not worker.pid and split < size:  # no worker: this process reads every row
+            lines = itertools.chain(lines, _lines(fd, split, size))
+        rows = _rows(lines, dtype)
+        if rows is None:
             return None
-        if dtype is None:
-            return None
-        with _Fork(split < size, _send_rows, fd, split, size, dtype) as worker:
-            if not worker.pid and split < size:  # no worker: this process reads every row
-                split, lines = size, _lines(fd, 0, size)
-                next(lines)
-            rows = _rows(lines, dtype)
-            if rows is None:
-                return None
-            if not worker.pid:
-                return rows["t"].copy(), rows["m"].copy()  # contiguous: the fields are strided, unaligned views
-            count = np.zeros(1, np.int64)  # stays 0 if nothing came: a pipe takes an 8-byte write whole
-            sent = _receive(worker.fd, count)
-            if count[0] < 0:
-                return None  # the worker refused the back half
-            n = len(rows)
-            times, bloch = np.empty(n + count[0]), np.empty((n + count[0], 3))
-            times[:n], bloch[:n] = rows["t"], rows["m"]
-            sent = sent and _receive(worker.fd, times[n:]) and _receive(worker.fd, bloch[n:])
-            code = worker.wait()
-            if code != 0 or not sent:
-                raise OSError(
-                    f"the CSV parsing worker exited with status {code} {'after' if sent else 'before'}"
-                    f" sending every row of {path} from byte {split}"
-                )
-            return times, bloch
+        if not worker.pid:
+            return rows["t"].copy(), rows["m"].copy()  # contiguous: the fields are strided, unaligned views
+        count = np.zeros(1, np.int64)  # stays 0 if nothing came: a pipe takes an 8-byte write whole
+        sent = _receive(worker.fd, count)
+        if count[0] < 0:
+            return None  # the worker refused the back half
+        n = len(rows)
+        times, bloch = np.empty(n + count[0]), np.empty((n + count[0], 3))
+        times[:n], bloch[:n] = rows["t"], rows["m"]
+        sent = sent and _receive(worker.fd, times[n:]) and _receive(worker.fd, bloch[n:])
+        code = worker.wait()
+        if code != 0 or not sent:
+            raise OSError(
+                f"the CSV parsing worker exited with status {code} {'after' if sent else 'before'}"
+                f" sending every row of {path} from byte {split}"
+            )
+        return times, bloch
 
 
-def _parse_lines(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """The (times, bloch) of a table, one line at a time; a refusal names the first bad line."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            lines = handle.read().splitlines()
-        except UnicodeDecodeError as exc:
-            raise UsageError(f"{path}: not UTF-8 text ({exc.reason})") from None
+def _parse_lines(handle, path: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (times, bloch) of the table ``path`` read whole from ``handle``; a refusal names the first bad line."""
+    try:
+        lines = handle.read().decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not lines:
         raise UsageError(f"{path}:1: empty file, expected header 't,mx,my,mz'")
     header = lines[0].strip()
@@ -359,7 +356,8 @@ def _parse_lines(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _read_series(path: str) -> Trajectory:
-    columns = _read_plain(path) or _parse_lines(path)
+    with open(path, "rb", buffering=0) as handle:  # opened once: both readers see the same file
+        columns = _read_plain(handle, path) or _parse_lines(handle, path)
     try:
         return Trajectory(*columns)
     except ValueError as exc:

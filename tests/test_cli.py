@@ -997,6 +997,18 @@ def agreement_cases():
 AGREEMENT_CASES = agreement_cases()
 
 
+def read_plain(path):
+    """table_io._read_plain of the file at ``path``, opened as table_io._read_series opens it."""
+    with open(path, "rb", buffering=0) as handle:
+        return table_io._read_plain(handle, str(path))
+
+
+def parse_lines(path):
+    """table_io._parse_lines of the file at ``path``, opened as table_io._read_series opens it."""
+    with open(path, "rb", buffering=0) as handle:
+        return table_io._parse_lines(handle, str(path))
+
+
 def bits(columns):
     """Shape and bytes of each column, so that -0.0 and 0.0, or two NaNs, are told apart."""
     return [(column.shape, np.ascontiguousarray(column).tobytes()) for column in columns]
@@ -1043,16 +1055,29 @@ class TestCsvReader:
         assert code == EXIT_USAGE
         assert err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
 
+    def test_refused_plain_file_is_opened_once(self, tmp_path, capsys, monkeypatch):
+        # numpy refuses the table and the per-line parser names the line, both from one open file.
+        lines = with_line(["t,mx,my,mz"] + csv_rows(20, 4), 5, "1.0,oops,0.0,1.0")
+        path = tmp_path / "bad.csv"
+        path.write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+        opened = []
+        monkeypatch.setattr(
+            table_io, "open", lambda *args, **kwargs: opened.append(args[0]) or open(*args, **kwargs), raising=False
+        )
+        code, out, err = run(capsys, "fit", str(path))
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {path}:5: could not convert string to float: 'oops'\n")
+        assert opened == [str(path)]
+
     @pytest.mark.parametrize("case", list(AGREEMENT_CASES))
     def test_fast_path_agrees_with_the_per_line_parser(self, case, tmp_path):
         text, fast_answers = AGREEMENT_CASES[case]
         path = tmp_path / "t.csv"
         path.write_bytes(text.encode("utf-8"))
-        fast = table_io._read_plain(str(path))
+        fast = read_plain(path)
         if fast_answers is not None:
             assert (fast is not None) == fast_answers
         try:
-            slow = table_io._parse_lines(str(path))
+            slow = parse_lines(path)
         except table_io.UsageError:
             assert fast is None
             return
@@ -1069,9 +1094,9 @@ class TestCsvReader:
         ]
         path = tmp_path / "ok.csv"
         path.write_bytes((newline.join([header] + rows) + newline).encode("utf-8"))
-        fast = table_io._read_plain(str(path))
+        fast = read_plain(path)
         assert fast is not None
-        assert bits(fast) == bits(table_io._parse_lines(str(path)))
+        assert bits(fast) == bits(parse_lines(path))
         # Copies, not views of the row records: every vector operation of a fit runs on them.
         assert all(column.flags.c_contiguous and column.flags.aligned for column in fast)
 
@@ -1145,7 +1170,7 @@ class TestSplitReader:
     def one_process(path, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(table_io, "_PARALLEL_MIN_BYTES", 1 << 62)
-            return table_io._read_plain(path)
+            return read_plain(path)
 
     def write(self, tmp_path, lines, newline="\n"):
         path = tmp_path / "split.csv"
@@ -1162,9 +1187,9 @@ class TestSplitReader:
             for i in range(self.ROWS)
         ]
         path = self.write(tmp_path, [header] + rows, newline)
-        two = table_io._read_plain(path)
+        two = read_plain(path)
         assert two is not None
-        assert bits(two) == bits(self.one_process(path, monkeypatch)) == bits(table_io._parse_lines(path))
+        assert bits(two) == bits(self.one_process(path, monkeypatch)) == bits(parse_lines(path))
         assert all(column.flags.c_contiguous and column.flags.aligned for column in two)
         assert len(forks) == (0 if newline == "\r" else 1)  # CR-only has no LF to split at
         assert_no_child()
@@ -1177,8 +1202,8 @@ class TestSplitReader:
         header = "t,mx,my,mz" + (",purity" if ncols == 5 else "")
         lines = insert_at_split([header] + csv_rows(self.ROWS, ncols), inserted, newline, where)
         path = self.write(tmp_path, lines, newline)
-        two = table_io._read_plain(path)
-        slow = table_io._parse_lines(path)
+        two = read_plain(path)
+        slow = parse_lines(path)
         if all(line == "" for line in inserted):
             assert two is not None  # empty lines are no refusal
         series = table_io._read_series(path)
@@ -1203,7 +1228,7 @@ class TestSplitReader:
         path.write_bytes(data)
         one = self.one_process(str(path), monkeypatch)
         assert one is not None
-        assert bits(one) == bits(table_io._read_plain(str(path))) == bits(table_io._parse_lines(str(path)))
+        assert bits(one) == bits(read_plain(path)) == bits(parse_lines(path))
         assert len(forks) == 1
         assert_no_child()
 
@@ -1249,7 +1274,7 @@ class TestSplitReader:
         finally:
             os.close(read_fd)
         path = self.write(tmp_path, lines)
-        assert bits([series.times, series.bloch]) == bits(table_io._parse_lines(path))
+        assert bits([series.times, series.bloch]) == bits(parse_lines(path))
         assert forks == []
         assert_no_child()
 
@@ -1260,7 +1285,7 @@ class TestSplitReader:
 
         monkeypatch.setattr(os, "fork", fork)
         path = self.write(tmp_path, ["t,mx,my,mz,purity"] + csv_rows(self.ROWS, 5))
-        two = table_io._read_plain(path)
+        two = read_plain(path)
         assert bits(two) == bits(self.one_process(path, monkeypatch))
         assert len(forks) == 1
         assert_no_child()

@@ -10,7 +10,10 @@ from nhbloch.fit import (
     DegenerateJacobianError,
     _check_rank,
     _demodulate,
+    _solve_damped,
+    check_guess,
     check_record,
+    check_resonance,
     default_initial_guess,
     fit_decay_model,
     residual_magnetization_stats,
@@ -433,6 +436,19 @@ class TestRefusalsByMessage:
             default_initial_guess(tpp_series, delta_mu_ratio=0.5)
         assert str(info.value) == "delta_mu_ratio must be at least 1"
 
+    def test_ratio_below_one_is_refused_before_the_record_is_read(self):
+        # A flat record would fail on its missing oscillation peak.
+        flat = Trajectory(np.linspace(0.0, 1.0, 10), np.zeros((10, 3)))
+        with pytest.raises(ValueError) as info:
+            default_initial_guess(flat, delta_mu_ratio=0.5)
+        assert str(info.value) == "delta_mu_ratio must be at least 1"
+
+    def test_ratio_zero_without_a_guess(self, tpp_series):
+        # The initial guess is made at the default ratio 11.5; check_guess then refuses the pin.
+        with pytest.raises(ValueError) as info:
+            fit_decay_model(tpp_series, delta_mu_ratio=0.0)
+        assert str(info.value) == "delta_mu_ratio must be at least 1"
+
     def test_non_finite_normal_equations_mid_fit(self, tpp_truth, tpp_series, monkeypatch):
         # A start that passes the rank check keeps the Gram matrix finite on
         # records like this one, so a non-finite one is stood in for.
@@ -442,6 +458,81 @@ class TestRefusalsByMessage:
         with pytest.raises(DegenerateJacobianError) as info:
             fit_decay_model(tpp_series, tpp_truth, delta_mu_ratio=11.5)
         assert str(info.value) == "non-finite Jacobian"
+
+
+class TestGuessRule:
+    """check_guess at the edges a user can type with --guess."""
+
+    @pytest.mark.parametrize(
+        "guess, ratio, message",
+        [
+            ((2.0, 1.0, 0.1, 0.0), None, "omega1=0.0 must be positive"),
+            ((2.0, 1.0, 1.0, 1e5), None, "nu=1.0 outside [0, 1)"),
+            ((1.0, 2.0, 0.1, 1e5), 0.5, "need delta >= mu > 0, got delta=1.0, mu=2.0"),  # feasibility first
+            ((2.0, 1.0, 0.1, 1e5), 1.0 - 2.0**-53, "delta_mu_ratio must be at least 1"),
+        ],
+    )
+    def test_refused(self, guess, ratio, message):
+        with pytest.raises(ValueError) as info:
+            check_guess(guess, ratio)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "guess, ratio",
+        [((2.0, 1.0, 0.0, 1e5), None), ((1.0, 1.0, 0.1, 1e5), None), ((1.0, 1.0, 0.1, 1e5), 1.0)],
+        ids=["nu-zero", "delta-equals-mu", "ratio-one"],
+    )
+    def test_accepted(self, guess, ratio):
+        assert check_guess(guess, ratio) is None
+
+
+class TestResonanceRule:
+    @pytest.mark.parametrize("samples", [251, 3 * 8192 + 5])
+    def test_signal_in_my_is_refused(self, tpp, samples):
+        # The longer record's power is summed over blocks of 8192 samples.
+        times = np.linspace(0.0, 500e-6, samples)
+        bloch = trajectory(tpp.field, tpp.decay, times)
+        bloch[:, 1] = 0.3 * np.sin(tpp.omega1 * times)
+        with pytest.raises(ValueError) as info:
+            check_resonance(Trajectory(times, bloch))
+        rms = math.sqrt(float(np.mean(bloch[:, 1] ** 2)))
+        assert str(info.value).startswith(f"m_y carries signal (rms {rms:.3g}, von Neumann z = ")
+
+
+class TestDampedSolve:
+    """_solve_damped's pivot checks, reached directly."""
+
+    @staticmethod
+    def system(n, position, pivot):
+        """A system whose pivot at ``position`` is ``pivot`` and whose earlier pivots are 1.
+
+        Half of each diagonal entry is in the shift, so that leaving out a shift changes a pivot.
+        """
+        normal = [[0.5 if i == j else 0.0 for j in range(n)] for i in range(n)]
+        normal[position][position] = pivot - 0.5
+        if position:
+            normal[position][position] += 1.0  # the coupling to the row above takes 1 back off
+            normal[position - 1][position] = normal[position][position - 1] = 1.0
+        return tuple(map(tuple, normal)), (0.5,) * n, (1.0,) * n
+
+    @pytest.mark.parametrize("pivot", [0.0, -1.0])
+    @pytest.mark.parametrize("n, position", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+    def test_non_positive_pivot_gives_none(self, n, position, pivot):
+        assert _solve_damped(*self.system(n, position, pivot)) is None
+
+    @pytest.mark.parametrize("n, position", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+    def test_positive_pivot_solves(self, n, position):
+        normal, shift, rhs = self.system(n, position, 2.0**-20)
+        expected = np.linalg.solve(np.array(normal) + np.diag(shift), rhs)
+        np.testing.assert_allclose(_solve_damped(normal, shift, rhs), expected, rtol=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_positive_definite_matches_numpy(self, n):
+        rng = np.random.default_rng(n)
+        factor = rng.normal(size=(n + 2, n))
+        normal, shift, rhs = factor.T @ factor, rng.uniform(0.1, 1.0, n), rng.normal(size=n)
+        step = _solve_damped(tuple(map(tuple, normal.tolist())), tuple(shift), tuple(rhs))
+        np.testing.assert_allclose(step, np.linalg.solve(normal + np.diag(shift), rhs), rtol=1e-12)
 
 
 class TestRejectedTrialSteps:

@@ -1,8 +1,10 @@
 """Import layering of the package, read from the source with ast, and its public names.
 
 Each module may import only the package modules below it, and outside the
-package only the standard library and numpy. Every name in ``nhbloch.__all__``
-must resolve, once, so that ``from nhbloch import *`` works.
+package only the standard library and numpy. No module imports an underscore
+name from another package module, but for the exceptions listed with their
+reason. Every name in ``nhbloch.__all__`` must resolve, once, so that
+``from nhbloch import *`` works.
 """
 
 import ast
@@ -25,6 +27,12 @@ LAYERS = {
     "table": {"core"},
 }
 TOP = ("__init__", "cli")
+
+# Underscore names a module imports from another package module, per (importer, imported).
+PRIVATE_IMPORTS = {
+    # cli writes and reads CSV tables through table's I/O helpers, which no library user calls.
+    ("cli", "table"): {"_csv_text", "_read_series", "_write_text"},
+}
 
 
 def imported(node):
@@ -52,6 +60,18 @@ def imports(name):
     return inside, outside
 
 
+def private_imports(name):
+    """{(name, package module): the underscore names module ``name`` imports from it}."""
+    found = collections.defaultdict(set)
+    for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            parts = imported(node)[0].split(".")
+            private = {alias.name for alias in node.names if alias.name.startswith("_")}
+            if parts[0] == "nhbloch" and private:
+                found[name, parts[1]] |= private
+    return dict(found)
+
+
 def test_every_module_has_a_layer():
     assert set(MODULES) == set(LAYERS) | set(TOP)
 
@@ -64,6 +84,12 @@ def test_package_imports_follow_the_layers(name):
 @pytest.mark.parametrize("name", TOP)
 def test_top_modules_import_only_package_modules(name):
     assert imports(name)[0] <= set(MODULES)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_private_names_across_modules(name):
+    allowed = {key: names for key, names in PRIVATE_IMPORTS.items() if key[0] == name}
+    assert private_imports(name) == allowed
 
 
 @pytest.mark.parametrize("name", MODULES)
