@@ -23,12 +23,14 @@ grid as array expressions. :func:`damping_provider` is the per-step API: it
 fixes the field axis and the rates once and returns the ODE damping provider,
 which the integrators call once per distinct time, so it is written with
 :mod:`math` on plain floats, with :func:`coherent_bloch`'s operation order
-for r0; ``tests/test_oracle.py`` checks f, g and r0 to 40 digits. The others
-(:func:`coherent_bloch`, :func:`damped_bloch`, :func:`gamma_coefficients`)
-serve single-time callers and are the reference the kernel is tested
-against. A single state is a float triple (r_x, r_y, r_z) and a trajectory
-is (N, 3) rows, as in :mod:`nhbloch.core`; this module imports nothing from
-the package.
+for r0; ``tests/test_oracle.py`` checks f, g and r0 to 40 digits. The
+single-time functions are the reference the kernel is tested against.
+:mod:`nhbloch.cli` seeds the ODE state with :func:`coherent_bloch` or
+:func:`damped_bloch`; :func:`gamma_coefficients` has no caller in the
+package: the tests take it as their reference and ``perfbench/tracing.py``
+wraps it by name. A single state is a float triple (r_x, r_y, r_z) and a
+trajectory is (N, 3) rows, as in :mod:`nhbloch.core`; this module imports
+nothing from the package.
 """
 
 from __future__ import annotations
@@ -37,6 +39,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+__all__ = [
+    "CoherentField", "DecayModel", "coherent_bloch", "damped_bloch", "damping_provider", "decay_f",
+    "g_root", "gamma_coefficients", "purity_closed_form", "trajectory",
+]
 
 # Why a decaying model has no time before 0: f(t) > 1 there.
 DECAY_DOMAIN = "the decay f(t) holds for t >= 0 only (|r| > 1 before t = 0)"

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = ["Trajectory", "bloch_to_density", "density_to_bloch", "fidelity", "purity"]
+
 # Basis operators: half identity and the three Pauli halves.
 I0 = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
 IX = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)

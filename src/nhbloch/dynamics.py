@@ -53,6 +53,11 @@ import numpy as np
 from .analytic import CoherentField
 from .core import I0, IX, IY, IZ, Trajectory, density_to_bloch
 
+__all__ = [
+    "DeviationReport", "GammaOperator", "effective_hamiltonian", "fidelity_trace", "field_matrix",
+    "integrate_bloch", "integrate_density", "max_deviation",
+]
+
 _ID2 = np.eye(2, dtype=complex)
 
 # Steps per field period for the base fixed step.

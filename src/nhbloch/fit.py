@@ -67,6 +67,12 @@ from .core import Trajectory
 # Unused here; perfbench/tracing.py wraps fit.fidelity and fit.bloch_to_density by name.
 from .core import bloch_to_density, fidelity  # noqa: F401
 
+__all__ = [
+    "DegenerateJacobianError", "FitRangeError", "FitResult", "check_guess", "check_record",
+    "check_resonance", "default_initial_guess", "fit_decay_model", "residual_magnetization_stats",
+    "residuals",
+]
+
 _MAX_COMPONENT = 1.5  # loose physical bound for measured data
 _TIME_SCALE = 1e150  # the fit squares t and 1 / span (envelope polyfit, LM Gram matrix)
 
@@ -106,7 +112,7 @@ def check_record(record: Trajectory):
 def check_resonance(record: Trajectory):
     """Raise ValueError on a record whose m_y rules the fit model out.
 
-    The model drives on resonance along -y (phi = 1.5 pi), which keeps m_y at 0; any
+    The model drives on resonance about +y (phi = 1.5 pi), which keeps m_y at 0; any
     other phase or a detuning puts signal there. The von Neumann ratio
     eta = sum(diff(my)^2) / sum(my^2) of white noise about zero is 2 with variance 4/N,
     and smooth structure pulls it toward 0, so z = (2 - eta) / sqrt(4/N) > _MY_SIGNAL_Z

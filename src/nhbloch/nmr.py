@@ -26,6 +26,12 @@ import numpy as np
 from .analytic import CoherentField, DecayModel
 from .core import I0, IZ
 
+__all__ = [
+    "HBAR", "KB", "P31_SAMPLES", "ROOM_TEMPERATURE_K", "deviation_matrix", "drive_field",
+    "p31_sample", "partition_function", "polarization_factor", "pseudo_pure_decompose",
+    "rotation_pulse", "thermal_argument", "thermal_state",
+]
+
 # CODATA 2018 exact values.
 HBAR = 1.054571817e-34  # J s
 KB = 1.380649e-23  # J / K

@@ -1597,6 +1597,19 @@ class TestBoundaryValues:
         code, out, err = run(capsys, "thermal", "--larmor-hz", "0")
         assert (code, out, err) == (EXIT_USAGE, "", "error: larmor frequency and temperature must be positive\n")
 
+    @pytest.mark.parametrize("model", ["ode-bloch", "ode-density"])
+    def test_two_row_table_against_an_ode_model_is_accepted(self, tmp_path, capsys, model):
+        # One row is refused; two rows are the fewest an ODE model integrates between.
+        path = table(tmp_path / "two.csv", [(1e-3, 0.0, 0.0, 1.0), (2e-3, 0.0, 0.0, 1.0)])
+        decay = ("--mu", "1e3", "--delta-mu-ratio", "2", "--nu", "0.1")
+        code, out, err = run(capsys, "compare", "--a", path, "--b", model, "--rabi-hz", "1e3", *decay, "--json")
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["overall_time"] in (1e-3, 2e-3)
+
+    def test_one_sample_is_refused(self, capsys):
+        code, out, err = run(capsys, "simulate", "--rabi-hz", "1e3", "--t-max", "1e-3", "--samples", "1")
+        assert (code, out, err) == (EXIT_USAGE, "", "error: --samples must be at least 2\n")
+
 
 class TestThermal:
     def test_reference_values(self, capsys):
