@@ -13,7 +13,11 @@ bit. The sets, at the tri-phenyl phosphate (TPP) working point:
 - ``acceptance-7``: the clean record fitted free, then 20 records at sigma
   0.01 (noise seeds 0-19) fitted ratio-pinned;
 - ``record-1e5``: one 1e5-sample record at sigma 0.01, fitted ratio-pinned;
-- ``compare``: a noisy record against the analytic model, as JSON.
+- ``compare``: a noisy record against the analytic model, as JSON;
+- ``ode``: ``simulate --model ode-bloch`` and ``--model ode-density`` on 251
+  samples over 500 us and 1001 over 2 ms, each at the working point, at drive
+  phase 1.0 pi and detuned by 5 kHz, and ``compare --a analytic --b`` each
+  ODE model on the same grids, as JSON.
 
 Run from the root of a checkout:
 
@@ -91,7 +95,25 @@ def compare():
     ]
 
 
-SETS = {"fit-sweep": fit_sweep, "acceptance-7": acceptance_7, "record-1e5": record_1e5, "compare": compare}
+def ode():
+    calls = []
+    for model in ("ode-bloch", "ode-density"):
+        for t_max, samples in ((T_MAX, "251"), ("2e-3", "1001")):
+            for case in ((), ("--phi", "1.0"), ("--detuning-hz", "5000.0")):
+                args = [*WORKING_POINT, "--t-max", t_max, "--samples", samples, *case]
+                tag = f"{model}-{samples}-{len(calls)}"
+                calls.append(["simulate", "--model", model, *args, "--out", f"{tag}.csv"])
+                calls.append(["compare", "--a", "analytic", "--b", model, *args, "--json", "--out", f"{tag}.json"])
+    return calls
+
+
+SETS = {
+    "fit-sweep": fit_sweep,
+    "acceptance-7": acceptance_7,
+    "record-1e5": record_1e5,
+    "compare": compare,
+    "ode": ode,
+}
 
 
 def digest(calls) -> str:

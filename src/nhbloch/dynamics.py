@@ -24,14 +24,24 @@ a strictly positive seed time and the substep size is capped at
 ``_RATE_CAP / max_k |lambda_k(t)|`` (``_RATE_CAP`` = 0.01) to resolve the
 ramp. Away from the ramp the base step 2*pi / (200 * omega) applies.
 
-The provider must be a pure function of t: the integrators call it once per
-distinct time, keyed on the exact float. Within an RK4 step the step limiter
+The provider must be a pure function of t: the integrators use one value
+per distinct time, keyed on the exact float. Within an RK4 step the step limiter
 and k1 share the value at t, and k2 and k3 share the value at t + h/2; k4's
 value at t + h is reused by the next step only if that step starts exactly
 there (the last step of a grid interval ends at the sample time instead).
+A provider may also carry an array form ``provider.bulk(times)``, its (N, 3)
+rates up to rounding, as :func:`~nhbloch.analytic.damping_provider`'s does.
 
-Both forms run on one scalar RK4 driver, which owns the step control, the
-provider reuse, the underflow check and the sampling. Each form hands it an
+Both forms run on one RK4 loop, ``_rk4``, which owns the step control, the
+provider reuse, the underflow check and the sampling. It runs the scalar
+loop, one provider call per new time, on each grid interval that has no
+array form to use or whose first step is rate-capped (the 1/(2t) ramp),
+and on one longer than a chunk. Other intervals it
+plans from the grid alone, ``_CHUNK_STEPS`` cells at a time, evaluates the
+rates at all planned midpoints and ends in one array call, and steps them;
+an interval that breaks the plan (a capped start, an underflow, a rate that
+is not finite) runs the scalar loop after all, so the matrix form refuses a
+non-finite rate only where that loop would. Each form hands ``_rk4`` an
 ``advance(c, c_half, c_end, y, h)`` that takes one RK4 step of a tuple of
 Python numbers: the Bloch form writes its four stages out on 3 local floats,
 the matrix form calls its 2x2 right-hand side on the 4 complex entries of
@@ -46,6 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -70,6 +81,9 @@ _RATE_CAP = 0.01
 # Bloch-form or 30 s of matrix-form stepping on a 2-vCPU Xeon; the 500 us
 # benchmark grid takes ~2.2k, a 2 ms grid ~9k.
 _MAX_STEPS = 1_000_000
+
+# Most steps (cells) that ``_rk4`` plans and holds rates for at once.
+_CHUNK_STEPS = 512
 
 
 @dataclass(frozen=True)
@@ -144,15 +158,64 @@ def _base_step(field: CoherentField, step: float | None) -> float:
     return (2.0 * math.pi / om) / _STEPS_PER_PERIOD if om > 0.0 else math.inf
 
 
-def _rk4(advance, coefficients, y: tuple, times: np.ndarray, base: float):
+def _planned(times: np.ndarray, k: int, base: float, rates, rows):
+    """RK4 steps of grid intervals k, k + 1, ... as the scalar loop takes them, and their rates.
+
+    Row r of the plan is the interval ending at times[k + r], column j its
+    j-th step: the loop's sequential adds of base (a row-wise accumulate)
+    until a step takes the span, at most _CHUNK_STEPS cells in all. One
+    ``rates`` call covers every midpoint and end; the first start, at
+    times[k - 1], is not rate-capped. Rows are usable up to the first with
+    a start the loop would rate-cap, a rate that is not finite, a step that
+    underflows or runs out of columns, or a last step ending off the sample
+    time. Returns the (c_half, c_end, h) steps, the step count of each
+    usable row, the time of the last c_end and whether a row fell back.
+    """
+    est = np.ceil(np.diff(times[k - 1 : k + _CHUNK_STEPS]) / base)  # base steps per interval
+    width = np.maximum.accumulate(est) + 2.0
+    n_rows = int(np.count_nonzero(width * np.arange(1, len(width) + 1) <= _CHUNK_STEPS))
+    s = np.full((n_rows, int(width[n_rows - 1])), base)
+    s[:, 0] = times[k - 1 : k - 1 + n_rows]
+    np.add.accumulate(s, axis=1, out=s)
+    span = times[k : k + n_rows, None] - s
+    # Spans shrink along a row, so the steps short of the span come first.
+    longer = span > base
+    n = np.minimum(np.count_nonzero(longer, axis=1) + 1, s.shape[1])
+    valid = np.arange(s.shape[1]) < n[:, None]
+    s, h = s[valid], np.where(longer, base, span)[valid]
+    mid, end = s + 0.5 * h, s + h
+    r = rates(np.concatenate((mid, end)))
+    m, first = len(mid), np.cumsum(n) - n
+    # max(|lx|, |ly|, |lz|): the loop's value wherever all three are finite, else not finite.
+    a = np.abs(r)
+    r_max = np.maximum(np.maximum(a[:, 0], a[:, 1]), a[:, 2])
+    with np.errstate(divide="ignore"):
+        capped = _RATE_CAP / r_max[m:] < base
+    # A sum of the |rates| that overflows also falls back.
+    bad = (end == s) | ~np.isfinite(r_max[:m] + r_max[m:])
+    bad[1:] |= capped[:-1]  # each end is the next step's start
+    row_bad = np.logical_or.reduceat(bad, first) | longer[:, -1]
+    row_bad[1:] |= end[first[1:] - 1] != times[k : k - 1 + n_rows]
+    usable = int(np.append(row_bad, True).argmax())
+    count = int(np.append(first, m)[usable])
+    both = rows(r)
+    steps = zip(both[:count], both[m : m + count], h[:count].tolist())
+    c_time = float(end[count - 1] if count else times[k - 1])
+    return steps, n[:usable].tolist(), c_time, usable < n_rows
+
+
+def _rk4(advance, coefficients, y: tuple, times: np.ndarray, base: float, rates=None, rows=np.ndarray.tolist):
     """Classical RK4 of the state tuple ``y`` across the grid; one state per sample.
 
-    ``coefficients(t)`` is evaluated once per distinct time (see the module
-    docstring); its value starts with (lambda_x, lambda_y, lambda_z), which
-    set the step limit. ``advance(c, c_half, c_end, y, h)`` returns the state
+    ``coefficients(t)`` is evaluated at most once per distinct time (see the
+    module docstring); its value starts with (lambda_x, lambda_y, lambda_z),
+    which set the step limit. ``advance(c, c_half, c_end, y, h)`` returns the state
     one RK4 step of size h later, given the coefficients at the step's
     start, midpoint and end. Raises RuntimeError, before stepping, when the
     grid would take more than ``_MAX_STEPS`` base steps.
+
+    ``rates`` is the provider's array form, if any, and ``rows`` turns its
+    (N, 3) rates into values of ``coefficients``; see :func:`_planned`.
     """
     grid = times.tolist()
     steps = (grid[-1] - grid[0]) / base
@@ -165,7 +228,27 @@ def _rk4(advance, coefficients, y: tuple, times: np.ndarray, base: float):
     states = [y]
     t = grid[0]
     c_time = c = None
-    for t1 in grid[1:]:
+    k = 1
+    while k < len(grid):
+        # An interval of more base steps than a chunk holds runs the scalar loop.
+        if rates is not None and (grid[k] - t) / base <= _CHUNK_STEPS - 2:
+            if c_time != t:
+                c = coefficients(t)
+                c_time = t
+            # The scalar loop's step limit, as below.
+            rate = max(abs(c[0]), abs(c[1]), abs(c[2]))
+            if not (rate > 0.0 and _RATE_CAP / rate < base):
+                planned, counts, c_last, fell_back = _planned(times, k, base, rates, rows)
+                for count in counts:
+                    for c_half, c_end, h in islice(planned, count):
+                        y = advance(c, c_half, c_end, y, h)
+                        c = c_end
+                    states.append(y)
+                k += len(counts)
+                t, c_time = grid[k - 1], c_last
+                if not fell_back:
+                    continue
+        t1 = grid[k]
         while t < t1:
             if c_time != t:
                 c = coefficients(t)
@@ -196,6 +279,7 @@ def _rk4(advance, coefficients, y: tuple, times: np.ndarray, base: float):
             c = c_end
             t = t1 if h >= span else c_time
         states.append(y)
+        k += 1
     return states
 
 
@@ -212,8 +296,9 @@ def integrate_bloch(
     ``r0`` is any length-3 real sequence. ``lambda_provider`` maps a time to
     the damping triple (lambda_x, lambda_y, lambda_z), such as
     :func:`~nhbloch.analytic.damping_provider`; pass
-    ``lambda t: (0.0, 0.0, 0.0)`` for purely coherent motion. It is called
-    once per distinct integrator time. ``step`` overrides the base step
+    ``lambda t: (0.0, 0.0, 0.0)`` for purely coherent motion. One value per
+    distinct integrator time is used, from the provider or from its array
+    form ``bulk`` (see the module docstring). ``step`` overrides the base step
     (useful for convergence studies); either way h * max|lambda_k| is at
     most ``_RATE_CAP``, which is what resolves the singular ramp of the
     analytic coefficients near the seed time.
@@ -259,7 +344,8 @@ def integrate_bloch(
         )
 
     base = _base_step(field, step)
-    states = _rk4(advance, lambda_provider, tuple(r_init.tolist()), times, base)
+    rates = getattr(lambda_provider, "bulk", None)
+    states = _rk4(advance, lambda_provider, tuple(r_init.tolist()), times, base, rates)
     out = np.array(states)
     worst = float(np.max(np.sqrt(np.sum(out**2, axis=1))))
     if worst > 1.0 + 1e-9:
@@ -278,11 +364,12 @@ def integrate_density(
     """Integrate the matrix-form equation; returns Bloch rows plus rho samples.
 
     ``lambda_provider`` is the same ``t -> (lambda_x, lambda_y, lambda_z)``
-    provider that :func:`integrate_bloch` takes, called once per distinct
-    integrator time; G = lambda_x IX + lambda_y IY + lambda_z IZ is built
-    from each triple, and a non-finite rate raises ValueError. Trace and
-    Hermiticity are preserved by the flow on the unit-trace manifold; the
-    returned trajectory re-validates both at 1e-10 on every sample.
+    provider that :func:`integrate_bloch` takes, array form included, with
+    one value per distinct integrator time; G = lambda_x IX + lambda_y IY +
+    lambda_z IZ is built from each triple, and a non-finite rate at a time
+    the scalar loop reaches raises ValueError. Trace and Hermiticity are
+    preserved by the flow on the unit-trace manifold; the returned
+    trajectory re-validates both at 1e-10 on every sample.
     """
     times = np.asarray(times, dtype=float)
     _check_grid(times)
@@ -353,7 +440,17 @@ def integrate_density(
             r11 + w * (a11 + 2.0 * (b11 + d11) + e11),
         )
 
-    states = _rk4(advance, coefficients, tuple(y.ravel().tolist()), times, _base_step(field, step))
+    def rows(r):
+        # coefficients' values for (N, 3) rates, with the same complex constructions.
+        hx, hy, hz = 0.5 * r.T
+        g = np.zeros((4, len(r)), dtype=complex)
+        g.real[:] = 0.0 + hz, hx, hx, 0.0 - hz
+        g.imag[1:3] = -hy, hy
+        return list(zip(*r.T.tolist(), *g.tolist()))
+
+    rates = getattr(lambda_provider, "bulk", None)
+    y0 = tuple(y.ravel().tolist())
+    states = _rk4(advance, coefficients, y0, times, _base_step(field, step), rates, rows)
     rho_out = np.array(states).reshape(len(times), 2, 2)
     bloch = np.empty((len(times), 3))
     for i in range(len(times)):

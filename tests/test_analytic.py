@@ -325,6 +325,13 @@ class TestDampingProvider:
             provider(t)
         assert str(info.value) == "g(t) is defined for t > 0 only (1/(2t) divergence at 0)"
 
+    @pytest.mark.parametrize("t", [0.0, -1e-9])
+    def test_array_form_rejects_non_positive_time(self, tpp, t):
+        provider = damping_provider(tpp.field, tpp.decay)
+        with pytest.raises(ValueError) as info:
+            provider.bulk(np.array([1e-9, t]))
+        assert str(info.value) == "g(t) is defined for t > 0 only (1/(2t) divergence at 0)"
+
     @pytest.mark.parametrize(
         "decay, t",
         [
@@ -335,11 +342,12 @@ class TestDampingProvider:
         ],
     )
     def test_underflowed_one_minus_f_takes_the_small_time_limit(self, decay, t):
-        # 1 - f rounds to 0, and g(t) = 1/(2t) (1 + O(delta t)).
+        # 1 - f rounds to 0, and g(t) = 1/(2t) (1 + O(delta t)), in both forms.
         field = CoherentField(0.0, 1e4, 0.0)
-        assert damping_provider(field, decay)(t) == tuple(
-            (0.5 / t) * r for r in coherent_bloch(field, t)
-        )
+        provider = damping_provider(field, decay)
+        assert provider(t) == tuple((0.5 / t) * r for r in coherent_bloch(field, t))
+        times = np.array([t])
+        assert np.array_equal(provider.bulk(times), (0.5 / t) * trajectory(field, None, times))
 
 
 class TestPurityClosedForm:

@@ -13,6 +13,7 @@ from nhbloch.analytic import (
     g_root,
     gamma_coefficients,
 )
+from nhbloch import dynamics
 from nhbloch.core import IX, IY, IZ, bloch_to_density, purity
 from nhbloch.dynamics import (
     GammaOperator,
@@ -192,6 +193,47 @@ class CountingProvider:
         return gamma_coefficients(self.field, self.decay, t)
 
 
+class ScalarRecorder:
+    """A damping provider without an array form; records the times it is asked for.
+
+    ``used`` maps each time to the last rates handed out for it.
+    """
+
+    def __init__(self, scalar):
+        self.scalar, self.scalar_times, self.used = scalar, [], {}
+
+    def __call__(self, t):
+        self.scalar_times.append(t)
+        self.used[t] = rates = tuple(self.scalar(t))
+        return rates
+
+
+class RecordingProvider(ScalarRecorder):
+    """A damping provider with an array form ``bulk``; records what each form is asked.
+
+    The array form defaults to the scalar function mapped over the times,
+    which gives the scalar path's rates bit for bit.
+    """
+
+    def __init__(self, scalar, bulk=None):
+        super().__init__(scalar)
+        self.array, self.bulk_times, self.bulk_sizes = bulk, [], []
+
+    def bulk(self, times):
+        grid = times.tolist()
+        if self.array is None:
+            rates = np.array([self.scalar(t) for t in grid], dtype=float).reshape(-1, 3)
+        else:
+            rates = self.array(times)
+        self.bulk_times += grid
+        self.bulk_sizes.append(len(grid))
+        self.used.update(zip(grid, map(tuple, rates.tolist())))
+        return rates
+
+    def asked(self):
+        return sorted(set(self.scalar_times) | set(self.bulk_times))
+
+
 def _detuned_model():
     w1 = 2.0 * math.pi * 22245.3
     field = CoherentField(w1 * math.cos(2.0), w1 * math.sin(2.0), -2.0 * math.pi * 5000.0)
@@ -362,17 +404,23 @@ class TestScalarRK4:
         # A sub-threshold z field and zero damping leave exact (signed)
         # zeros in G and rho, which array_equal would not tell apart.
         field = CoherentField(0.0, 0.0, 1e-13) if field_name == "degenerate" else tpp.field
+        # damping_provider's array form serves the intervals past the ramp;
+        # the reference is fed the rates the integrator used at each time.
         if damping == "decay":
-            lam = damping_provider(field, tpp.decay)
+            provider = damping_provider(field, tpp.decay)
+            lam = RecordingProvider(provider, provider.bulk)
             r0 = damped_bloch(field, tpp.decay, 1e-9)
         else:
             lam = ZERO_LAMBDA
             r0 = (0.0, 0.0, 1.0)
         times = np.linspace(1e-9, 2e-3, 41)
-        gam = lambda t: GammaOperator(0.0, *lam(t))
         rho0 = bloch_to_density(r0)
         traj = integrate_density(field, lam, rho0, times)
+        used = lam.used.__getitem__ if damping == "decay" else lam
+        gam = lambda t: GammaOperator(0.0, *used(t))
         assert traj.rho.tobytes() == tuple_density(field, gam, rho0, times).tobytes()
+        if damping == "decay":
+            assert bool(lam.bulk_times) == (field_name == "tpp")
 
     @pytest.mark.parametrize(
         "rates",
@@ -424,6 +472,234 @@ class TestScalarRK4:
                 [1.0, 2.0],
             )
         assert str(info.value) == "integration step underflow at t = 1.0"
+
+
+def _integrate(form, field, lam, r0, times, **kwargs):
+    """The Bloch rows or the rho samples of one integration."""
+    if form == "bloch":
+        return integrate_bloch(field, lam, r0, times, **kwargs).bloch
+    return integrate_density(field, lam, bloch_to_density(r0), times, **kwargs).rho
+
+
+def _base(field):
+    return (2.0 * math.pi / field.omega) / 200
+
+
+class TestBulkRates:
+    """Providers with an array form: planned intervals step on rates evaluated at once."""
+
+    @pytest.mark.parametrize("t_max, samples", [(500e-6, 251), (2e-3, 1001)], ids=["251", "2ms"])
+    @pytest.mark.parametrize("form", ["bloch", "density"])
+    @pytest.mark.parametrize("model", ["tpp", "detuned"])
+    def test_matches_the_scalar_path(self, tpp, model, form, t_max, samples):
+        # numpy's exp/expm1/sin may differ from math's in the last bit.
+        field, decay = (tpp.field, tpp.decay) if model == "tpp" else _detuned_model()
+        times = np.linspace(1e-9, t_max, samples)
+        provider = damping_provider(field, decay)
+        lam = RecordingProvider(provider, provider.bulk)
+        ref = CountingProvider(field, decay)
+        r0 = damped_bloch(field, decay, times[0])
+        got, want = _integrate(form, field, lam, r0, times), _integrate(form, field, ref, r0, times)
+        assert np.max(np.abs(got - want)) <= 1e-14
+        assert lam.asked() == sorted(ref.times)
+        assert len(lam.bulk_times) > len(lam.scalar_times)
+
+    @pytest.mark.parametrize("t_max, samples", [(500e-6, 251), (2e-3, 1001)], ids=["251", "2ms"])
+    def test_scalar_calls_serve_only_the_ramp(self, tpp, t_max, samples):
+        # 461 rate-capped steps in the first 6 intervals; 5,323 and 18,823
+        # calls without the array form.
+        times = np.linspace(1e-9, t_max, samples)
+        provider = damping_provider(tpp.field, tpp.decay)
+        lam = RecordingProvider(provider, provider.bulk)
+        integrate_bloch(tpp.field, lam, damped_bloch(tpp.field, tpp.decay, times[0]), times)
+        assert len(lam.scalar_times) == len(set(lam.scalar_times)) == 931
+        assert max(lam.scalar_times) <= times[6]
+
+    def test_chunks_stay_bounded(self, tpp):
+        times = np.linspace(1e-9, 2e-3, 1001)
+        provider = damping_provider(tpp.field, tpp.decay)
+        lam = RecordingProvider(provider, provider.bulk)
+        integrate_bloch(tpp.field, lam, damped_bloch(tpp.field, tpp.decay, times[0]), times)
+        # Each call: a midpoint and an end per planned step.
+        assert len(lam.bulk_sizes) > 10
+        assert max(lam.bulk_sizes) <= 2 * dynamics._CHUNK_STEPS
+
+    @pytest.mark.parametrize("form", ["bloch", "density"])
+    def test_an_interval_longer_than_a_chunk_runs_the_scalar_loop(self, tpp, form):
+        times = np.array([5e-5, 2e-3])  # about 8,700 base steps
+        provider = damping_provider(tpp.field, tpp.decay)
+        lam, ref = RecordingProvider(provider, provider.bulk), ScalarRecorder(provider)
+        r0 = damped_bloch(tpp.field, tpp.decay, times[0])
+        got = _integrate(form, tpp.field, lam, r0, times)
+        assert got.tobytes() == _integrate(form, tpp.field, ref, r0, times).tobytes()
+        assert lam.scalar_times == ref.scalar_times
+        assert not lam.bulk_times
+
+    @pytest.mark.parametrize("form", ["bloch", "density"])
+    def test_a_capped_start_in_mid_grid_falls_back(self, tpp, grid_251, form):
+        # The second step of interval 100 starts at a rate spike above the
+        # cap: that interval runs the scalar loop, and planning resumes after it.
+        provider = damping_provider(tpp.field, tpp.decay)
+        spike = grid_251[99] + _base(tpp.field)
+
+        def rates(t):
+            lx, ly, lz = provider(t)
+            return (lx, ly, 1e7) if t == spike else (lx, ly, lz)
+
+        lam, ref = RecordingProvider(rates), ScalarRecorder(rates)
+        r0 = damped_bloch(tpp.field, tpp.decay, grid_251[0])
+        got = _integrate(form, tpp.field, lam, r0, grid_251)
+        assert got.tobytes() == _integrate(form, tpp.field, ref, r0, grid_251).tobytes()
+        in_spike = lambda asked: [t for t in asked if grid_251[99] < t <= grid_251[100]]
+        assert spike in ref.scalar_times
+        assert in_spike(lam.scalar_times) == in_spike(ref.scalar_times)
+        assert max(lam.scalar_times) <= grid_251[100] < max(lam.bulk_times)
+        assert set(ref.scalar_times) <= set(lam.asked())
+
+    @pytest.mark.parametrize(
+        "rates",
+        [
+            (math.nan, 1e6, 0.0),
+            (1e6, math.nan, 0.0),
+            (0.0, 1e6, math.nan),
+            (math.nan, math.nan, math.nan),
+            (math.nan, 0.0, 0.0),
+        ],
+    )
+    def test_nan_rates_take_the_scalar_steps(self, tpp, rates):
+        times = np.linspace(1e-9, 5e-6, 3)
+        lam, ref = RecordingProvider(lambda t: rates), []
+
+        def plain(t):
+            ref.append(t)
+            return rates
+
+        with pytest.raises(ValueError, match="non-finite"):
+            integrate_bloch(tpp.field, lam, (0.0, 0.0, 1.0), times)
+        with pytest.raises(ValueError, match="non-finite"):
+            integrate_bloch(tpp.field, plain, (0.0, 0.0, 1.0), times)
+        assert lam.scalar_times == ref
+
+    def test_density_raises_at_a_visited_non_finite_rate(self, tpp, grid_251):
+        # The first midpoint of interval 100 is a time both paths ask for.
+        provider = damping_provider(tpp.field, tpp.decay)
+        bad = grid_251[99] + 0.5 * _base(tpp.field)
+        rates = lambda t: (math.inf, 0.0, 0.0) if t == bad else provider(t)
+        lam, ref = RecordingProvider(rates), ScalarRecorder(rates)
+        r0 = damped_bloch(tpp.field, tpp.decay, grid_251[0])
+        for integrand in (lam, ref):
+            with pytest.raises(ValueError) as info:
+                _integrate("density", tpp.field, integrand, r0, grid_251)
+            assert str(info.value) == "damping coefficients must be finite"
+        assert lam.scalar_times[-1] == ref.scalar_times[-1] == bad
+        assert bad in lam.bulk_times
+
+    def test_density_ignores_a_non_finite_rate_the_loop_never_visits(self, tpp, grid_251):
+        # The planned midpoint after a capped start is evaluated in bulk, but
+        # the scalar loop steps from that start by a shorter step.
+        provider = damping_provider(tpp.field, tpp.decay)
+        spike = grid_251[99] + _base(tpp.field)
+        bad = spike + 0.5 * _base(tpp.field)
+
+        def rates(t):
+            if t == bad:
+                return (math.nan, 0.0, 0.0)
+            lx, ly, lz = provider(t)
+            return (lx, ly, 1e7) if t == spike else (lx, ly, lz)
+
+        lam, ref = RecordingProvider(rates), ScalarRecorder(rates)
+        r0 = damped_bloch(tpp.field, tpp.decay, grid_251[0])
+        got = _integrate("density", tpp.field, lam, r0, grid_251)
+        assert got.tobytes() == _integrate("density", tpp.field, ref, r0, grid_251).tobytes()
+        assert bad in lam.bulk_times
+        assert bad not in ref.scalar_times
+
+    @pytest.mark.parametrize("form", ["bloch", "density"])
+    def test_an_interval_whose_steps_land_on_its_sample_time_runs_the_scalar_loop(self, form):
+        # 1.0 + 0.1 + 0.1 + 0.1 rounds to t1 although t1 - 1.2000000000000002
+        # exceeds 0.1: the loop stops there, where the plan would take a zero step.
+        field, t1 = CoherentField(0.0, 1.0, 0.0), 1.0 + 0.1 + 0.1 + 0.1
+        times = np.array([1.0, t1, 1.6])
+        rates = lambda t: (1e-3 * t, 0.0, 2e-3)
+        lam, ref = RecordingProvider(rates), ScalarRecorder(rates)
+        got = _integrate(form, field, lam, (0.0, 0.0, 1.0), times, step=0.1)
+        assert got.tobytes() == _integrate(form, field, ref, (0.0, 0.0, 1.0), times, step=0.1).tobytes()
+        in_first = lambda asked: [t for t in asked if t <= t1]
+        assert in_first(lam.scalar_times) == in_first(ref.scalar_times)
+        assert lam.asked() == sorted(set(ref.scalar_times))
+
+    @pytest.mark.parametrize("form", ["bloch", "density"])
+    def test_a_row_after_a_step_ending_off_its_sample_time_runs_the_scalar_loop(self, form):
+        # One step of 2.9 - 0.7 from 0.7 ends just off 2.9; the scalar loop
+        # then asks for the rates at 2.9, which the plan has no value for.
+        field = CoherentField(0.0, 1.0, 0.0)
+        times = np.array([0.7, 2.9, 3.1, 3.4])
+        assert 0.7 + (2.9 - 0.7) != 2.9
+        rates = lambda t: (1e-4 * t, 0.0, 2e-4)
+        lam, ref = RecordingProvider(rates), ScalarRecorder(rates)
+        got = _integrate(form, field, lam, (0.0, 0.0, 1.0), times, step=5.0)
+        assert got.tobytes() == _integrate(form, field, ref, (0.0, 0.0, 1.0), times, step=5.0).tobytes()
+        assert 2.9 in lam.scalar_times
+        assert lam.asked() == sorted(set(ref.scalar_times))
+
+    @pytest.mark.parametrize("form", ["bloch", "density"])
+    def test_underflow_message_at_a_large_start(self, tpp, form):
+        # At t = 1e10 a base step of 2.2e-7 s does not move t.
+        provider = damping_provider(tpp.field, tpp.decay)
+        lam = RecordingProvider(provider, provider.bulk)
+        times = np.array([1e10, 1e10 + 1e-5])
+        r0 = damped_bloch(tpp.field, tpp.decay, times[0])
+        for integrand in (lam, ScalarRecorder(provider)):
+            with pytest.raises(RuntimeError) as info:
+                _integrate(form, tpp.field, integrand, r0, times)
+            assert str(info.value) == "integration step underflow at t = 10000000000.0"
+        assert lam.bulk_times
+
+    @pytest.mark.parametrize("form", ["bloch", "density"])
+    def test_degenerate_field(self, tpp, form):
+        # A sub-threshold field leaves r0 at the north pole; the step
+        # override keeps the rates past the ramp below the cap.
+        field = CoherentField(0.0, 0.0, 1e-13)
+        provider = damping_provider(field, tpp.decay)
+        lam = RecordingProvider(provider, provider.bulk)
+        ref = CountingProvider(field, tpp.decay)
+        times = np.linspace(1e-9, 5e-4, 51)
+        r0 = damped_bloch(field, tpp.decay, times[0])
+        got = _integrate(form, field, lam, r0, times, step=1e-7)
+        want = _integrate(form, field, ref, r0, times, step=1e-7)
+        assert np.max(np.abs(got - want)) <= 1e-14
+        assert lam.asked() == sorted(ref.times)
+        assert np.all(np.abs(lam.bulk(np.array(lam.bulk_times))[:, :2]) == 0.0)
+
+    @pytest.mark.parametrize(
+        "rates", [None, (-0.0, 0.0, -0.0), (0.0, -0.0, 0.0)], ids=["decay", "-+-", "+-+"]
+    )
+    def test_signed_zeros_of_the_scalar_path(self, tpp, rates):
+        # The same rates in both forms must give the scalar path's rho byte
+        # for byte, signed zeros included (g changes sign at g_root, so
+        # g * 0.0 takes both signs).
+        field = CoherentField(0.0, 0.0, 1e-13)
+        scalar = damping_provider(field, tpp.decay) if rates is None else (lambda t: rates)
+        lam, ref = RecordingProvider(scalar), ScalarRecorder(scalar)
+        times = np.linspace(1e-9, 5e-4, 51)
+        r0 = damped_bloch(field, tpp.decay, times[0])
+        got = _integrate("density", field, lam, r0, times, step=1e-7)
+        assert got.tobytes() == _integrate("density", field, ref, r0, times, step=1e-7).tobytes()
+        assert lam.bulk_times
+
+    @pytest.mark.parametrize("form", ["bloch", "density"])
+    def test_a_row_that_outgrows_its_plan_runs_the_scalar_loop(self, form):
+        # Steps of 2.5 ulp(1) round to 2 ulp each, so 50 base steps of span
+        # take 63 steps, more than the 52 columns planned.
+        ulp = 2.0**-52
+        field, times = CoherentField(0.0, 1.0, 0.0), np.array([1.0, 1.0 + 125 * ulp, 1.0 + 250 * ulp])
+        rates = lambda t: (1e-3, 0.0, 2e-3)
+        lam, ref = RecordingProvider(rates), ScalarRecorder(rates)
+        got = _integrate(form, field, lam, (0.0, 0.0, 1.0), times, step=2.5 * ulp)
+        want = _integrate(form, field, ref, (0.0, 0.0, 1.0), times, step=2.5 * ulp)
+        assert got.tobytes() == want.tobytes()
+        assert lam.scalar_times == ref.scalar_times
+        assert lam.bulk_times
 
 
 class TestIntegrateBloch:

@@ -219,21 +219,32 @@ def test_trajectory(decayed):
     assert ratio <= 1.0, worst
 
 
-def _provider_cases(field, decays, times):
+def _provider_cases(field, decays, times, form="scalar"):
+    """Oracle cases of the provider (``form`` "scalar") or of its array form ("array")."""
     cases = []
+    times = [t for t in times if oracle_r0(field.wx, field.wy, field.wz, t) is not None]
     for decay in decays:
         provider = damping_provider(field, decay)
-        for t in times:
-            exact = oracle_r0(field.wx, field.wy, field.wz, t)
-            if exact is None:
-                continue
-            r0, angle = exact
+        if form == "array":
+            values = provider.bulk(np.array(times, dtype=float)).tolist()
+        else:
+            values = [provider(t) for t in times]
+        for t, rates in zip(times, values):
+            r0, angle = oracle_r0(field.wx, field.wy, field.wz, t)
             g, g_bound = _g_bound(decay, t)
             if abs(g) == INF:
                 continue  # g = 1/(2t) beyond the float range, at subnormal t
             bound = g_bound + abs(g) * K * EPS * (1.0 + float(angle)) + K * ETA
-            cases += [((decay, t, k), got, g * float(r0[k]), bound) for k, got in enumerate(provider(t))]
+            cases += [((decay, t, k), got, g * float(r0[k]), bound) for k, got in enumerate(rates)]
     return cases
+
+
+def _benchmark_provider_cases(tpp, name, form):
+    field = KERNEL_FIELDS[name](tpp.omega1)
+    d = tpp.decay
+    t_star = np.log(d.delta / (d.nu * d.mu)) / (d.delta - d.mu)
+    cases = _provider_cases(field, [d], (1e-9, 1e-6, 0.5 * t_star, t_star, 2e-3, 1.0, 30.0, *TIMES), form)
+    return cases + _provider_cases(field, DECAYS[:: 3], TIMES, form)
 
 
 @pytest.mark.parametrize("name", list(KERNEL_FIELDS))
@@ -243,12 +254,14 @@ def test_damping_provider(tpp, name):
     The benchmark times include the sign change of g, where the numerator
     cancels, and the 1/(2t) ramp near the seed time.
     """
-    field = KERNEL_FIELDS[name](tpp.omega1)
-    d = tpp.decay
-    t_star = np.log(d.delta / (d.nu * d.mu)) / (d.delta - d.mu)
-    cases = _provider_cases(field, [d], (1e-9, 1e-6, 0.5 * t_star, t_star, 2e-3, 1.0, 30.0, *TIMES))
-    cases += _provider_cases(field, DECAYS[:: 3], TIMES)
-    ratio, worst = _worst(cases)
+    ratio, worst = _worst(_benchmark_provider_cases(tpp, name, "scalar"))
+    assert ratio <= 1.0, worst
+
+
+@pytest.mark.parametrize("name", list(KERNEL_FIELDS))
+def test_damping_provider_array_form(tpp, name):
+    """The provider's array form, on the same times at once, within the same bounds."""
+    ratio, worst = _worst(_benchmark_provider_cases(tpp, name, "array"))
     assert ratio <= 1.0, worst
 
 
@@ -262,6 +275,19 @@ def test_damping_provider_where_nu_nears_one_at_delta_equal_to_mu(one_minus_nu):
     # 1 - f = (1 - e^{-mu t}) - nu (1 - e^{-mu t}) cancels to (1 - nu)(1 - e^{-mu t}).
     decay = DecayModel(1e3, 1e3, 1.0 - one_minus_nu)
     cases = _provider_cases(CoherentField(0.0, 1e4, 0.0), [decay], (1e-6, 1e-4, 1e-3, 1e-2))
+    ratio, worst = _worst(cases)
+    assert ratio <= 1.0, worst
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="FOUND line of CHANGES.md: the provider's array form evaluates the same g and loses it"
+    " to the same cancellation when nu is within an ulp or so of 1 and delta = mu",
+)
+@pytest.mark.parametrize("one_minus_nu", [2.0**-20, 2.0**-40])
+def test_damping_provider_array_form_where_nu_nears_one_at_delta_equal_to_mu(one_minus_nu):
+    decay = DecayModel(1e3, 1e3, 1.0 - one_minus_nu)
+    cases = _provider_cases(CoherentField(0.0, 1e4, 0.0), [decay], (1e-6, 1e-4, 1e-3, 1e-2), "array")
     ratio, worst = _worst(cases)
     assert ratio <= 1.0, worst
 
