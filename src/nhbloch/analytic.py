@@ -180,12 +180,15 @@ def damping_provider(field: CoherentField, model: DecayModel):
     :mod:`math` on plain floats, about a microsecond. 1 - f is formed as
     -expm1(-delta t) + nu expm1(-mu t), which does not cancel for small
     arguments, where g ~ 1/(2t); where it still rounds to 0 (delta t and mu t
-    subnormal or 0), g takes that limit 1/(2t).
+    subnormal or 0), g takes that limit 1/(2t). Where omega t overflows to
+    inf it raises ValueError, naming t and the angle.
 
     ``provider.bulk(times)`` is its array form, the (N, 3) rates at a 1-d
     array of times: the same g in numpy, 1/(2t) branch included, times
     ``trajectory(field, None, times)``, about 0.15 us per time. numpy's exp,
-    expm1 and sin may round the last bit differently from :mod:`math`'s.
+    expm1 and sin may round the last bit differently from :mod:`math`'s. Its
+    rates are NaN where omega t overflows; the ODE driver steps such times
+    on the scalar form, so the refusal comes from one place.
     """
     exp, expm1, sin = math.exp, math.expm1, math.sin
     delta, mu, nu = model.delta, model.mu, model.nu
@@ -213,7 +216,13 @@ def damping_provider(field: CoherentField, model: DecayModel):
             # coherent_bloch's north pole (0, 0, 1), signed zeros included.
             return (g * 0.0, g * 0.0, g)
         angle = om * t
-        s = sin(angle)
+        try:
+            s = sin(angle)
+        except ValueError:  # math.sin's "math domain error" at an infinite angle
+            raise ValueError(
+                f"the rotation angle omega * t = {angle!r} rad overflows at t = {t!r} s"
+                f" (omega = {om!r} rad/s)"
+            ) from None
         vers = 2.0 * sin(0.5 * angle) ** 2
         return (
             g * (nxz * vers + ny * s),

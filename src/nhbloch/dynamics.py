@@ -36,18 +36,29 @@ Both forms run on one RK4 loop, ``_rk4``, which owns the step control, the
 provider reuse, the underflow check and the sampling. It runs the scalar
 loop, one provider call per new time, on each grid interval that has no
 array form to use or whose first step is rate-capped (the 1/(2t) ramp),
-and on one longer than a chunk. Other intervals it
+and on one longer than a chunk: there each form's ``advance`` takes RK4
+steps of its nonlinear equations on Python numbers. Other intervals it
 plans from the grid alone, ``_CHUNK_STEPS`` cells at a time, evaluates the
-rates at all planned midpoints and ends in one array call, and steps them;
-an interval that breaks the plan (a capped start, an underflow, a rate that
-is not finite) runs the scalar loop after all, so the matrix form refuses a
-non-finite rate only where that loop would. Each form hands ``_rk4`` an
-``advance(c, c_half, c_end, y, h)`` that takes one RK4 step of a tuple of
-Python numbers: the Bloch form writes its four stages out on 3 local floats,
-the matrix form calls its 2x2 right-hand side on the 4 complex entries of
-rho, in row-major order, and computes each product the right-hand side
-needs once. Before stepping, the driver estimates the step count
-as the horizon over the base step and refuses more than ``_MAX_STEPS``.
+rates at all planned midpoints and ends in one array call, and steps
+linearly, for both forms are the normalized image of the linear
+non-Hermitian evolution rho~' = -i (K rho~ - rho~ K^+), K = H - iG. The
+Bloch form lifts r to (u0, u), with u0' = -lambda . u, u' = w x u -
+lambda u0 and r = u / u0; the matrix form steps vec(rho~), row-major,
+under A (x) I + I (x) conj(A) for A = -iH - G (-i times
+:func:`effective_hamiltonian` before its Tr[G rho] shift), with rho =
+rho~ / Tr rho~. Each step's RK4 matrix is built in numpy for the whole
+chunk; the state, lifted at the interval start, is carried through them
+on Python numbers and normalized at the sample. RK4 commutes with linear
+changes of variables, so the two lifts agree to rounding, on the scalar
+loop's steps, times and rates. The ramp keeps the nonlinear step: lifting
+it too doubled the worst deviation from the closed form of a slow decay
+(1 Hz drive, mu = 1/s, from 1e-9 s), while lifting only the planned
+intervals moves it by -25 % to +0.16 % on the grids the tests pin. An
+interval that breaks the plan (a capped start, an underflow, a rate that
+is not finite) runs the scalar loop after all, so the matrix form refuses
+a non-finite rate only where that loop would. Before stepping, the driver
+refuses a grid of more than ``_MAX_STEPS`` base steps.
+
 Both integrators return a :class:`~nhbloch.core.Trajectory` (also importable
 from here).
 """
@@ -57,7 +68,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -158,18 +169,70 @@ def _base_step(field: CoherentField, step: float | None) -> float:
     return (2.0 * math.pi / om) / _STEPS_PER_PERIOD if om > 0.0 else math.inf
 
 
-def _planned(times: np.ndarray, k: int, base: float, rates, rows):
-    """RK4 steps of grid intervals k, k + 1, ... as the scalar loop takes them, and their rates.
+class _Form(NamedTuple):
+    """One representation's parts for :func:`_rk4`; the state is a tuple of Python numbers."""
+
+    entries: Callable  # (lx, ly, lz) -> the value ``advance`` takes for one time
+    advance: Callable  # (c, c_half, c_end, y, h) -> y one nonlinear RK4 step later
+    generator: Callable  # (N, 3) rates -> the lift's generators M(t), v' = M v, as (4, 4, N)
+    lift: Callable  # state -> v at an interval start
+    normalize: Callable  # v0, v1, v2, v3 -> state at a sample
+
+
+def _product(a, b):
+    """Stacked 4x4 products of (4, 4, N) arrays, one per step: entry (i, j) of
+    step n is the sum over k of a[i, k, n] * b[k, j, n], added left to right.
+    Steps come last so that each operation runs over contiguous rows of N.
+
+    Complex entries multiply as Python's complex numbers do,
+    (ar br - ai bi) + i (ar bi + ai br), on contiguous real and imaginary
+    parts; numpy's own complex product may fuse multiply-adds.
+    """
+    if a.dtype.kind != "c":
+        total = a[:, 0, None] * b[0]
+        for k in 1, 2, 3:
+            total = total + a[:, k, None] * b[k]
+        return total
+    ar, ai, br, bi = a.real.copy(), a.imag.copy(), b.real.copy(), b.imag.copy()
+    for k in range(4):
+        xr, xi, yr, yi = ar[:, k, None], ai[:, k, None], br[k], bi[k]
+        pr, pi = xr * yr - xi * yi, xr * yi + xi * yr
+        re, im = (pr, pi) if k == 0 else (re + pr, im + pi)
+    total = np.empty(a.shape, dtype=complex)
+    total.real, total.imag = re, im
+    return total
+
+
+def _step_matrices(m0, m_half, m_end, h):
+    """The RK4 step v -> R v of v' = M(t) v as a matrix, one per step: (4, 4, N).
+
+    R = I + h/6 (K1 + 2 (K2 + K3) + K4) with K1 = M(t), K2 = M(t + h/2)
+    (I + h/2 K1), K3 = M(t + h/2) (I + h/2 K2) and K4 = M(t + h) (I + h K3),
+    from the (4, 4, N) generators at each step's start, midpoint and end.
+    """
+    eye = np.eye(4)[:, :, None]
+    half = 0.5 * h
+    k2 = _product(m_half, eye + half * m0)
+    k3 = _product(m_half, eye + half * k2)
+    k4 = _product(m_end, eye + h * k3)
+    return eye + (h / 6.0) * (m0 + 2.0 * (k2 + k3) + k4)
+
+
+def _planned(times, k, base, rates, start, generator):
+    """RK4 matrices of grid intervals k, k + 1, ... on the scalar loop's steps.
 
     Row r of the plan is the interval ending at times[k + r], column j its
     j-th step: the loop's sequential adds of base (a row-wise accumulate)
     until a step takes the span, at most _CHUNK_STEPS cells in all. One
     ``rates`` call covers every midpoint and end; the first start, at
-    times[k - 1], is not rate-capped. Rows are usable up to the first with
-    a start the loop would rate-cap, a rate that is not finite, a step that
-    underflows or runs out of columns, or a last step ending off the sample
-    time. Returns the (c_half, c_end, h) steps, the step count of each
-    usable row, the time of the last c_end and whether a row fell back.
+    times[k - 1], has the rates ``start`` and is not rate-capped, and each
+    later start is the previous step's end. Rows are usable up to the first
+    with a start the loop would rate-cap, a rate that is not finite, a step
+    that underflows or runs out of columns, or a last step ending off the
+    sample time. Returns an iterator over the usable steps'
+    :func:`_step_matrices`, each as 16 numbers in row-major order, the step
+    count of each usable row, the rates and time of the last step's end (of
+    times[k - 1] if no row is usable) and whether a row fell back.
     """
     est = np.ceil(np.diff(times[k - 1 : k + _CHUNK_STEPS]) / base)  # base steps per interval
     width = np.maximum.accumulate(est) + 2.0
@@ -198,24 +261,27 @@ def _planned(times: np.ndarray, k: int, base: float, rates, rows):
     row_bad[1:] |= end[first[1:] - 1] != times[k : k - 1 + n_rows]
     usable = int(np.append(row_bad, True).argmax())
     count = int(np.append(first, m)[usable])
-    both = rows(r)
-    steps = zip(both[:count], both[m : m + count], h[:count].tolist())
-    c_time = float(end[count - 1] if count else times[k - 1])
-    return steps, n[:usable].tolist(), c_time, usable < n_rows
+    if not count:
+        return (), [], start, float(times[k - 1]), True
+    ends = generator(np.concatenate(([start], r[m : m + count])))
+    matrices = _step_matrices(ends[..., :-1], generator(r[:count]), ends[..., 1:], h[:count])
+    steps = zip(*matrices.reshape(16, count).tolist())
+    return steps, n[:usable].tolist(), r[m + count - 1].tolist(), float(end[count - 1]), usable < n_rows
 
 
-def _rk4(advance, coefficients, y: tuple, times: np.ndarray, base: float, rates=None, rows=np.ndarray.tolist):
+def _rk4(form: _Form, provider, y: tuple, times: np.ndarray, base: float):
     """Classical RK4 of the state tuple ``y`` across the grid; one state per sample.
 
-    ``coefficients(t)`` is evaluated at most once per distinct time (see the
-    module docstring); its value starts with (lambda_x, lambda_y, lambda_z),
-    which set the step limit. ``advance(c, c_half, c_end, y, h)`` returns the state
-    one RK4 step of size h later, given the coefficients at the step's
-    start, midpoint and end. Raises RuntimeError, before stepping, when the
-    grid would take more than ``_MAX_STEPS`` base steps.
-
-    ``rates`` is the provider's array form, if any, and ``rows`` turns its
-    (N, 3) rates into values of ``coefficients``; see :func:`_planned`.
+    ``provider(t)`` is evaluated at most once per distinct time (see the
+    module docstring) and ``form.entries`` turns its (lambda_x, lambda_y,
+    lambda_z) into the value ``form.advance`` takes; the rates set the step
+    limit. ``advance(c, c_half, c_end, y, h)`` returns the state one RK4 step
+    of size h later, given that value at the step's start, midpoint and end.
+    Where the provider has an array form ``bulk``, the intervals
+    :func:`_planned` lays out step the linear lift instead: ``form.lift(y)``
+    at the interval start, one 4x4 RK4 matrix per step, ``form.normalize``
+    at the sample. Raises RuntimeError, before stepping, when the grid would
+    take more than ``_MAX_STEPS`` base steps.
     """
     grid = times.tolist()
     steps = (grid[-1] - grid[0]) / base
@@ -225,6 +291,8 @@ def _rk4(advance, coefficients, y: tuple, times: np.ndarray, base: float, rates=
             f" over the budget of {_MAX_STEPS}; the closed form (--model analytic) has no"
             " step cost"
         )
+    entries, advance, lift, normalize = form.entries, form.advance, form.lift, form.normalize
+    rates = getattr(provider, "bulk", None)
     states = [y]
     t = grid[0]
     c_time = c = None
@@ -233,25 +301,32 @@ def _rk4(advance, coefficients, y: tuple, times: np.ndarray, base: float, rates=
         # An interval of more base steps than a chunk holds runs the scalar loop.
         if rates is not None and (grid[k] - t) / base <= _CHUNK_STEPS - 2:
             if c_time != t:
-                c = coefficients(t)
+                c = entries(provider(t))
                 c_time = t
             # The scalar loop's step limit, as below.
             rate = max(abs(c[0]), abs(c[1]), abs(c[2]))
             if not (rate > 0.0 and _RATE_CAP / rate < base):
-                planned, counts, c_last, fell_back = _planned(times, k, base, rates, rows)
+                steps, counts, last, last_time, fell_back = _planned(times, k, base, rates, c[:3], form.generator)
                 for count in counts:
-                    for c_half, c_end, h in islice(planned, count):
-                        y = advance(c, c_half, c_end, y, h)
-                        c = c_end
+                    # v -> R v, step by step; a, b, c and d are the rows of R.
+                    v0, v1, v2, v3 = lift(y)
+                    for a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 in islice(steps, count):
+                        v0, v1, v2, v3 = (
+                            a0 * v0 + a1 * v1 + a2 * v2 + a3 * v3,
+                            b0 * v0 + b1 * v1 + b2 * v2 + b3 * v3,
+                            c0 * v0 + c1 * v1 + c2 * v2 + c3 * v3,
+                            d0 * v0 + d1 * v1 + d2 * v2 + d3 * v3,
+                        )
+                    y = normalize(v0, v1, v2, v3)
                     states.append(y)
                 k += len(counts)
-                t, c_time = grid[k - 1], c_last
+                t, c, c_time = grid[k - 1], entries(last), last_time
                 if not fell_back:
                     continue
         t1 = grid[k]
         while t < t1:
             if c_time != t:
-                c = coefficients(t)
+                c = entries(provider(t))
             # h = min(min(base, _RATE_CAP / rate), t1 - t) for rate =
             # max(|lx|, |ly|, |lz|), as comparisons in the builtins' order,
             # so a NaN rate picks the same value.
@@ -272,9 +347,9 @@ def _rk4(advance, coefficients, y: tuple, times: np.ndarray, base: float, rates=
                 h = span
             if t + h == t:
                 raise RuntimeError(f"integration step underflow at t = {t!r}")
-            c_half = coefficients(t + 0.5 * h)
+            c_half = entries(provider(t + 0.5 * h))
             c_time = t + h
-            c_end = coefficients(c_time)
+            c_end = entries(provider(c_time))
             y = advance(c, c_half, c_end, y, h)
             c = c_end
             t = t1 if h >= span else c_time
@@ -283,31 +358,8 @@ def _rk4(advance, coefficients, y: tuple, times: np.ndarray, base: float, rates=
     return states
 
 
-def integrate_bloch(
-    field: CoherentField,
-    lambda_provider: Callable[[float], tuple[float, float, float]],
-    r0,
-    times,
-    *,
-    step: float | None = None,
-) -> Trajectory:
-    """Integrate the Bloch-form equations over ``times``; r(times[0]) = r0.
-
-    ``r0`` is any length-3 real sequence. ``lambda_provider`` maps a time to
-    the damping triple (lambda_x, lambda_y, lambda_z), such as
-    :func:`~nhbloch.analytic.damping_provider`; pass
-    ``lambda t: (0.0, 0.0, 0.0)`` for purely coherent motion. One value per
-    distinct integrator time is used, from the provider or from its array
-    form ``bulk`` (see the module docstring). ``step`` overrides the base step
-    (useful for convergence studies); either way h * max|lambda_k| is at
-    most ``_RATE_CAP``, which is what resolves the singular ramp of the
-    analytic coefficients near the seed time.
-    """
-    times = np.asarray(times, dtype=float)
-    _check_grid(times)
-    r_init = np.array(r0, dtype=float)
-    if r_init.shape != (3,) or not np.all(np.isfinite(r_init)):
-        raise ValueError("initial state must be a finite length-3 vector")
+def _bloch_form(field: CoherentField) -> _Form:
+    """The Bloch form's parts: r, and its lift (u0, u) with r = u / u0."""
     wx, wy, wz = field.wx, field.wy, field.wz
 
     def advance(c, c_half, c_end, r, h):
@@ -343,47 +395,31 @@ def integrate_bloch(
             z + w * (az + 2.0 * (bz + cz) + dz),
         )
 
-    base = _base_step(field, step)
-    rates = getattr(lambda_provider, "bulk", None)
-    states = _rk4(advance, lambda_provider, tuple(r_init.tolist()), times, base, rates)
-    out = np.array(states)
-    worst = float(np.max(np.sqrt(np.sum(out**2, axis=1))))
-    if worst > 1.0 + 1e-9:
-        raise RuntimeError(f"integration left the Bloch ball (|r| = {worst!r})")
-    return Trajectory(times, out)
+    cross = np.array([[0.0, -wz, wy], [wz, 0.0, -wx], [-wy, wx, 0.0]])  # W u = w x u
+
+    def generator(r):
+        # u0' = -lambda . u and u' = w x u - lambda u0: M = [[0, -lambda^T], [-lambda, W]].
+        m = np.zeros((4, 4, len(r)))
+        m[0, 1:] = m[1:, 0] = -r.T
+        m[1:, 1:] = cross[:, :, None]
+        return m
+
+    return _Form(
+        tuple, advance, generator, lambda r: (1.0, *r), lambda u0, x, y, z: (x / u0, y / u0, z / u0)
+    )
 
 
-def integrate_density(
-    field: CoherentField,
-    lambda_provider: Callable[[float], tuple[float, float, float]],
-    rho0,
-    times,
-    *,
-    step: float | None = None,
-) -> Trajectory:
-    """Integrate the matrix-form equation; returns Bloch rows plus rho samples.
-
-    ``lambda_provider`` is the same ``t -> (lambda_x, lambda_y, lambda_z)``
-    provider that :func:`integrate_bloch` takes, array form included, with
-    one value per distinct integrator time; G = lambda_x IX + lambda_y IY +
-    lambda_z IZ is built from each triple, and a non-finite rate at a time
-    the scalar loop reaches raises ValueError. Trace and Hermiticity are
-    preserved by the flow on the unit-trace manifold; the returned
-    trajectory re-validates both at 1e-10 on every sample.
-    """
-    times = np.asarray(times, dtype=float)
-    _check_grid(times)
-    y = np.array(rho0, dtype=complex)
-    if y.shape != (2, 2) or not np.all(np.isfinite(y)):
-        raise ValueError("initial state must be a finite 2x2 matrix")
-    (h00, h01), (h10, h11) = field_matrix(field).tolist()
+def _density_form(field: CoherentField) -> _Form:
+    """The matrix form's parts: rho's entries, and the unnormalized rho~ with rho = rho~ / Tr rho~."""
+    h = field_matrix(field)
+    (h00, h01), (h10, h11) = h.tolist()
     finite = math.isfinite
 
-    def coefficients(t):
+    def entries(rates):
         # (lx, ly, lz) followed by G's entries g00, g01, g10, g11, row-major.
         # 0.0 +/- 0.5 * lz is 0.5 * lambda0 +/- 0.5 * lz at lambda0 = 0: it
         # keeps G's diagonal free of -0.0.
-        lx, ly, lz = lambda_provider(t)
+        lx, ly, lz = rates
         if not (finite(lx) and finite(ly) and finite(lz)):
             raise ValueError("damping coefficients must be finite")
         return (
@@ -440,17 +476,94 @@ def integrate_density(
             r11 + w * (a11 + 2.0 * (b11 + d11) + e11),
         )
 
-    def rows(r):
-        # coefficients' values for (N, 3) rates, with the same complex constructions.
-        hx, hy, hz = 0.5 * r.T
-        g = np.zeros((4, len(r)), dtype=complex)
-        g.real[:] = 0.0 + hz, hx, hx, 0.0 - hz
-        g.imag[1:3] = -hy, hy
-        return list(zip(*r.T.tolist(), *g.tolist()))
+    def generator(r):
+        # rho~' = A rho~ + rho~ A^dagger for A = -iH - G, on row-major vec(rho~):
+        # A (x) I + I (x) conj(A), entry ((i, j), (k, l)) = A_ik d_jl + d_ik conj(A_jl).
+        hx, hy, hz = 0.5 * r.T  # G = [[hz, hx - i hy], [hx + i hy, -hz]]
+        zero = np.zeros(len(r))
+        a = np.empty((4, len(r)), dtype=complex)  # A00, A01, A10, A11
+        a.real = h.imag.reshape(4, 1) - np.stack((hz, hx, hx, -hz))
+        a.imag = -h.real.reshape(4, 1) - np.stack((zero, -hy, hy, zero))
+        a00, a01, a10, a11 = a
+        c00, c01, c10, c11 = a.conj()
+        return np.stack(
+            (
+                a00 + c00, c01, a01, zero,
+                c10, a00 + c11, zero, a01,
+                a10, zero, a11 + c00, c01,
+                zero, a10, c10, a11 + c11,
+            )
+        ).reshape(4, 4, len(r))
 
-    rates = getattr(lambda_provider, "bulk", None)
+    def normalize(v00, v01, v10, v11):
+        trace = v00 + v11
+        return (v00 / trace, v01 / trace, v10 / trace, v11 / trace)
+
+    return _Form(entries, advance, generator, tuple, normalize)
+
+
+def integrate_bloch(
+    field: CoherentField,
+    lambda_provider: Callable[[float], tuple[float, float, float]],
+    r0,
+    times,
+    *,
+    step: float | None = None,
+) -> Trajectory:
+    """Integrate the Bloch-form equations over ``times``; r(times[0]) = r0.
+
+    ``r0`` is any length-3 real sequence. ``lambda_provider`` maps a time to
+    the damping triple (lambda_x, lambda_y, lambda_z), such as
+    :func:`~nhbloch.analytic.damping_provider`; pass
+    ``lambda t: (0.0, 0.0, 0.0)`` for purely coherent motion. One value per
+    distinct integrator time is used, from the provider or from its array
+    form ``bulk`` (see the module docstring). ``step`` overrides the base step
+    (useful for convergence studies); either way h * max|lambda_k| is at
+    most ``_RATE_CAP``, which is what resolves the singular ramp of the
+    analytic coefficients near the seed time.
+    """
+    times = np.asarray(times, dtype=float)
+    _check_grid(times)
+    r_init = np.array(r0, dtype=float)
+    if r_init.shape != (3,) or not np.all(np.isfinite(r_init)):
+        raise ValueError("initial state must be a finite length-3 vector")
+    base = _base_step(field, step)
+    states = _rk4(_bloch_form(field), lambda_provider, tuple(r_init.tolist()), times, base)
+    out = np.array(states)
+    worst = float(np.max(np.sqrt(np.sum(out**2, axis=1))))
+    if worst > 1.0 + 1e-9:
+        raise RuntimeError(f"integration left the Bloch ball (|r| = {worst!r})")
+    return Trajectory(times, out)
+
+
+def integrate_density(
+    field: CoherentField,
+    lambda_provider: Callable[[float], tuple[float, float, float]],
+    rho0,
+    times,
+    *,
+    step: float | None = None,
+) -> Trajectory:
+    """Integrate the matrix-form equation; returns Bloch rows plus rho samples.
+
+    ``lambda_provider`` is the same ``t -> (lambda_x, lambda_y, lambda_z)``
+    provider that :func:`integrate_bloch` takes, array form included, with
+    one value per distinct integrator time; G = lambda_x IX + lambda_y IY +
+    lambda_z IZ is built from each triple, and a non-finite rate at a time
+    the scalar loop reaches raises ValueError. The ramp's intervals step rho
+    itself; the planned ones past it step the unnormalized rho~ of the
+    linear non-Hermitian evolution and divide it by its trace at each
+    sample (see the module docstring). Trace and Hermiticity are preserved
+    by the flow; the returned trajectory re-validates both at 1e-10 on
+    every sample.
+    """
+    times = np.asarray(times, dtype=float)
+    _check_grid(times)
+    y = np.array(rho0, dtype=complex)
+    if y.shape != (2, 2) or not np.all(np.isfinite(y)):
+        raise ValueError("initial state must be a finite 2x2 matrix")
     y0 = tuple(y.ravel().tolist())
-    states = _rk4(advance, coefficients, y0, times, _base_step(field, step), rates, rows)
+    states = _rk4(_density_form(field), lambda_provider, y0, times, _base_step(field, step))
     rho_out = np.array(states).reshape(len(times), 2, 2)
     bloch = np.empty((len(times), 3))
     for i in range(len(times)):

@@ -349,6 +349,20 @@ class TestDampingProvider:
         times = np.array([t])
         assert np.array_equal(provider.bulk(times), (0.5 / t) * trajectory(field, None, times))
 
+    @pytest.mark.parametrize("field, t", [(CoherentField(0.0, 1e10, 0.0), 1e299), (None, 1.7e308)])
+    def test_refuses_an_overflowing_rotation_angle(self, tpp, field, t):
+        # omega t overflows to inf, where math.sin raises "math domain error";
+        # the array form gives NaN rates there instead.
+        field = tpp.field if field is None else field
+        provider = damping_provider(field, tpp.decay)
+        with pytest.raises(ValueError) as info:
+            provider(t)
+        assert str(info.value) == (
+            f"the rotation angle omega * t = inf rad overflows at t = {t!r} s"
+            f" (omega = {field.omega!r} rad/s)"
+        )
+        assert np.all(np.isnan(provider.bulk(np.array([t]))))
+
 
 class TestPurityClosedForm:
     def test_starts_pure(self, tpp):
