@@ -152,14 +152,8 @@ def _field_from_args(args) -> CoherentField:
         if not math.isfinite(phase):
             raise UsageError(f"--phi {args.phi!r} is out of range (pi times it overflows)")
         field = drive_field(omega1, phase, _rad_per_s("--detuning-hz", args.detuning_hz))
-    # Squares above ~1.8e308 overflow: ** raises, a sum goes to inf.
-    try:
-        norm_ok = math.isfinite(field.omega)
-    except OverflowError:
-        norm_ok = False
-    if not norm_ok:
-        flags = _field_flags(args)
-        raise UsageError(f"the field of {flags} Hz is out of range (its norm overflows)")
+    if not math.isfinite(field.omega):  # a square above ~1.8e308 makes it inf
+        raise UsageError(f"the field of {_field_flags(args)} Hz is out of range (its norm overflows)")
     return field
 
 
@@ -202,11 +196,15 @@ def _grid_from_args(args, model: str, decay: DecayModel | None) -> np.ndarray:
     samples = 251 if args.samples is None else args.samples
     if samples < 2:
         raise UsageError("--samples must be at least 2")
-    t_start = args.t_start
+    t_start, start = args.t_start, f"--t-start {args.t_start!r}"
     if t_start is None:
-        t_start = _SINGULAR_T0 if (decay is not None and model.startswith("ode")) else 0.0
+        seeded = decay is not None and model.startswith("ode")
+        t_start = _SINGULAR_T0 if seeded else 0.0
+        start = f"the default start time {t_start!r} s"
+        if seeded:
+            start += " (the seed of the ODE models with decay; --t-start sets it)"
     if args.t_max <= t_start:
-        raise UsageError("--t-max must exceed the start time")
+        raise UsageError(f"--t-max {args.t_max!r} must exceed {start}")
     _check_start(t_start, model, decay)
     grid = f"--t-start {t_start!r} and --t-max {args.t_max!r} s"
     if not math.isfinite(args.t_max - t_start):

@@ -61,23 +61,27 @@ def bloch_to_density(r) -> np.ndarray:
     )
 
 
-def density_to_bloch(rho) -> tuple[float, float, float]:
+def density_to_bloch(rho):
     """Extract the triple r_k = 2 Tr[I_k rho] from a unit-trace density matrix.
 
-    Raises ValueError if the trace deviates from one by more than 1e-9 (a
-    corrupt-state signal, not float noise).
+    A 2x2 matrix gives a float triple; an (N, 2, 2) stack gives (N, 3) rows,
+    the same values as one call per matrix. Raises ValueError if a trace
+    deviates from one by more than 1e-9 (a corrupt-state signal, not float
+    noise), naming the first such trace.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
+    stack = rho if rho.ndim == 3 else rho[None]
+    if stack.shape[1:] != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {rho.shape}")
-    trace = rho[0, 0] + rho[1, 1]
-    if abs(trace - 1.0) > _TRACE_TOL:
-        raise ValueError(f"density matrix trace {trace} is not 1 within {_TRACE_TOL}")
-    return (
-        float(2.0 * rho[1, 0].real),
-        float(2.0 * rho[1, 0].imag),
-        float((rho[0, 0] - rho[1, 1]).real),
-    )
+    trace = stack[:, 0, 0] + stack[:, 1, 1]
+    bad = np.flatnonzero(np.abs(trace - 1.0) > _TRACE_TOL)
+    if len(bad):
+        raise ValueError(f"density matrix trace {trace[bad[0]]} is not 1 within {_TRACE_TOL}")
+    rows = np.empty((len(stack), 3))
+    rows[:, 0] = 2.0 * stack[:, 1, 0].real
+    rows[:, 1] = 2.0 * stack[:, 1, 0].imag
+    rows[:, 2] = (stack[:, 0, 0] - stack[:, 1, 1]).real
+    return rows if rho.ndim == 3 else tuple(rows[0].tolist())
 
 
 def purity(r) -> float:

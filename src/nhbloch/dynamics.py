@@ -565,10 +565,7 @@ def integrate_density(
     y0 = tuple(y.ravel().tolist())
     states = _rk4(_density_form(field), lambda_provider, y0, times, _base_step(field, step))
     rho_out = np.array(states).reshape(len(times), 2, 2)
-    bloch = np.empty((len(times), 3))
-    for i in range(len(times)):
-        bloch[i] = density_to_bloch(rho_out[i])
-    return Trajectory(times, bloch, rho_out)
+    return Trajectory(times, density_to_bloch(rho_out), rho_out)
 
 
 def max_deviation(a: Trajectory, b: Trajectory) -> DeviationReport:

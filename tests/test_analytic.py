@@ -69,6 +69,42 @@ class TestCoherentBloch:
     def test_zero_field_stays_put(self):
         assert tuple(coherent_bloch(CoherentField(0.0, 0.0, 0.0), 123.0)) == (0.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("w", [(0.0, 1e-160, 0.0), (0.0, 1e-170, 0.0), (0.0, -1e-300, 0.0)])
+    def test_a_field_whose_squares_underflow_turns_the_state(self, w):
+        # The sum of squares is subnormal or 0; the norm is hypot's, and a
+        # quarter turn takes the pole to the equator.
+        field = CoherentField(*w)
+        assert field.omega == abs(w[1])
+        t = 0.5 * math.pi / field.omega
+        x, y, z = coherent_bloch(field, t)
+        assert math.hypot(x, y, z) == pytest.approx(1.0, abs=1e-15)
+        assert x == pytest.approx(math.copysign(1.0, w[1]), abs=1e-15)
+        assert y == 0.0 and abs(z) <= 1e-15
+        np.testing.assert_allclose(trajectory(field, None, [t]), [[x, y, z]], rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "w, omega",
+        [
+            # Squares that underflow: hypot's exact norm, 0 for the zero field only.
+            ((3e-170, -4e-170, 0.0), 5e-170),
+            ((0.0, 0.0, -5e-324), 5e-324),
+            ((-0.0, 0.0, -0.0), 0.0),
+            # A square that overflows (** raises) or a sum that does.
+            ((1e160, 0.0, 0.0), math.inf),
+            ((1.3e154, 1.3e154, 0.0), math.inf),
+            ((0.0, 0.0, -1.7e308), math.inf),
+        ],
+    )
+    def test_norm_at_the_ends_of_the_float_range(self, w, omega):
+        assert CoherentField(*w).omega == omega
+
+    @settings(max_examples=200)
+    @given(fields)
+    def test_norm_of_a_normal_sum_keeps_its_bits(self, field):
+        squares = field.wx**2 + field.wy**2 + field.wz**2
+        if squares >= 2.2250738585072014e-308:
+            assert field.omega == math.sqrt(squares)
+
     @settings(max_examples=100)
     @given(fields, st.floats(0.0, 0.1))
     def test_norm_conserved(self, field, t):
@@ -287,18 +323,17 @@ def _gamma_reference(field, model, t):
     f = e_delta - nu * em1_mu
     g = (delta * e_delta - nu * mu * e_mu) / (one_minus_f * (1.0 + f))
     om = math.sqrt(field.wx**2 + field.wy**2 + field.wz**2)
-    if om <= 1e-12 * max(1.0, abs(field.wx), abs(field.wy), abs(field.wz)):
-        x, y, z = 0.0, 0.0, 1.0
-    else:
-        nx, ny, nz = field.wx / om, field.wy / om, field.wz / om
-        angle = om * t
-        s = math.sin(angle)
-        vers = 2.0 * math.sin(0.5 * angle) ** 2
-        x, y, z = nx * nz * vers + ny * s, ny * nz * vers - nx * s, nz * nz * vers + 1.0 - vers
+    # Every field but the zero field turns the state; the zero field's axis is +z.
+    nx, ny, nz = (field.wx / om, field.wy / om, field.wz / om) if om > 0.0 else (0.0, 0.0, 1.0)
+    angle = om * t
+    s = math.sin(angle)
+    vers = 2.0 * math.sin(0.5 * angle) ** 2
+    x, y, z = nx * nz * vers + ny * s, ny * nz * vers - nx * s, nz * nz * vers + 1.0 - vers
     return (g * x, g * y, g * z)
 
 
-PROVIDER_FIELDS = dict(KERNEL_FIELDS, degenerate=lambda w1: CoherentField(0.0, 5e-13, 0.0))
+# A 5e-13 rad/s drive turns the state like any other: the model has no time scale.
+PROVIDER_FIELDS = dict(KERNEL_FIELDS, slow=lambda w1: CoherentField(0.0, 5e-13, 0.0))
 
 
 class TestDampingProvider:
@@ -306,7 +341,7 @@ class TestDampingProvider:
 
     Hoisting the rates, the field norm and the unit axis out of the call
     keeps each operation and its order, so every triple (signed zeros of
-    the degenerate field included) must match exactly.
+    the zero field included) must match exactly.
     """
 
     @pytest.mark.parametrize("name", list(PROVIDER_FIELDS))

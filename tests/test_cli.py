@@ -361,6 +361,13 @@ class TestRefusalsNoOtherCheckCatches:
         err = self.refused(capsys, "simulate", "--rabi-hz", rabi_hz, *self.GRID)
         assert err == "error: --rabi-hz must be positive\n"
 
+    @pytest.mark.parametrize("field", [("1e160", "0", "0"), ("2e153", "2e153", "0")])
+    def test_field_whose_norm_overflows(self, capsys, field):
+        # Without this refusal the infinite norm is refused as an overflowing angle instead.
+        err = self.refused(capsys, "simulate", "--field-hz", *field, *self.GRID)
+        flags = " ".join(repr(float(w)) for w in field)
+        assert err == f"error: the field of --field-hz {flags} Hz is out of range (its norm overflows)\n"
+
     def test_zero_mu(self, capsys):
         decay = ("--mu", "0", "--delta-mu-ratio", "2", "--nu", "0.1")
         err = self.refused(capsys, "simulate", "--rabi-hz", "1e3", *decay, *self.GRID)
@@ -377,19 +384,32 @@ class TestRefusalsNoOtherCheckCatches:
         assert err == "error: need --t-max\n"
 
     @pytest.mark.parametrize(
-        "grid",
+        "grid, message",
         [
-            "--t-max 0",
-            "--t-max=-1e-3",
-            "--t-start 1e-3 --t-max 1e-3",
-            "--t-start 1e-3 --t-max 1e-4",
-            # The ODE models with decay start at 1e-9 by default.
-            "--model ode-bloch --mu 1e3 --delta-mu-ratio 2 --nu 0.1 --t-max 1e-9",
+            pytest.param(grid, message, id=grid)
+            for grid, message in [
+                ("--t-max 0", "--t-max 0.0 must exceed the default start time 0.0 s"),
+                ("--t-max=-1e-3", "--t-max -0.001 must exceed the default start time 0.0 s"),
+                (
+                    "--t-start 1e-3 --t-max 1e-3",
+                    "--t-max 0.001 must exceed --t-start 0.001",
+                ),
+                (
+                    "--t-start 1e-3 --t-max 1e-4",
+                    "--t-max 0.0001 must exceed --t-start 0.001",
+                ),
+                # The ODE models with decay start at 1e-9 by default.
+                (
+                    "--model ode-bloch --mu 1e3 --delta-mu-ratio 2 --nu 0.1 --t-max 1e-9",
+                    "--t-max 1e-09 must exceed the default start time 1e-09 s"
+                    " (the seed of the ODE models with decay; --t-start sets it)",
+                ),
+            ]
         ],
     )
-    def test_t_max_at_or_below_the_start(self, capsys, grid):
+    def test_t_max_at_or_below_the_start(self, capsys, grid, message):
         err = self.refused(capsys, "simulate", "--rabi-hz", "1e3", *grid.split())
-        assert err == "error: --t-max must exceed the start time\n"
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_out_naming_a_directory(self, tmp_path, capsys, fmt):

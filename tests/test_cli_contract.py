@@ -162,14 +162,14 @@ def _field(argv):
 def _closed_form(argv, times):
     """Rows f(t) r0(t) from the flags, built as perfbench's ``workloads.closed_form``; and omega t.
 
-    r0 turns (0, 0, 1) about the field axis by omega t; a field of norm at
-    most 1e-12 max(1, |w_k|) rad/s leaves it at the pole, the library's
-    convention.
+    r0 turns (0, 0, 1) about the field axis by omega t; only the zero field
+    leaves it at the pole, the library's convention. The norm is hypot's, so
+    that a field whose squares underflow still turns the state.
     """
     w = _field(argv)
-    omega = float(np.linalg.norm(w))
+    omega = math.hypot(*w)
     angle = omega * times
-    if omega <= 1e-12 * max(1.0, *np.abs(w)):
+    if omega == 0.0:
         r0 = np.tile([0.0, 0.0, 1.0], (len(times), 1))
     else:
         nx, ny, nz = w / omega

@@ -44,6 +44,28 @@ def test_density_to_bloch_rejects_bad_trace():
         density_to_bloch(np.diag([1.0, 0.5]))
 
 
+def test_density_to_bloch_of_a_stack_is_bit_identical_to_per_matrix_calls():
+    rng = np.random.default_rng(5)
+    r = rng.uniform(-0.6, 0.6, (64, 3))
+    r[:4] = [(-0.0, 0.0, -0.0), (0.0, -0.0, 1.0), (1e-300, -5e-324, -1.0), (0.0, 0.0, 0.0)]
+    stack = np.array([bloch_to_density(v) for v in r])
+    stack[4:] += 1e-12 * rng.standard_normal(stack[4:].shape)  # traces off 1 by float noise
+    rows = density_to_bloch(stack)
+    assert rows.shape == (64, 3)
+    want = np.array([density_to_bloch(rho) for rho in stack])
+    assert rows.tobytes() == want.tobytes()
+    assert density_to_bloch(stack[:0]).shape == (0, 3)
+
+
+def test_density_to_bloch_of_a_stack_names_the_first_bad_trace():
+    stack = np.array([np.diag([1.0, 0.0]), np.diag([1.0, 0.5]), np.diag([0.5, 0.25])])
+    with pytest.raises(ValueError) as info:
+        density_to_bloch(stack)
+    with pytest.raises(ValueError) as single:
+        density_to_bloch(stack[1])
+    assert str(info.value) == str(single.value) == "density matrix trace (1.5+0j) is not 1 within 1e-09"
+
+
 @given(ball_points)
 def test_round_trip_is_identity(r):
     back = density_to_bloch(bloch_to_density(r))

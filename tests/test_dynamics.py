@@ -515,8 +515,9 @@ class TestScalarRK4:
     @pytest.mark.parametrize("damping", ["decay", "zero"])
     @pytest.mark.parametrize("field_name", ["degenerate", "tpp"])
     def test_density_keeps_signed_zeros_of_the_tuple_reference(self, tpp, field_name, damping):
-        # A sub-threshold z field and zero damping leave exact (signed)
-        # zeros in G and rho, which array_equal would not tell apart.
+        # A slow z field, which turns the pole about itself, and zero damping
+        # leave exact (signed) zeros in G and rho, which array_equal would
+        # not tell apart.
         field = CoherentField(0.0, 0.0, 1e-13) if field_name == "degenerate" else tpp.field
         # damping_provider's array form serves the intervals past the ramp,
         # which step the linear lift; the reference is fed the rates the
@@ -793,8 +794,8 @@ class TestBulkRates:
 
     @pytest.mark.parametrize("form", ["bloch", "density"])
     def test_degenerate_field(self, tpp, form):
-        # A sub-threshold field leaves r0 at the north pole; the step
-        # override keeps the rates past the ramp below the cap.
+        # A slow z field turns r0 about the north pole, so it stays there;
+        # the step override keeps the rates past the ramp below the cap.
         field = CoherentField(0.0, 0.0, 1e-13)
         provider = damping_provider(field, tpp.decay)
         lam = RecordingProvider(provider, provider.bulk)

@@ -134,8 +134,8 @@ def oracle_r0(wx, wy, wz, t):
     with _context():
         w = tuple(map(Decimal, (wx, wy, wz)))
         omega = (w[0] * w[0] + w[1] * w[1] + w[2] * w[2]).sqrt()
-        # The library's convention: a field of norm <= 1e-12 max(1, |w_k|) rad/s does not turn the state.
-        if omega <= Decimal("1e-12") * max(Decimal(1), *map(abs, w)):
+        # The library's convention: only the zero field does not turn the state.
+        if omega == 0:
             return (Decimal(0), Decimal(0), Decimal(1)), Decimal(0)
         angle = omega * Decimal(t)
         if angle * Decimal(EPS) > 1:
