@@ -18,6 +18,7 @@ which diverges as 1/(2t) at the origin; g is therefore only defined for
 strictly positive times and callers needing t -> 0 use the (regular)
 trajectory itself. Purity follows as P(t) = 1/2 + f(t)^2 / 2.
 
+:class:`CoherentField` and :class:`DecayModel` each own their input rules.
 Every field but the exact zero turns the state: the model has no time scale
 of its own, so no drive is too slow to count. ``_rotation`` fixes the axis
 (+z for the zero field) once and returns the float t -> r0(t), which is
@@ -37,9 +38,9 @@ nothing from the package.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,32 +53,31 @@ __all__ = [
 DECAY_DOMAIN = "the decay f(t) holds for t >= 0 only (|r| > 1 before t = 0)"
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class CoherentField:
-    """Angular-frequency components (rad/s) of the driving field."""
+    """Angular-frequency components (rad/s) of the driving field, and their norm ``omega``.
+
+    omega = sqrt(wx^2 + wy^2 + wz^2), math.hypot's where that sum is subnormal or 0, is set at
+    construction. A component that is not finite, or a square or sum that overflows, raises ValueError.
+    """
 
     wx: float
     wy: float
     wz: float
+    omega: float = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not all(math.isfinite(w) for w in (self.wx, self.wy, self.wz)):
-            raise ValueError("field components must be finite")
-
-    @property
-    def omega(self) -> float:
-        """Effective angular frequency sqrt(wx^2 + wy^2 + wz^2): inf where the squares overflow,
-        and math.hypot's where their sum falls below the smallest normal float."""
+        w = (self.wx, self.wy, self.wz)
         try:
             squares = self.wx**2 + self.wy**2 + self.wz**2
-        except OverflowError:
-            return math.inf
-        if squares < sys.float_info.min:
-            return math.hypot(self.wx, self.wy, self.wz)
-        return math.sqrt(squares)
+        except OverflowError:  # ** raises where a finite square overflows
+            squares = math.inf
+        if not squares < math.inf:
+            raise ValueError(f"the norm of the field {w!r} rad/s is not finite")
+        object.__setattr__(self, "omega", math.hypot(*w) if squares < sys.float_info.min else math.sqrt(squares))
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class DecayModel:
     """Decay rates delta >= mu > 0 (1/s) and residual Bloch radius nu < 1."""
 

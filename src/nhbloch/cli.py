@@ -9,11 +9,11 @@ strict JSON (no NaN or Infinity). File writes are whole-file atomic.
 
 Exit codes: 0 success; 1 with one ``error:`` line when a flag, a flag
 combination or an input file is refused; 2 with one ``numerical failure:``
-line when the computation cannot answer (an ODE run over its step budget, a
-failed fit, a record whose m_y rules the fit model out, a result that strict
-JSON cannot hold, a compare whose arithmetic overflows, a fit stopped at its
-iteration cap, whose result is written first, or a free fit whose LM step
-leaves the float range). A CSV source is read by its format alone; ``fit``
+line when the computation cannot answer (an ODE run over its step budget or out
+of the Bloch ball, a failed fit, a record whose m_y rules the fit model out, a
+result that strict JSON cannot hold, a compare whose arithmetic overflows, a fit
+stopped at its iteration cap, whose result is written first, or a free fit whose
+LM step leaves the float range). A CSV source is read by its format alone; ``fit``
 calls the input rules of :mod:`nhbloch.fit` and maps their refusals to exit codes.
 """
 
@@ -141,7 +141,7 @@ def _field_flags(args) -> str:
 
 def _field_from_args(args) -> CoherentField:
     if args.field_hz is not None:
-        field = CoherentField(*(_rad_per_s("--field-hz", w) for w in args.field_hz))
+        build, values = CoherentField, [_rad_per_s("--field-hz", w) for w in args.field_hz]
     else:
         if args.rabi_hz is None:
             raise UsageError("need --rabi-hz or --field-hz")
@@ -151,10 +151,11 @@ def _field_from_args(args) -> CoherentField:
         phase = math.pi * args.phi
         if not math.isfinite(phase):
             raise UsageError(f"--phi {args.phi!r} is out of range (pi times it overflows)")
-        field = drive_field(omega1, phase, _rad_per_s("--detuning-hz", args.detuning_hz))
-    if not math.isfinite(field.omega):  # a square above ~1.8e308 makes it inf
-        raise UsageError(f"the field of {_field_flags(args)} Hz is out of range (its norm overflows)")
-    return field
+        build, values = drive_field, (omega1, phase, _rad_per_s("--detuning-hz", args.detuning_hz))
+    try:
+        return build(*values)
+    except ValueError:  # the components are finite, so it is their norm that overflows
+        raise UsageError(f"the field of {_field_flags(args)} Hz is out of range (its norm overflows)") from None
 
 
 def _decay_from_args(args) -> DecayModel | None:

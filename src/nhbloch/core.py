@@ -31,7 +31,7 @@ IZ = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
 for _op in (I0, IX, IY, IZ):
     _op.setflags(write=False)
 
-# Slack on |r|^2 <= 1 membership; integrators may overshoot by float noise.
+# Slack on |r| <= 1 membership: purity and the ODE output refuse |r| > 1 + BALL_TOL.
 BALL_TOL = 1e-9
 
 # Slack on Tr[rho] = 1 in density_to_bloch; a larger defect is a corrupt state.
@@ -92,8 +92,8 @@ def purity(r) -> float:
     """
     x, y, z = _as_components(r)
     n2 = x * x + y * y + z * z
-    if n2 > 1.0 + BALL_TOL:
-        raise ValueError(f"|r|^2 = {n2!r} lies outside the Bloch ball")
+    if math.sqrt(n2) > 1.0 + BALL_TOL:
+        raise ValueError(f"|r| = {math.sqrt(n2)!r} lies outside the Bloch ball")
     return 0.5 * (1.0 + min(n2, 1.0))
 
 

@@ -60,7 +60,7 @@ a non-finite rate only where that loop would. Before stepping, the driver
 refuses a grid of more than ``_MAX_STEPS`` base steps.
 
 Both integrators return a :class:`~nhbloch.core.Trajectory` (also importable
-from here).
+from here) and refuse, in one check, a state with |r| > 1 + ``core.BALL_TOL``.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .analytic import CoherentField
-from .core import I0, IX, IY, IZ, Trajectory, density_to_bloch
+from .core import BALL_TOL, I0, IX, IY, IZ, Trajectory, density_to_bloch
 
 __all__ = [
     "DeviationReport", "GammaOperator", "effective_hamiltonian", "fidelity_trace", "field_matrix",
@@ -149,7 +149,8 @@ def effective_hamiltonian(field: CoherentField, gamma: GammaOperator, rho) -> np
     return field_matrix(field) - 1j * (g - shift * _ID2)
 
 
-def _check_grid(times: np.ndarray):
+def _grid(times) -> np.ndarray:
+    times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) < 2:
         raise ValueError("need a 1-d time grid with at least two samples")
     if not np.all(np.isfinite(times)):
@@ -158,6 +159,7 @@ def _check_grid(times: np.ndarray):
         raise ValueError("time grid must start at t >= 0")
     if np.any(np.diff(times) <= 0.0):
         raise ValueError("time grid must be strictly increasing")
+    return times
 
 
 def _base_step(field: CoherentField, step: float | None) -> float:
@@ -502,6 +504,14 @@ def _density_form(field: CoherentField) -> _Form:
     return _Form(entries, advance, generator, tuple, normalize)
 
 
+def _in_ball(rows: np.ndarray) -> np.ndarray:
+    """Both forms' output rule: ``rows``, or RuntimeError naming the largest |r| if it exceeds 1 + ``BALL_TOL``."""
+    worst = float(np.max(np.sqrt(np.sum(rows**2, axis=1))))
+    if worst > 1.0 + BALL_TOL:
+        raise RuntimeError(f"integration left the Bloch ball (|r| = {worst!r})")
+    return rows
+
+
 def integrate_bloch(
     field: CoherentField,
     lambda_provider: Callable[[float], tuple[float, float, float]],
@@ -520,20 +530,15 @@ def integrate_bloch(
     form ``bulk`` (see the module docstring). ``step`` overrides the base step
     (useful for convergence studies); either way h * max|lambda_k| is at
     most ``_RATE_CAP``, which is what resolves the singular ramp of the
-    analytic coefficients near the seed time.
+    analytic coefficients near the seed time. A state outside the Bloch ball
+    raises RuntimeError (see the module docstring).
     """
-    times = np.asarray(times, dtype=float)
-    _check_grid(times)
+    times = _grid(times)
     r_init = np.array(r0, dtype=float)
     if r_init.shape != (3,) or not np.all(np.isfinite(r_init)):
         raise ValueError("initial state must be a finite length-3 vector")
-    base = _base_step(field, step)
-    states = _rk4(_bloch_form(field), lambda_provider, tuple(r_init.tolist()), times, base)
-    out = np.array(states)
-    worst = float(np.max(np.sqrt(np.sum(out**2, axis=1))))
-    if worst > 1.0 + 1e-9:
-        raise RuntimeError(f"integration left the Bloch ball (|r| = {worst!r})")
-    return Trajectory(times, out)
+    states = _rk4(_bloch_form(field), lambda_provider, tuple(r_init.tolist()), times, _base_step(field, step))
+    return Trajectory(times, _in_ball(np.array(states)))
 
 
 def integrate_density(
@@ -555,17 +560,15 @@ def integrate_density(
     linear non-Hermitian evolution and divide it by its trace at each
     sample (see the module docstring). Trace and Hermiticity are preserved
     by the flow; the returned trajectory re-validates both at 1e-10 on
-    every sample.
+    every sample. A state outside the Bloch ball raises :func:`integrate_bloch`'s RuntimeError.
     """
-    times = np.asarray(times, dtype=float)
-    _check_grid(times)
+    times = _grid(times)
     y = np.array(rho0, dtype=complex)
     if y.shape != (2, 2) or not np.all(np.isfinite(y)):
         raise ValueError("initial state must be a finite 2x2 matrix")
-    y0 = tuple(y.ravel().tolist())
-    states = _rk4(_density_form(field), lambda_provider, y0, times, _base_step(field, step))
+    states = _rk4(_density_form(field), lambda_provider, tuple(y.ravel().tolist()), times, _base_step(field, step))
     rho_out = np.array(states).reshape(len(times), 2, 2)
-    return Trajectory(times, density_to_bloch(rho_out), rho_out)
+    return Trajectory(times, _in_ball(density_to_bloch(rho_out)), rho_out)
 
 
 def max_deviation(a: Trajectory, b: Trajectory) -> DeviationReport:

@@ -152,16 +152,12 @@ class FitResult:
     converged: bool
 
 
-def _check_feasible(params: Sequence[float]):
-    delta, mu, nu, omega1 = params
-    if not all(math.isfinite(p) for p in (delta, mu, nu, omega1)):
-        raise ValueError("parameters must be finite")
-    if not (mu > 0.0 and delta >= mu):
-        raise ValueError(f"need delta >= mu > 0, got delta={delta}, mu={mu}")
-    if not 0.0 <= nu < 1.0:
-        raise ValueError(f"nu={nu} outside [0, 1)")
-    if omega1 <= 0.0:
-        raise ValueError(f"omega1={omega1} must be positive")
+def _check_feasible(params: Sequence[float]) -> DecayModel:
+    """The DecayModel of (delta, mu, nu, omega1), by its own rules; ValueError unless 0 < omega1 < inf."""
+    decay, omega1 = DecayModel(*params[:3]), params[3]
+    if not 0.0 < omega1 < math.inf:
+        raise ValueError(f"omega1={omega1} must be positive and finite")
+    return decay
 
 
 def residuals(params: Sequence[float], series: Trajectory) -> np.ndarray:
@@ -171,9 +167,8 @@ def residuals(params: Sequence[float], series: Trajectory) -> np.ndarray:
     the resonant field (0, w1, 0). m_y is not part of the objective; see the
     module docstring.
     """
-    _check_feasible(params)
-    delta, mu, nu, omega1 = params
-    model = trajectory(CoherentField(0.0, omega1, 0.0), DecayModel(delta, mu, nu), series.times)
+    decay = _check_feasible(params)
+    model = trajectory(CoherentField(0.0, params[3], 0.0), decay, series.times)
     return np.concatenate([series.bloch[:, 0] - model[:, 0], series.bloch[:, 2] - model[:, 2]])
 
 

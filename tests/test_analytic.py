@@ -89,14 +89,26 @@ class TestCoherentBloch:
             ((3e-170, -4e-170, 0.0), 5e-170),
             ((0.0, 0.0, -5e-324), 5e-324),
             ((-0.0, 0.0, -0.0), 0.0),
-            # A square that overflows (** raises) or a sum that does.
+            # A square that overflows (** raises) or a sum that does: refused.
             ((1e160, 0.0, 0.0), math.inf),
             ((1.3e154, 1.3e154, 0.0), math.inf),
             ((0.0, 0.0, -1.7e308), math.inf),
         ],
     )
     def test_norm_at_the_ends_of_the_float_range(self, w, omega):
-        assert CoherentField(*w).omega == omega
+        if omega == math.inf:
+            with pytest.raises(ValueError, match="is not finite"):
+                CoherentField(*w)
+        else:
+            assert CoherentField(*w).omega == omega
+
+    @pytest.mark.parametrize("w", [(1e160, 0.0, 0.0), (1e154, 1e154, 1e154)], ids=["square", "sum"])
+    def test_a_norm_that_overflows_is_refused(self, w):
+        # Each square of the second field is finite; their sum is not. An
+        # infinite norm would turn the pole into NaN rows.
+        with pytest.raises(ValueError) as info:
+            CoherentField(*w)
+        assert str(info.value) == f"the norm of the field {w!r} rad/s is not finite"
 
     @settings(max_examples=200)
     @given(fields)

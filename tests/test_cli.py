@@ -455,7 +455,7 @@ class TestNegativeExponentValues:
         code, out, err = run(capsys, "fit", record, "--guess", "-1e-09", "500", "0.1", "22000")
         assert code == EXIT_USAGE
         assert out == ""
-        assert err.startswith("error: --guess: need delta >= mu > 0") and err.count("\n") == 1
+        assert err == "error: --guess: decay rates must be positive\n"
 
     @pytest.mark.parametrize("word", ["--1e5", "-e5", "-1e", "-1e5x", "-inf"])
     def test_other_dash_words_are_still_flags(self, tpp, capsys, word):
@@ -1391,6 +1391,24 @@ class TestCompare:
         payload = json.loads(out)
         assert payload["overall"] <= 1e-6
         assert payload["min_fidelity"] >= 1.0 - 1e-9
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            "--rabi-hz 22245.3 --mu 525.806 --delta-mu-ratio 11.5 --nu 0.0653 --t-max 500e-6 --t-start 1e-21",
+            "--rabi-hz 1 --mu 1 --delta-mu-ratio 2 --nu 0.1 --t-max 1 --t-start 1e-18",
+            "--rabi-hz 1000 --mu 1000 --delta-mu-ratio 1 --nu 0.999 --t-max 0.01 --t-start 1e-18",
+        ],
+        ids=["tpp", "slow-decay", "nu-near-one"],
+    )
+    @pytest.mark.parametrize("model", ["ode-bloch", "ode-density"])
+    def test_both_ode_forms_refuse_a_run_that_leaves_the_ball(self, capsys, model, flags):
+        # Seeded this deep in the 1/(2t) ramp, RK4 takes |r| past 1 + 1e-9 in
+        # either form (by 3.3e-8, 9.4e-9 and 5.8e-9 in the matrix form).
+        code, out, err = run(capsys, "compare", "--a", "analytic", "--b", model, *flags.split())
+        assert (code, out) == (EXIT_NUMERICAL, "")
+        assert err.startswith("numerical failure: integration left the Bloch ball (|r| = 1.0000")
+        assert err.count("\n") == 1
 
     def test_noisy_file_reports_fidelity_dip(self, tpp, tmp_path, capsys):
         noisy = tmp_path / "noisy.csv"

@@ -40,7 +40,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nhbloch.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
@@ -243,6 +243,15 @@ def table_path(tmp_path_factory):
 
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
 @given(st.one_of(SIMULATE, COMPARE, FIT, THERMAL), TABLE)
+# The matrix form seeded deep in the 1/(2t) ramp: |r| overshoots 1 by 3.3e-8.
+@example(
+    (
+        "simulate --model=ode-density --rabi-hz=22245.3 --mu=525.806 --delta-mu-ratio=11.5 --nu=0.0653"
+        " --t-max=500e-6 --t-start=1e-21".split(),
+        [],
+    ),
+    ("analytic", ()),
+)
 def test_every_run_answers_or_refuses_with_one_message(table_path, case, table):
     argv, words = case
     model, noise = table

@@ -87,6 +87,14 @@ def test_purity_clamps_marginal_overshoot():
     assert purity((r * math.sqrt(0.5), r * math.sqrt(0.5), 0.0)) == 1.0
 
 
+def test_purity_takes_the_integrators_ball_rule():
+    # |r| > 1 + BALL_TOL is refused, on |r| itself as the ODE output check
+    # compares it: |r| = 1 + 8e-10 lies inside, though |r|^2 = 1 + 1.6e-9.
+    assert purity((1.0 + 8e-10, 0.0, 0.0)) == 1.0
+    with pytest.raises(ValueError, match="outside the Bloch ball"):
+        purity((1.0 + 1.2e-9, 0.0, 0.0))
+
+
 def test_purity_rejects_unphysical():
     with pytest.raises(ValueError, match="Bloch ball"):
         purity((1.1, 0.0, 0.0))

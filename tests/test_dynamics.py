@@ -1025,6 +1025,21 @@ class TestIntegrateDensity:
             herm = np.max(np.abs(traj.rho - np.conj(np.swapaxes(traj.rho, 1, 2))))
             assert herm <= 1e-10
 
+    @pytest.mark.parametrize("excess, refused", [(0.9e-9, False), (1.1e-9, True)])
+    def test_refuses_a_state_outside_the_ball_as_the_bloch_form_does(self, excess, refused):
+        # Both forms refuse an output row with |r| > 1 + core.BALL_TOL, in
+        # one message. A state at rest under no field and no damping keeps
+        # its |r| exactly.
+        r = (1.0 + excess, 0.0, 0.0)
+        field = CoherentField(0.0, 0.0, 0.0)
+        for integrate, state in ((integrate_bloch, r), (integrate_density, bloch_to_density(r))):
+            if refused:
+                with pytest.raises(RuntimeError) as info:
+                    integrate(field, ZERO_LAMBDA, state, [0.0, 1.0])
+                assert str(info.value) == f"integration left the Bloch ball (|r| = {r[0]!r})"
+            else:
+                assert integrate(field, ZERO_LAMBDA, state, [0.0, 1.0]).bloch[-1, 0] == r[0]
+
     def test_purity_decreases_from_one_and_stays_mixed_side(self, tpp_runs):
         _, traj_d, _ = tpp_runs
         purities = 0.5 * (1.0 + np.sum(traj_d.bloch**2, axis=1))

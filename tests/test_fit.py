@@ -393,13 +393,21 @@ class TestSeriesValidation:
 class TestRefusalsByMessage:
     """The fit's internal refusals, each by its own message."""
 
+    # DecayModel states the rules on (delta, mu, nu), in its own messages. Each
+    # id names the rule the case breaks, so it stays when a message is reworded.
     @pytest.mark.parametrize(
         "params, message",
         [
-            ((math.nan, 1.0, 0.1, 1.0), "parameters must be finite"),
-            ((2.0, 1.0, math.inf, 1.0), "parameters must be finite"),
-            ((2.0, 1.0, 1.5, 1.0), "nu=1.5 outside [0, 1)"),
-            ((2.0, 1.0, -0.1, 1.0), "nu=-0.1 outside [0, 1)"),
+            ((math.nan, 1.0, 0.1, 1.0), "decay parameters must be finite, got delta = nan, mu = 1.0, nu = 0.1"),
+            ((2.0, 1.0, math.inf, 1.0), "decay parameters must be finite, got delta = 2.0, mu = 1.0, nu = inf"),
+            ((2.0, 1.0, 1.5, 1.0), "residual radius nu = 1.5 must lie in [0, 1)"),
+            ((2.0, 1.0, -0.1, 1.0), "residual radius nu = -0.1 must lie in [0, 1)"),
+        ],
+        ids=[
+            "params0-parameters must be finite",
+            "params1-parameters must be finite",
+            "params2-nu=1.5 outside [0, 1)",
+            "params3-nu=-0.1 outside [0, 1)",
         ],
     )
     def test_infeasible_parameters(self, tpp_series, params, message):
@@ -463,13 +471,20 @@ class TestRefusalsByMessage:
 class TestGuessRule:
     """check_guess at the edges a user can type with --guess."""
 
+    # Each id names the rule the case breaks, so it stays when a message is reworded.
     @pytest.mark.parametrize(
         "guess, ratio, message",
         [
-            ((2.0, 1.0, 0.1, 0.0), None, "omega1=0.0 must be positive"),
-            ((2.0, 1.0, 1.0, 1e5), None, "nu=1.0 outside [0, 1)"),
-            ((1.0, 2.0, 0.1, 1e5), 0.5, "need delta >= mu > 0, got delta=1.0, mu=2.0"),  # feasibility first
+            ((2.0, 1.0, 0.1, 0.0), None, "omega1=0.0 must be positive and finite"),
+            ((2.0, 1.0, 1.0, 1e5), None, "residual radius nu = 1.0 must lie in [0, 1)"),
+            ((1.0, 2.0, 0.1, 1e5), 0.5, "delta = 1.0 must not be below mu = 2.0"),  # feasibility first
             ((2.0, 1.0, 0.1, 1e5), 1.0 - 2.0**-53, "delta_mu_ratio must be at least 1"),
+        ],
+        ids=[
+            "guess0-None-omega1=0.0 must be positive",
+            "guess1-None-nu=1.0 outside [0, 1)",
+            "guess2-0.5-need delta >= mu > 0, got delta=1.0, mu=2.0",
+            "guess3-0.9999999999999999-delta_mu_ratio must be at least 1",
         ],
     )
     def test_refused(self, guess, ratio, message):
