@@ -7,12 +7,14 @@ integrations in both representations, and writes plot-ready CSV tables.
 """
 
 import argparse
+import math
 from pathlib import Path
 
 import numpy as np
 
 from nhbloch.analytic import purity_closed_form
 from nhbloch.cli import _simulate
+from nhbloch.core import purity
 from nhbloch.dynamics import max_deviation
 from nhbloch.fit import residual_magnetization_stats
 from nhbloch.nmr import P31_SAMPLES, p31_sample
@@ -36,15 +38,14 @@ def main():
             _simulate(model, field, decay, times) for model in ("analytic", "ode-bloch", "ode-density")
         )
 
-        purity = purity_closed_form(decay, times)
         path = outdir / f"{name}_magnetization.csv"
-        _write_text(str(path), _csv_text(times, *exact.bloch.T, purity))
+        _write_text(str(path), _csv_text(times, *exact.bloch.T, purity(exact.bloch)))
 
         print(f"[{name}] wrote {path}")
         print(f"[{name}] 1/delta = {1e6 / decay.delta:.2f} us")
         print(f"[{name}] closed form vs bloch ODE   : {max_deviation(exact, ode_b).overall:.3e}")
         print(f"[{name}] closed form vs density ODE : {max_deviation(exact, ode_d).overall:.3e}")
-        print(f"[{name}] purity asymptote           : {0.5 + 0.5 * decay.nu**2:.6f}")
+        print(f"[{name}] purity asymptote           : {purity_closed_form(decay, math.inf):.6f}")
 
     mean, half = residual_magnetization_stats([nu for *_, nu in P31_SAMPLES.values()])
     print(f"residual magnetization across samples: {mean:.3f} +/- {half:.3f} %")

@@ -9,12 +9,13 @@ strict JSON (no NaN or Infinity). File writes are whole-file atomic.
 
 Exit codes: 0 success; 1 with one ``error:`` line when a flag, a flag
 combination or an input file is refused; 2 with one ``numerical failure:``
-line when the computation cannot answer (an ODE run over its step budget or out
-of the Bloch ball, a failed fit, a record whose m_y rules the fit model out, a
-result that strict JSON cannot hold, a compare whose arithmetic overflows, a fit
-stopped at its iteration cap, whose result is written first, or a free fit whose
-LM step leaves the float range). A CSV source is read by its format alone; ``fit``
-calls the input rules of :mod:`nhbloch.fit` and maps their refusals to exit codes.
+line when the computation cannot answer (an ODE run over its step budget, out of
+the Bloch ball or on a damping rate that is not finite, a failed fit, a record
+whose m_y rules the fit model out, a result that strict JSON cannot hold, a
+compare whose arithmetic overflows, a fit stopped at its iteration cap, whose
+result is written first, or a free fit whose LM step leaves the float range). A
+CSV source is read by its format alone; ``fit`` calls the input rules of
+:mod:`nhbloch.fit` and maps their refusals to exit codes.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .analytic import (
     gamma_coefficients,  # noqa: F401 -- unused; perfbench/tracing.py wraps it by name
     trajectory,
 )
-from .core import bloch_to_density
+from .core import bloch_to_density, purity
 from .dynamics import (
     GammaOperator,  # noqa: F401 -- unused; perfbench/tracing.py wraps it by name
     Trajectory,
@@ -49,7 +50,9 @@ from .dynamics import (
     max_deviation,
 )
 from .fit import FitRangeError, check_guess, check_record, check_resonance, fit_decay_model
-from .nmr import ROOM_TEMPERATURE_K, drive_field, partition_function, polarization_factor, thermal_argument
+from .nmr import (
+    ROOM_TEMPERATURE_K, drive_field, partition_function, polarization_factor, thermal_argument, thermal_state,
+)
 from .table import UsageError, _csv_text, _read_series, _write_text
 
 EXIT_OK = 0
@@ -292,7 +295,7 @@ def cmd_simulate(args) -> int:
     (traj,) = _trajectories(args, (args.model,))
     # Purity is reported for the clean model state; noise perturbs only the
     # magnetization columns.
-    purity_col = 0.5 * (1.0 + np.minimum(np.sum(traj.bloch**2, axis=1), 1.0))
+    purity_col = purity(traj.bloch)
     data = traj.bloch.copy()
     if args.noise is not None:
         rng = np.random.default_rng(args.seed)
@@ -327,7 +330,7 @@ def cmd_fit(args) -> int:
     pinned = "" if args.fix_ratio is None else f"with delta pinned at {args.fix_ratio!r} * mu by --fix-ratio"
     guess = None
     if args.guess is not None:
-        guess = (*args.guess[:3], 2.0 * math.pi * args.guess[3])
+        guess = (*args.guess[:3], _rad_per_s("--guess", args.guess[3]))
         try:
             check_guess(guess, args.fix_ratio)
         except ValueError as exc:
@@ -434,7 +437,7 @@ def cmd_thermal(args) -> int:
         "epsilon_exact": eps_exact,
         "epsilon_high_t": eps_high_t,
         "partition_function": z,
-        "eigenvalues": [0.5 * (1.0 + eps_exact), 0.5 * (1.0 - eps_exact)],
+        "eigenvalues": thermal_state(omega_larmor, args.temperature).diagonal().real.tolist(),
     }
     _write_text(args.out, _json_text(payload))
     return EXIT_OK

@@ -7,7 +7,7 @@ A state is carried either as a Bloch triple (r_x, r_y, r_z) of floats, or
 
 where I0 is half the identity and IX, IY, IZ are the Pauli halves. The Bloch
 triple is the canonical representation; density matrices are derived views.
-Functions taking a state accept any length-3 real sequence.
+Functions taking a state accept any length-3 real sequence; purity takes rows too.
 
 A time series of states, model output and measured magnetization record
 alike, is a :class:`Trajectory`.
@@ -41,18 +41,13 @@ _TRACE_TOL = 1e-9
 _MATRIX_TOL = 1e-10
 
 
-def _as_components(r) -> tuple[float, float, float]:
-    x, y, z = np.asarray(r, dtype=float)
-    return float(x), float(y), float(z)
-
-
 def bloch_to_density(r) -> np.ndarray:
     """Assemble the density matrix I0 + r_x*IX + r_y*IY + r_z*IZ.
 
     Unit trace holds by construction; physicality (|r| <= 1) is not checked
     here.
     """
-    x, y, z = _as_components(r)
+    x, y, z = np.asarray(r, dtype=float).tolist()
     return np.array(
         [
             [0.5 * (1.0 + z), 0.5 * (x - 1j * y)],
@@ -84,17 +79,23 @@ def density_to_bloch(rho):
     return rows if rho.ndim == 3 else tuple(rows[0].tolist())
 
 
-def purity(r) -> float:
+def purity(r):
     """Purity (1 + |r|^2) / 2 of the state with Bloch vector ``r``.
 
-    Accepts |r| marginally above one (within BALL_TOL) and clamps it to one;
-    anything further outside the ball is rejected.
+    A triple gives a float; (N, 3) rows give one purity per row, the same
+    values as one call per row. |r| marginally above one (within BALL_TOL)
+    is clamped to one; a row further outside the ball raises ValueError,
+    naming the largest |r|.
     """
-    x, y, z = _as_components(r)
-    n2 = x * x + y * y + z * z
-    if math.sqrt(n2) > 1.0 + BALL_TOL:
-        raise ValueError(f"|r| = {math.sqrt(n2)!r} lies outside the Bloch ball")
-    return 0.5 * (1.0 + min(n2, 1.0))
+    rows = np.asarray(r, dtype=float)
+    if rows.shape[-1:] != (3,) or rows.ndim > 2:
+        raise ValueError(f"expected a Bloch triple or (N, 3) rows, got shape {rows.shape}")
+    n2 = np.sum(rows**2, axis=-1)
+    worst = float(np.sqrt(np.max(n2)))
+    if worst > 1.0 + BALL_TOL:
+        raise ValueError(f"|r| = {worst!r} lies outside the Bloch ball")
+    p = 0.5 * (1.0 + np.minimum(n2, 1.0))
+    return p if p.ndim else float(p)
 
 
 def fidelity(rho_a, rho_b) -> float:

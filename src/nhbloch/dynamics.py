@@ -13,13 +13,14 @@ with a classical fixed-step Runge-Kutta 4 scheme. The two forms are affinely
 equivalent, so integrating both and comparing is a representation-level
 consistency check rather than an independent method.
 
-Both forms take the damping as one provider contract: a callable
-``t -> (lambda_x, lambda_y, lambda_z)`` of finite rates in rad/s, such as
-:func:`~nhbloch.analytic.damping_provider`. The matrix form builds
-G = lambda_x IX + lambda_y IY + lambda_z IZ from the triple; an identity part
-lambda0 I0 would be cancelled exactly by the Tr[G rho] shift, so the
-contract has no place for it. When the coefficients follow the analytic
-g-form they blow up like 1/(2t) toward t = 0, so integrations must start at
+Both forms, and :func:`effective_hamiltonian`, take the damping as one
+provider contract: a callable ``t -> (lambda_x, lambda_y, lambda_z)`` of
+finite rates in rad/s, such as :func:`~nhbloch.analytic.damping_provider`;
+the first triple read that is not finite raises one ValueError, naming its
+time. The matrix form builds G = lambda_x IX + lambda_y IY + lambda_z IZ
+from the triple; an identity part lambda0 I0 would be cancelled exactly by
+the Tr[G rho] shift. When the coefficients follow the analytic g-form
+they blow up like 1/(2t) toward t = 0, so integrations must start at
 a strictly positive seed time and the substep size is capped at
 ``_RATE_CAP / max_k |lambda_k(t)|`` (``_RATE_CAP`` = 0.01) to resolve the
 ramp. Away from the ramp the base step 2*pi / (200 * omega) applies.
@@ -33,31 +34,31 @@ A provider may also carry an array form ``provider.bulk(times)``, its (N, 3)
 rates up to rounding, as :func:`~nhbloch.analytic.damping_provider`'s does.
 
 Both forms run on one RK4 loop, ``_rk4``, which owns the step control, the
-provider reuse, the underflow check and the sampling. It runs the scalar
-loop, one provider call per new time, on each grid interval that has no
-array form to use or whose first step is rate-capped (the 1/(2t) ramp),
-and on one longer than a chunk: there each form's ``advance`` takes RK4
-steps of its nonlinear equations on Python numbers. Other intervals it
-plans from the grid alone, ``_CHUNK_STEPS`` cells at a time, evaluates the
-rates at all planned midpoints and ends in one array call, and steps
-linearly, for both forms are the normalized image of the linear
-non-Hermitian evolution rho~' = -i (K rho~ - rho~ K^+), K = H - iG. The
-Bloch form lifts r to (u0, u), with u0' = -lambda . u, u' = w x u -
+provider reuse, the rate and underflow checks and the sampling. It runs
+the scalar loop, one provider call per new time, on each grid interval
+that has no array form to use or whose first step is rate-capped (the
+1/(2t) ramp), and on one longer than a chunk: there each form's
+``advance`` takes RK4 steps of its nonlinear equations on Python numbers.
+Other intervals it plans from the grid alone, ``_CHUNK_STEPS`` cells at a
+time, evaluates the rates at all planned midpoints and ends in one array
+call, and steps linearly, for both forms are the normalized image of the
+linear non-Hermitian evolution rho~' = -i (K rho~ - rho~ K^+), K = H - iG.
+The Bloch form lifts r to (u0, u), with u0' = -lambda . u, u' = w x u -
 lambda u0 and r = u / u0; the matrix form steps vec(rho~), row-major,
 under A (x) I + I (x) conj(A) for A = -iH - G (-i times
-:func:`effective_hamiltonian` before its Tr[G rho] shift), with rho =
-rho~ / Tr rho~. Each step's RK4 matrix is built in numpy for the whole
-chunk; the state, lifted at the interval start, is carried through them
-on Python numbers and normalized at the sample. RK4 commutes with linear
-changes of variables, so the two lifts agree to rounding, on the scalar
-loop's steps, times and rates. The ramp keeps the nonlinear step: lifting
-it too doubled the worst deviation from the closed form of a slow decay
-(1 Hz drive, mu = 1/s, from 1e-9 s), while lifting only the planned
+:func:`effective_hamiltonian` before its Tr[G rho] shift), with
+rho = rho~ / Tr rho~. Each step's RK4 matrix is built in numpy for the
+whole chunk; the state, lifted at the interval start, is carried through
+them on Python numbers and normalized at the sample. RK4 commutes with
+linear changes of variables, so the two lifts agree to rounding, on the
+scalar loop's steps, times and rates. The ramp keeps the nonlinear step:
+lifting it too doubled the worst deviation from the closed form of a slow
+decay (1 Hz drive, mu = 1/s, from 1e-9 s), while lifting only the planned
 intervals moves it by -25 % to +0.16 % on the grids the tests pin. An
 interval that breaks the plan (a capped start, an underflow, a rate that
-is not finite) runs the scalar loop after all, so the matrix form refuses
-a non-finite rate only where that loop would. Before stepping, the driver
-refuses a grid of more than ``_MAX_STEPS`` base steps.
+is not finite) runs the scalar loop after all, so both forms refuse a
+non-finite rate only where that loop reads one. Before stepping, the
+driver refuses a grid of more than ``_MAX_STEPS`` base steps.
 
 Both integrators return a :class:`~nhbloch.core.Trajectory` (also importable
 from here) and refuse, in one check, a state with |r| > 1 + ``core.BALL_TOL``.
@@ -73,7 +74,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .analytic import CoherentField
-from .core import BALL_TOL, I0, IX, IY, IZ, Trajectory, density_to_bloch
+from .core import BALL_TOL, IX, IY, IZ, Trajectory, density_to_bloch
 
 __all__ = [
     "DeviationReport", "GammaOperator", "effective_hamiltonian", "fidelity_trace", "field_matrix",
@@ -99,27 +100,11 @@ _CHUNK_STEPS = 512
 
 @dataclass(frozen=True)
 class GammaOperator:
-    """Damping operator lambda0*I0 + lx*IX + ly*IY + lz*IZ, rates in rad/s.
+    """The damping rates (lx, ly, lz) of G = lx IX + ly IY + lz IZ, in rad/s."""
 
-    The argument of :func:`effective_hamiltonian`. The lambda0 part is
-    cancelled exactly by the Tr[G rho] shift and never contributes to the
-    dynamics; it is carried for completeness. The integrators take the
-    triple (lx, ly, lz) instead.
-    """
-
-    lambda0: float
     lx: float
     ly: float
     lz: float
-
-    def __post_init__(self):
-        finite = math.isfinite
-        if not (finite(self.lambda0) and finite(self.lx) and finite(self.ly) and finite(self.lz)):
-            raise ValueError("damping coefficients must be finite")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.lambda0 * I0 + self.lx * IX + self.ly * IY + self.lz * IZ
 
 
 @dataclass(frozen=True)
@@ -137,16 +122,26 @@ def field_matrix(field: CoherentField) -> np.ndarray:
     return field.wx * IX + field.wy * IY + field.wz * IZ
 
 
-def effective_hamiltonian(field: CoherentField, gamma: GammaOperator, rho) -> np.ndarray:
+def effective_hamiltonian(field: CoherentField, rates, rho) -> np.ndarray:
     """Non-Hermitian generator H - i (G - Tr[G rho] 1), coefficients in rad/s.
 
-    The state-dependent shift removes the trace of the anti-Hermitian part,
-    which is what keeps the induced evolution trace preserving.
+    G = lx IX + ly IY + lz IZ for a provider's triple ``rates``, refused as
+    the integrators refuse it. The state-dependent shift removes the trace
+    of the anti-Hermitian part, which keeps the evolution trace preserving.
     """
-    rho = np.asarray(rho, dtype=complex)
-    g = gamma.matrix
-    shift = np.trace(g @ rho).real
+    lx, ly, lz = _finite_rates(rates)
+    g = lx * IX + ly * IY + lz * IZ
+    shift = np.trace(g @ np.asarray(rho, dtype=complex)).real
     return field_matrix(field) - 1j * (g - shift * _ID2)
+
+
+def _finite_rates(rates, t: float | None = None):
+    """The one rule on a provider's damping rates: ``rates``, or ValueError naming them (and time ``t``)."""
+    lx, ly, lz = rates
+    if math.isfinite(lx) and math.isfinite(ly) and math.isfinite(lz):
+        return rates
+    at = "" if t is None else f" at t = {t!r} s"
+    raise ValueError(f"the damping rates ({float(lx)!r}, {float(ly)!r}, {float(lz)!r}){at} are not finite")
 
 
 def _grid(times) -> np.ndarray:
@@ -275,15 +270,16 @@ def _rk4(form: _Form, provider, y: tuple, times: np.ndarray, base: float):
     """Classical RK4 of the state tuple ``y`` across the grid; one state per sample.
 
     ``provider(t)`` is evaluated at most once per distinct time (see the
-    module docstring) and ``form.entries`` turns its (lambda_x, lambda_y,
-    lambda_z) into the value ``form.advance`` takes; the rates set the step
-    limit. ``advance(c, c_half, c_end, y, h)`` returns the state one RK4 step
-    of size h later, given that value at the step's start, midpoint and end.
-    Where the provider has an array form ``bulk``, the intervals
-    :func:`_planned` lays out step the linear lift instead: ``form.lift(y)``
-    at the interval start, one 4x4 RK4 matrix per step, ``form.normalize``
-    at the sample. Raises RuntimeError, before stepping, when the grid would
-    take more than ``_MAX_STEPS`` base steps.
+    module docstring), its (lambda_x, lambda_y, lambda_z) checked by
+    :func:`_finite_rates`, and ``form.entries`` turns them into the value
+    ``form.advance`` takes; the rates set the step limit. ``advance(c,
+    c_half, c_end, y, h)`` returns the state one RK4 step of size h later,
+    given that value at the step's start, midpoint and end. Where the
+    provider has an array form ``bulk``, the intervals :func:`_planned` lays
+    out step the linear lift instead: ``form.lift(y)`` at the interval
+    start, one 4x4 RK4 matrix per step, ``form.normalize`` at the sample.
+    Raises RuntimeError, before stepping, when the grid would take more than
+    ``_MAX_STEPS`` base steps.
     """
     grid = times.tolist()
     steps = (grid[-1] - grid[0]) / base
@@ -294,6 +290,7 @@ def _rk4(form: _Form, provider, y: tuple, times: np.ndarray, base: float):
             " step cost"
         )
     entries, advance, lift, normalize = form.entries, form.advance, form.lift, form.normalize
+    read = lambda t: entries(_finite_rates(provider(t), t))
     rates = getattr(provider, "bulk", None)
     states = [y]
     t = grid[0]
@@ -303,7 +300,7 @@ def _rk4(form: _Form, provider, y: tuple, times: np.ndarray, base: float):
         # An interval of more base steps than a chunk holds runs the scalar loop.
         if rates is not None and (grid[k] - t) / base <= _CHUNK_STEPS - 2:
             if c_time != t:
-                c = entries(provider(t))
+                c = read(t)
                 c_time = t
             # The scalar loop's step limit, as below.
             rate = max(abs(c[0]), abs(c[1]), abs(c[2]))
@@ -328,10 +325,9 @@ def _rk4(form: _Form, provider, y: tuple, times: np.ndarray, base: float):
         t1 = grid[k]
         while t < t1:
             if c_time != t:
-                c = entries(provider(t))
+                c = read(t)
             # h = min(min(base, _RATE_CAP / rate), t1 - t) for rate =
-            # max(|lx|, |ly|, |lz|), as comparisons in the builtins' order,
-            # so a NaN rate picks the same value.
+            # max(|lx|, |ly|, |lz|), as comparisons: faster than the builtins.
             rate = abs(c[0])
             v = abs(c[1])
             if v > rate:
@@ -349,9 +345,9 @@ def _rk4(form: _Form, provider, y: tuple, times: np.ndarray, base: float):
                 h = span
             if t + h == t:
                 raise RuntimeError(f"integration step underflow at t = {t!r}")
-            c_half = entries(provider(t + 0.5 * h))
+            c_half = read(t + 0.5 * h)
             c_time = t + h
-            c_end = entries(provider(c_time))
+            c_end = read(c_time)
             y = advance(c, c_half, c_end, y, h)
             c = c_end
             t = t1 if h >= span else c_time
@@ -415,15 +411,11 @@ def _density_form(field: CoherentField) -> _Form:
     """The matrix form's parts: rho's entries, and the unnormalized rho~ with rho = rho~ / Tr rho~."""
     h = field_matrix(field)
     (h00, h01), (h10, h11) = h.tolist()
-    finite = math.isfinite
 
     def entries(rates):
         # (lx, ly, lz) followed by G's entries g00, g01, g10, g11, row-major.
-        # 0.0 +/- 0.5 * lz is 0.5 * lambda0 +/- 0.5 * lz at lambda0 = 0: it
-        # keeps G's diagonal free of -0.0.
+        # 0.0 +/- 0.5 * lz keeps G's diagonal free of -0.0.
         lx, ly, lz = rates
-        if not (finite(lx) and finite(ly) and finite(lz)):
-            raise ValueError("damping coefficients must be finite")
         return (
             lx,
             ly,
@@ -530,8 +522,9 @@ def integrate_bloch(
     form ``bulk`` (see the module docstring). ``step`` overrides the base step
     (useful for convergence studies); either way h * max|lambda_k| is at
     most ``_RATE_CAP``, which is what resolves the singular ramp of the
-    analytic coefficients near the seed time. A state outside the Bloch ball
-    raises RuntimeError (see the module docstring).
+    analytic coefficients near the seed time. A non-finite rate read raises
+    ValueError, and a state outside the Bloch ball RuntimeError (see the
+    module docstring).
     """
     times = _grid(times)
     r_init = np.array(r0, dtype=float)
@@ -553,9 +546,9 @@ def integrate_density(
 
     ``lambda_provider`` is the same ``t -> (lambda_x, lambda_y, lambda_z)``
     provider that :func:`integrate_bloch` takes, array form included, with
-    one value per distinct integrator time; G = lambda_x IX + lambda_y IY +
-    lambda_z IZ is built from each triple, and a non-finite rate at a time
-    the scalar loop reaches raises ValueError. The ramp's intervals step rho
+    one value per distinct integrator time and the same refusal of a
+    non-finite rate; G = lambda_x IX + lambda_y IY + lambda_z IZ is built
+    from each triple. The ramp's intervals step rho
     itself; the planned ones past it step the unnormalized rho~ of the
     linear non-Hermitian evolution and divide it by its trace at each
     sample (see the module docstring). Trace and Hermiticity are preserved

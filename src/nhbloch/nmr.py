@@ -71,7 +71,7 @@ def partition_function(omega_larmor: float, temperature: float) -> float:
 
 
 def thermal_state(omega_larmor: float, temperature: float) -> np.ndarray:
-    """Equilibrium state I0 + epsilon(T) IZ with eigenvalues (1 +/- eps)/2."""
+    """Equilibrium state exp(-H / kB T) / Z for H = -hbar w_L IZ: I0 + epsilon(T) IZ, eigenvalues (1 +/- eps)/2."""
     return I0 + polarization_factor(omega_larmor, temperature) * IZ
 
 

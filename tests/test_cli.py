@@ -190,6 +190,15 @@ class TestSimulate:
         rows = lambda text: [[float(x) for x in line.split(",")] for line in text.splitlines()[1:]]
         np.testing.assert_allclose(rows(out), rows(closed_form), rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("model", ["ode-bloch", "ode-density"])
+    def test_ode_seeded_where_the_damping_overflows_names_the_time(self, model, capsys):
+        # g(t) ~ 1/(2t) overflows at a subnormal seed: both forms refuse the
+        # first rates they read, by one message that names the time.
+        flags = "--rabi-hz 1000 --mu 1000 --delta-mu-ratio 2 --nu 0.1 --t-max 1e-3 --t-start 1e-320 --samples 3"
+        code, out, err = run(capsys, "simulate", "--model", model, *flags.split())
+        assert (code, out) == (EXIT_NUMERICAL, "")
+        assert err == "numerical failure: the damping rates (inf, nan, inf) at t = 1e-320 s are not finite\n"
+
 
 class TestFieldConvention:
     @pytest.mark.parametrize("rabi_hz", [1000.0, 22245.3])
@@ -597,6 +606,13 @@ class TestFit:
         code, out, err = run(capsys, "fit", record, *flags)
         assert (code, out) == (EXIT_USAGE, "")
         assert err == f"error: --guess: {message}\n"
+
+    def test_guess_rabi_hz_whose_angular_frequency_overflows(self, record, capsys):
+        # RABI_HZ goes through the Hz conversion of every other Hz flag, whose
+        # message names the value typed.
+        code, out, err = run(capsys, "fit", record, "--guess", "6000", "525", "0.06", "1e308")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: --guess 1e+308 Hz is out of range (2*pi times it overflows)\n"
 
     def test_record_that_starts_before_zero(self, tmp_path, capsys):
         # f(t) > 1 before t = 0; the fit used to fail with a float-range message.

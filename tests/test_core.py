@@ -109,6 +109,28 @@ def test_purity_matches_density_trace_on_random_states():
         assert abs(purity(r) - np.trace(rho @ rho).real) <= 1e-12
 
 
+def test_purity_of_rows_is_one_call_per_row():
+    # The CLI's purity column: (N, 3) rows give the per-row values bit for
+    # bit, the clamp included, and the rule refuses the worst row by its |r|.
+    rng = np.random.default_rng(29)
+    rows = rng.normal(size=(500, 3))
+    rows *= rng.uniform(0.0, 1.0 + 5e-10, (500, 1)) / np.linalg.norm(rows, axis=1, keepdims=True)
+    got = purity(rows)
+    assert got.shape == (500,)
+    assert got.tobytes() == np.array([purity(r) for r in rows]).tobytes()
+    rows[[7, 300]] = [(1.0 + 2e-9, 0.0, 0.0), (0.0, 0.0, -1.0 - 3e-9)]
+    with pytest.raises(ValueError) as info:
+        purity(rows)
+    assert str(info.value) == f"|r| = {1.0 + 3e-9!r} lies outside the Bloch ball"
+
+
+@pytest.mark.parametrize("shape", [(2,), (4,), (5, 2), (2, 5, 3)])
+def test_purity_refuses_a_shape_that_is_not_a_triple_or_rows(shape):
+    with pytest.raises(ValueError) as info:
+        purity(np.zeros(shape))
+    assert str(info.value) == f"expected a Bloch triple or (N, 3) rows, got shape {shape}"
+
+
 def test_fidelity_self_is_one():
     rho = bloch_to_density((0.3, -0.2, 0.4))
     assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-14)

@@ -226,6 +226,17 @@ class TestInitialGuess:
         assert nu >= 0.99
         assert omega1 == pytest.approx(tpp.omega1, rel=0.02)
 
+    def test_a_record_silent_through_its_head_takes_the_delta_floor(self):
+        # No envelope above 1e-12 in the first quarter leaves no slope to fit:
+        # delta is the floor 1e-3 / span.
+        times = np.linspace(0.0, 1e-3, 64)
+        phase = 2.0 * math.pi * 5000.0 * times
+        rows = np.column_stack([np.sin(phase), np.zeros(64), np.cos(phase)])
+        rows[:20] = 0.0
+        delta, mu, nu, omega1 = default_initial_guess(Trajectory(times, rows))
+        assert delta == 1e-3 / (times[-1] - times[0]) == 1.0
+        assert mu == delta / 11.5
+
     def test_flat_record_raises(self):
         times = np.linspace(0.0, 1.0, 32)
         with pytest.raises(DegenerateJacobianError, match="flat"):

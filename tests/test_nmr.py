@@ -51,6 +51,13 @@ class TestThermalState:
         rho = thermal_state(*P31)
         np.testing.assert_allclose(rho, np.diag([(1 + eps) / 2, (1 - eps) / 2]), atol=1e-18)
 
+    @pytest.mark.parametrize("temperature", [ROOM_TEMPERATURE_K, 4.2, 1e-3])
+    def test_is_the_normalized_boltzmann_factor(self, temperature):
+        # exp(-H / kB T) / Z for H = -hbar w_L IZ, by the matrix exponential.
+        boltzmann = expm(HBAR * P31[0] / (KB * temperature) * IZ)
+        want = boltzmann / np.trace(boltzmann)
+        np.testing.assert_allclose(thermal_state(P31[0], temperature), want, rtol=0.0, atol=1e-15)
+
     def test_bloch_view(self):
         eps = polarization_factor(*P31)
         x, y, z = density_to_bloch(thermal_state(*P31))

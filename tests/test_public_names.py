@@ -25,10 +25,8 @@ HOMES = ("analytic", "core", "dynamics", "fit", "nmr")
 KEPT = {
     "decay_f": "the decay envelope f(t) = e^{-delta t} + nu (1 - e^{-mu t}), the Bloch radius |r(t)|",
     "g_root": "the time where g(t) and f'(t) change sign: the purity minimum of the trajectory",
-    "purity": "the purity Tr[rho^2] = (1 + |r|^2) / 2 of a single Bloch state",
     "effective_hamiltonian": "the non-Hermitian generator H - i (G - Tr[G rho] 1) of the matrix form",
     "field_matrix": "the coherent Hamiltonian wx IX + wy IY + wz IZ of the matrix form",
-    "thermal_state": "the NMR thermal equilibrium state I0 + epsilon IZ",
     "pseudo_pure_decompose": "the pseudo-pure split (1 - epsilon) I0 + epsilon |0><0| of the thermal state",
     "deviation_matrix": "the NMR deviation matrix (rho_eq - I0) / epsilon",
     "rotation_pulse": "the pulse unitary exp(i omega1 t_r IY) that prepares the initial state",
