@@ -190,17 +190,19 @@ def damping_provider(field: CoherentField, model: DecayModel):
     microseconds. 1 - f is formed as -expm1(-delta t) + nu expm1(-mu t),
     which does not cancel for small arguments, where g ~ 1/(2t); where it
     still rounds to 0 (delta t and mu t subnormal or 0), g takes that limit
-    1/(2t). Where omega t overflows to inf, the rotation raises ValueError,
-    naming t and the angle.
+    1/(2t). Where g itself overflows (t subnormal), each rate is formed as
+    (numerator r0_k) / denominator instead, so only the rates that overflow
+    are not finite. Where omega t overflows to inf, the rotation raises
+    ValueError, naming t and the angle.
 
     ``provider.bulk(times)`` is its array form, the (N, 3) rates at a 1-d
-    array of times: the same g in numpy, 1/(2t) branch included, times
-    ``trajectory(field, None, times)``, about 0.15 us per time. numpy's exp,
-    expm1 and sin may round the last bit differently from :mod:`math`'s. Its
-    rates are NaN where omega t overflows; the ODE driver steps such times
-    on the scalar form, so the refusal comes from one place.
+    array of times: the same g in numpy, 1/(2t) branch and overflow
+    included, times ``trajectory(field, None, times)``, about 0.15 us per
+    time. numpy's exp, expm1 and sin may round the last bit differently from
+    :mod:`math`'s. Its rates are NaN where omega t overflows; the ODE loop
+    steps such times on the scalar form, so the refusal comes from one place.
     """
-    exp, expm1 = math.exp, math.expm1
+    exp, expm1, inf = math.exp, math.expm1, math.inf
     delta, mu, nu = model.delta, model.mu, model.nu
     neg_delta, neg_mu, nu_mu = -delta, -mu, nu * mu
     r0 = _rotation(field)
@@ -211,15 +213,17 @@ def damping_provider(field: CoherentField, model: DecayModel):
         e_delta = exp(neg_delta * t)
         em1_mu = expm1(neg_mu * t)
         one_minus_f = -expm1(neg_delta * t) + nu * em1_mu
-        f = e_delta - nu * em1_mu
-        try:
-            g = (delta * e_delta - nu_mu * exp(neg_mu * t)) / (one_minus_f * (1.0 + f))
-        except ZeroDivisionError:
+        numerator = delta * e_delta - nu_mu * exp(neg_mu * t)
+        denominator = one_minus_f * (1.0 + (e_delta - nu * em1_mu))
+        if not denominator:
             # 1 - f rounds to 0 only when delta t and mu t are subnormal or 0,
             # where g = 1/(2t) (1 + O(delta t)) holds to rounding.
-            g = 0.5 / t
+            numerator, denominator = 0.5, t
+        g = numerator / denominator
         x, y, z = r0(t)
-        return (g * x, g * y, g * z)
+        if -inf < g < inf:
+            return (g * x, g * y, g * z)
+        return (numerator * x / denominator, numerator * y / denominator, numerator * z / denominator)
 
     def bulk(times: np.ndarray) -> np.ndarray:
         # provider's g(t) on arrays, times trajectory's r0: (N, 3) rates.
@@ -229,9 +233,13 @@ def damping_provider(field: CoherentField, model: DecayModel):
             e_delta, em1_mu = np.exp(neg_delta * times), np.expm1(neg_mu * times)
             one_minus_f = -np.expm1(neg_delta * times) + nu * em1_mu
             denominator = one_minus_f * (1.0 + (e_delta - nu * em1_mu))
-            g = (delta * e_delta - nu_mu * np.exp(neg_mu * times)) / denominator
-            g = np.where(denominator == 0.0, 0.5 / times, g)
-            return trajectory(field, None, times) * g[:, None]
+            limit = denominator == 0.0
+            numerator = np.where(limit, 0.5, delta * e_delta - nu_mu * np.exp(neg_mu * times))
+            denominator = np.where(limit, times, denominator)
+            g, rows = numerator / denominator, trajectory(field, None, times)
+            rates, wide = rows * g[:, None], ~np.isfinite(g)
+            rates[wide] = numerator[wide, None] * rows[wide] / denominator[wide, None]
+            return rates
 
     provider.bulk = bulk
     return provider

@@ -47,18 +47,20 @@ The Bloch form lifts r to (u0, u), with u0' = -lambda . u, u' = w x u -
 lambda u0 and r = u / u0; the matrix form steps vec(rho~), row-major,
 under A (x) I + I (x) conj(A) for A = -iH - G (-i times
 :func:`effective_hamiltonian` before its Tr[G rho] shift), with
-rho = rho~ / Tr rho~. Each step's RK4 matrix is built in numpy for the
-whole chunk; the state, lifted at the interval start, is carried through
-them on Python numbers and normalized at the sample. RK4 commutes with
-linear changes of variables, so the two lifts agree to rounding, on the
-scalar loop's steps, times and rates. The ramp keeps the nonlinear step:
-lifting it too doubled the worst deviation from the closed form of a slow
-decay (1 Hz drive, mu = 1/s, from 1e-9 s), while lifting only the planned
-intervals moves it by -25 % to +0.16 % on the grids the tests pin. An
-interval that breaks the plan (a capped start, an underflow, a rate that
-is not finite) runs the scalar loop after all, so both forms refuse a
-non-finite rate only where that loop reads one. Before stepping, the
-driver refuses a grid of more than ``_MAX_STEPS`` base steps.
+rho = rho~ / Tr rho~. Each step's 4x4 RK4 matrix R is built in numpy for
+the whole chunk, and an interval's R_1, ..., R_n fold pairwise, in
+ceil(log2 n) levels, into its propagator P = R_n ... R_1; the state,
+lifted at the interval start, takes one product with P on Python numbers
+and is normalized at the sample. RK4 commutes with linear changes of
+variables, so the two lifts agree to rounding, on the scalar loop's
+steps, times and rates. The ramp keeps the nonlinear step: lifting it too
+doubled the worst deviation from the closed form of a slow decay (1 Hz
+drive, mu = 1/s, from 1e-9 s), while lifting only the planned intervals
+moves it by -25 % to +0.16 % on the grids the tests pin. An interval that
+breaks the plan (a capped start, an underflow, a rate that is not finite)
+runs the scalar loop after all, so both forms refuse a non-finite rate
+only where that loop reads one. Before stepping, ``_rk4`` refuses a
+grid of more than ``_MAX_STEPS`` base steps.
 
 Both integrators return a :class:`~nhbloch.core.Trajectory` (also importable
 from here) and refuse, in one check, a state with |r| > 1 + ``core.BALL_TOL``.
@@ -68,7 +70,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -89,13 +90,14 @@ _STEPS_PER_PERIOD = 200
 # Largest h * max_k |lambda_k| of a step: resolves the 1/(2t) damping ramp.
 _RATE_CAP = 0.01
 
-# Most base steps an integration may take. A million is about 6 s of
-# Bloch-form or 30 s of matrix-form stepping on a 2-vCPU Xeon; the 500 us
+# Most base steps an integration may take. A million is about 1.4 s of
+# Bloch-form or 3.3 s of matrix-form stepping on a 2-vCPU Xeon (a 20 ms,
+# 20001-sample grid's ~89k steps take 121 ms and 282-294 ms); the 500 us
 # benchmark grid takes ~2.2k, a 2 ms grid ~9k.
 _MAX_STEPS = 1_000_000
 
 # Most steps (cells) that ``_rk4`` plans and holds rates for at once.
-_CHUNK_STEPS = 512
+_CHUNK_STEPS = 1024
 
 
 @dataclass(frozen=True)
@@ -177,9 +179,9 @@ class _Form(NamedTuple):
 
 
 def _product(a, b):
-    """Stacked 4x4 products of (4, 4, N) arrays, one per step: entry (i, j) of
-    step n is the sum over k of a[i, k, n] * b[k, j, n], added left to right.
-    Steps come last so that each operation runs over contiguous rows of N.
+    """Stacked 4x4 products of (4, 4, ...) arrays, one per step: entry (i, j) of
+    step n is the sum over k of a[i, k, n] * b[k, j, n], added left to right
+    in place. Steps come last so that each operation runs over rows of N.
 
     Complex entries multiply as Python's complex numbers do,
     (ar br - ai bi) + i (ar bi + ai br), on contiguous real and imaginary
@@ -187,14 +189,20 @@ def _product(a, b):
     """
     if a.dtype.kind != "c":
         total = a[:, 0, None] * b[0]
+        term = np.empty_like(total)
         for k in 1, 2, 3:
-            total = total + a[:, k, None] * b[k]
+            total += np.multiply(a[:, k, None], b[k], out=term)
         return total
     ar, ai, br, bi = a.real.copy(), a.imag.copy(), b.real.copy(), b.imag.copy()
+    re, im, pr, pi, term = (np.empty(a.shape) for _ in range(5))
     for k in range(4):
         xr, xi, yr, yi = ar[:, k, None], ai[:, k, None], br[k], bi[k]
-        pr, pi = xr * yr - xi * yi, xr * yi + xi * yr
-        re, im = (pr, pi) if k == 0 else (re + pr, im + pi)
+        r, i = (re, im) if k == 0 else (pr, pi)
+        np.subtract(np.multiply(xr, yr, out=r), np.multiply(xi, yi, out=term), out=r)
+        np.add(np.multiply(xr, yi, out=i), np.multiply(xi, yr, out=term), out=i)
+        if k:
+            re += pr
+            im += pi
     total = np.empty(a.shape, dtype=complex)
     total.real, total.imag = re, im
     return total
@@ -216,7 +224,7 @@ def _step_matrices(m0, m_half, m_end, h):
 
 
 def _planned(times, k, base, rates, start, generator):
-    """RK4 matrices of grid intervals k, k + 1, ... on the scalar loop's steps.
+    """Propagators of grid intervals k, k + 1, ... on the scalar loop's steps.
 
     Row r of the plan is the interval ending at times[k + r], column j its
     j-th step: the loop's sequential adds of base (a row-wise accumulate)
@@ -226,10 +234,10 @@ def _planned(times, k, base, rates, start, generator):
     later start is the previous step's end. Rows are usable up to the first
     with a start the loop would rate-cap, a rate that is not finite, a step
     that underflows or runs out of columns, or a last step ending off the
-    sample time. Returns an iterator over the usable steps'
-    :func:`_step_matrices`, each as 16 numbers in row-major order, the step
-    count of each usable row, the rates and time of the last step's end (of
-    times[k - 1] if no row is usable) and whether a row fell back.
+    sample time. Returns the usable rows' propagators R_n ... R_1 of their
+    :func:`_step_matrices`, each as 16 numbers in row-major order, the
+    rates and time of the last step's end (of times[k - 1] if no row is
+    usable) and whether a row fell back.
     """
     est = np.ceil(np.diff(times[k - 1 : k + _CHUNK_STEPS]) / base)  # base steps per interval
     width = np.maximum.accumulate(est) + 2.0
@@ -259,11 +267,19 @@ def _planned(times, k, base, rates, start, generator):
     usable = int(np.append(row_bad, True).argmax())
     count = int(np.append(first, m)[usable])
     if not count:
-        return (), [], start, float(times[k - 1]), True
+        return [], start, float(times[k - 1]), True
     ends = generator(np.concatenate(([start], r[m : m + count])))
     matrices = _step_matrices(ends[..., :-1], generator(r[:count]), ends[..., 1:], h[:count])
-    steps = zip(*matrices.reshape(16, count).tolist())
-    return steps, n[:usable].tolist(), r[m + count - 1].tolist(), float(end[count - 1]), usable < n_rows
+    ok = valid[:usable, : int(n[:usable].max())]
+    # Each level multiplies pairs (R_2 R_1), (R_4 R_3), ...; np.where passes an unpaired last
+    # R through, where an identity pad would flip signed zeros in its I + 0 terms.
+    steps = np.zeros((4, 4, *ok.shape), dtype=matrices.dtype)
+    steps[:, :, ok] = matrices
+    while ok.shape[1] > 1:
+        even = ok.shape[1] // 2 * 2
+        paired = np.where(ok[:, 1:even:2], _product(steps[..., 1:even:2], steps[..., :even:2]), steps[..., :even:2])
+        steps, ok = np.concatenate((paired, steps[..., even:]), axis=-1), ok[:, ::2]
+    return steps.reshape(16, usable).T.tolist(), r[m + count - 1].tolist(), float(end[count - 1]), usable < n_rows
 
 
 def _rk4(form: _Form, provider, y: tuple, times: np.ndarray, base: float):
@@ -277,8 +293,8 @@ def _rk4(form: _Form, provider, y: tuple, times: np.ndarray, base: float):
     given that value at the step's start, midpoint and end. Where the
     provider has an array form ``bulk``, the intervals :func:`_planned` lays
     out step the linear lift instead: ``form.lift(y)`` at the interval
-    start, one 4x4 RK4 matrix per step, ``form.normalize`` at the sample.
-    Raises RuntimeError, before stepping, when the grid would take more than
+    start, times the interval's 4x4 propagator, ``form.normalize`` at the
+    sample. Raises RuntimeError, before stepping, when the grid would take more than
     ``_MAX_STEPS`` base steps.
     """
     grid = times.tolist()
@@ -305,20 +321,18 @@ def _rk4(form: _Form, provider, y: tuple, times: np.ndarray, base: float):
             # The scalar loop's step limit, as below.
             rate = max(abs(c[0]), abs(c[1]), abs(c[2]))
             if not (rate > 0.0 and _RATE_CAP / rate < base):
-                steps, counts, last, last_time, fell_back = _planned(times, k, base, rates, c[:3], form.generator)
-                for count in counts:
-                    # v -> R v, step by step; a, b, c and d are the rows of R.
+                propagators, last, last_time, fell_back = _planned(times, k, base, rates, c[:3], form.generator)
+                # v -> P v, once per interval; a, b, c and d are the rows of P.
+                for a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 in propagators:
                     v0, v1, v2, v3 = lift(y)
-                    for a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 in islice(steps, count):
-                        v0, v1, v2, v3 = (
-                            a0 * v0 + a1 * v1 + a2 * v2 + a3 * v3,
-                            b0 * v0 + b1 * v1 + b2 * v2 + b3 * v3,
-                            c0 * v0 + c1 * v1 + c2 * v2 + c3 * v3,
-                            d0 * v0 + d1 * v1 + d2 * v2 + d3 * v3,
-                        )
-                    y = normalize(v0, v1, v2, v3)
+                    y = normalize(
+                        a0 * v0 + a1 * v1 + a2 * v2 + a3 * v3,
+                        b0 * v0 + b1 * v1 + b2 * v2 + b3 * v3,
+                        c0 * v0 + c1 * v1 + c2 * v2 + c3 * v3,
+                        d0 * v0 + d1 * v1 + d2 * v2 + d3 * v3,
+                    )
                     states.append(y)
-                k += len(counts)
+                k += len(propagators)
                 t, c, c_time = grid[k - 1], entries(last), last_time
                 if not fell_back:
                     continue

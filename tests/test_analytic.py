@@ -396,6 +396,29 @@ class TestDampingProvider:
         times = np.array([t])
         assert np.array_equal(provider.bulk(times), (0.5 / t) * trajectory(field, None, times))
 
+    @pytest.mark.parametrize(
+        "decay, t",
+        [
+            (DecayModel(2000.0, 1000.0, 0.1), 1e-320),
+            (DecayModel(2000.0, 1000.0, 0.1), 5e-324),
+            # 1 - f rounds to 0: the 1/(2t) branch, which overflows too.
+            (DecayModel(5e-324, 5e-324, 0.999), 1e-320),
+        ],
+    )
+    def test_an_overflowing_g_leaves_the_other_rates_finite(self, decay, t):
+        # g ~ 1/(2t) overflows at a subnormal t, but r0_x ~ omega t and
+        # r0_y ~ 0 keep lambda_x ~ omega / 2 and lambda_y ~ 0 finite: only
+        # lambda_z, at r0_z = 1, overflows, in both forms. lambda_x is as
+        # exact as the subnormal r0_x (and 0.5 r0_x) it is scaled from.
+        w1 = 2.0 * math.pi * 1000.0
+        field = CoherentField(w1 * math.cos(2.5 * math.pi), w1 * math.sin(2.5 * math.pi), 0.0)
+        provider = damping_provider(field, decay)
+        lx, ly, lz = provider(t)
+        assert lx == pytest.approx(0.5 * w1, rel=2.0 * 5e-324 / coherent_bloch(field, t)[0])
+        assert abs(ly) <= 1e-12
+        assert lz == math.inf
+        np.testing.assert_allclose(provider.bulk(np.array([t])), [[lx, ly, lz]], rtol=1e-15, atol=0.0)
+
     @pytest.mark.parametrize("field, t", [(CoherentField(0.0, 1e10, 0.0), 1e299), (None, 1.7e308)])
     def test_refuses_an_overflowing_rotation_angle(self, tpp, field, t):
         # omega t overflows to inf, where math.sin raises "math domain error";

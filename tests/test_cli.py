@@ -193,11 +193,14 @@ class TestSimulate:
     @pytest.mark.parametrize("model", ["ode-bloch", "ode-density"])
     def test_ode_seeded_where_the_damping_overflows_names_the_time(self, model, capsys):
         # g(t) ~ 1/(2t) overflows at a subnormal seed: both forms refuse the
-        # first rates they read, by one message that names the time.
+        # first rates they read, by one message that names the time and the
+        # rates, of which only lambda_z = g r0_z overflows.
         flags = "--rabi-hz 1000 --mu 1000 --delta-mu-ratio 2 --nu 0.1 --t-max 1e-3 --t-start 1e-320 --samples 3"
         code, out, err = run(capsys, "simulate", "--model", model, *flags.split())
         assert (code, out) == (EXIT_NUMERICAL, "")
-        assert err == "numerical failure: the damping rates (inf, nan, inf) at t = 1e-320 s are not finite\n"
+        assert err == (
+            "numerical failure: the damping rates (3141.592638339921, -0.0, inf) at t = 1e-320 s are not finite\n"
+        )
 
 
 class TestFieldConvention:

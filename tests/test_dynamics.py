@@ -103,9 +103,9 @@ def _tuple_rk4(rhs, coefficients, y, times, base, lift=None):
 
     ``lift`` = (lifted, generator, start, normalize, scalar) steps each grid
     interval (t0, t1] with lifted(t0, t1) true on the linear lift v' = M v
-    instead, as the driver's planned intervals do: v = start(y), then one
-    :func:`_lift_step` per step on generator(c), and y = normalize(v) at the
-    sample.
+    instead, as the integrators' planned intervals do: one :func:`_lift_step`
+    per step on generator(c), folded pairwise by :func:`_fold` into the
+    interval's propagator P, then y = normalize(P start(y)) at the sample.
     """
     grid = times.tolist()
     states = [y]
@@ -115,7 +115,7 @@ def _tuple_rk4(rhs, coefficients, y, times, base, lift=None):
         lifted = lift is not None and lift[0](t, t1)
         if lifted:
             _, generator, start, normalize, scalar = lift
-            v = start(y)
+            steps = []
         while t < t1:
             if c_time != t:
                 c = coefficients(t)
@@ -127,8 +127,7 @@ def _tuple_rk4(rhs, coefficients, y, times, base, lift=None):
             c_time = t + h
             c_end = coefficients(c_time)
             if lifted:
-                step = _lift_step(generator(c), generator(c_half), generator(c_end), h, scalar)
-                v = [r[0] * v[0] + r[1] * v[1] + r[2] * v[2] + r[3] * v[3] for r in step]
+                steps.append(_lift_step(generator(c), generator(c_half), generator(c_end), h, scalar))
             else:
                 k1 = rhs(c, y)
                 k2 = rhs(c_half, tuple([a + half * b for a, b in zip(y, k1)]))
@@ -141,9 +140,30 @@ def _tuple_rk4(rhs, coefficients, y, times, base, lift=None):
             c = c_end
             t = t1 if h >= t1 - t else c_time
         if lifted:
-            y = normalize(*v)
+            v = start(y)
+            y = normalize(*[r[0] * v[0] + r[1] * v[1] + r[2] * v[2] + r[3] * v[3] for r in _fold(steps)])
         states.append(y)
     return np.array(states)
+
+
+def _product(a, b):
+    """The 4x4 product a b on nested lists, each entry summed over k from left to right."""
+    return [
+        [a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j] + a[i][3] * b[3][j] for j in range(4)]
+        for i in range(4)
+    ]
+
+
+def _fold(steps):
+    """The propagator R_n ... R_1 of an interval's step matrices, in ``dynamics._planned``'s order.
+
+    Pairwise, level by level: (R_2 R_1), (R_4 R_3), ..., then pairs of
+    those; an unpaired last matrix passes through unchanged.
+    """
+    while len(steps) > 1:
+        paired = [_product(later, earlier) for earlier, later in zip(steps[::2], steps[1::2])]
+        steps = paired + steps[2 * len(paired) :]
+    return steps[0]
 
 
 def _lift_step(m0, m_half, m_end, h, scalar):
@@ -157,19 +177,13 @@ def _lift_step(m0, m_half, m_end, h, scalar):
     """
     eye = [[scalar(float(i == j)) for j in range(4)] for i in range(4)]
 
-    def product(a, b):
-        return [
-            [a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j] + a[i][3] * b[3][j] for j in range(4)]
-            for i in range(4)
-        ]
-
     def shifted(s, k):  # I + s K
         return [[e + scalar(s) * x for e, x in zip(er, kr)] for er, kr in zip(eye, k)]
 
     half = 0.5 * h
-    k2 = product(m_half, shifted(half, m0))
-    k3 = product(m_half, shifted(half, k2))
-    k4 = product(m_end, shifted(h, k3))
+    k2 = _product(m_half, shifted(half, m0))
+    k3 = _product(m_half, shifted(half, k2))
+    k4 = _product(m_end, shifted(h, k3))
     w, two = scalar(h / 6.0), scalar(2.0)
     return [
         [e + w * ((a + two * (b + c)) + d) for e, a, b, c, d in zip(*rows)]
@@ -923,6 +937,33 @@ class TestLinearLift:
         lifted = np.max(np.abs(integrate(field, provider, y0, times).bloch - exact))
         scalar = np.max(np.abs(integrate(field, lambda t: provider(t), y0, times).bloch - exact))
         assert lifted <= 1.01 * scalar
+
+    @pytest.mark.parametrize("form", ["bloch", "density"])
+    def test_each_plan_folds_its_rows_in_log_depth(self, tpp, form, monkeypatch):
+        # The 11-sample grid's rows are about 225 steps long: folding a row's
+        # step matrices one by one would take that many products per plan,
+        # the pairwise fold 3 (for the step matrices) + ceil(log2 W).
+        times = np.linspace(1e-9, 500e-6, 11)
+        width = math.ceil(np.max(np.diff(times)) / _base(tpp.field)) + 2
+        product, planned = dynamics._product, dynamics._planned
+        products, plans = [], []
+
+        def counting_product(a, b):
+            products.append(a.shape)
+            return product(a, b)
+
+        def counting_planned(*args):
+            before = len(products)
+            propagators = planned(*args)
+            plans.append(len(products) - before)
+            return propagators
+
+        monkeypatch.setattr(dynamics, "_product", counting_product)
+        monkeypatch.setattr(dynamics, "_planned", counting_planned)
+        provider = damping_provider(tpp.field, tpp.decay)
+        _integrate(form, tpp.field, provider, damped_bloch(tpp.field, tpp.decay, times[0]), times)
+        assert max(plans) > 3
+        assert max(plans) <= 3 + math.ceil(math.log2(width))
 
     @pytest.mark.parametrize("form", ["bloch", "density"])
     def test_an_overflowing_rotation_angle_is_the_providers_refusal(self, form):
