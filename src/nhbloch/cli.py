@@ -383,10 +383,11 @@ def cmd_compare(args) -> int:
     traj_a, traj_b = _trajectories(args, (args.a, args.b))
     with np.errstate(over="raise"):  # a table's finite values may overflow a square or difference
         try:
-            report, fid = max_deviation(traj_a, traj_b), fidelity_trace(traj_a, traj_b)
+            report, loss = max_deviation(traj_a, traj_b), fidelity_trace(traj_a, traj_b, complement=True)
         except FloatingPointError:
             raise ValueError(f"comparing {args.a} with {args.b} overflows") from None
-    i_min = int(np.argmin(fid))
+    i_min = int(np.argmax(loss))
+    fid_min = float(1.0 - loss[i_min])
     payload = {
         "schema_version": "1",
         "command": "compare",
@@ -396,8 +397,9 @@ def cmd_compare(args) -> int:
         "time_of_max": {"mx": report.time_of_max[0], "my": report.time_of_max[1], "mz": report.time_of_max[2]},
         "overall": report.overall,
         "overall_time": report.overall_time,
-        "min_fidelity": float(fid[i_min]),
+        "min_fidelity": fid_min,
         "min_fidelity_time": float(traj_a.times[i_min]),
+        "max_infidelity": float(loss[i_min]),
     }
     if args.json:
         _write_text(args.out, _json_text(payload))
@@ -407,7 +409,7 @@ def cmd_compare(args) -> int:
             f"max |d my| = {report.max_abs[1]:.6e} at t = {report.time_of_max[1]:.6e} s",
             f"max |d mz| = {report.max_abs[2]:.6e} at t = {report.time_of_max[2]:.6e} s",
             f"overall max deviation = {report.overall:.6e} at t = {report.overall_time:.6e} s",
-            f"min fidelity = {fid[i_min]:.9f} at t = {traj_a.times[i_min]:.6e} s",
+            f"min fidelity = {fid_min:.9f} at t = {traj_a.times[i_min]:.6e} s",
         ]
         _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK

@@ -44,10 +44,11 @@ time, evaluates the rates at all planned midpoints and ends in one array
 call, and steps linearly, for both forms are the normalized image of the
 linear non-Hermitian evolution rho~' = -i (K rho~ - rho~ K^+), K = H - iG.
 The Bloch form lifts r to (u0, u), with u0' = -lambda . u, u' = w x u -
-lambda u0 and r = u / u0; the matrix form steps vec(rho~), row-major,
-under A (x) I + I (x) conj(A) for A = -iH - G (-i times
-:func:`effective_hamiltonian` before its Tr[G rho] shift), with
-rho = rho~ / Tr rho~. Each step's 4x4 RK4 matrix R is built in numpy for
+lambda u0 and r = u / u0. The matrix form's rho~' = A rho~ + rho~ A^+,
+for A = -iH - G (-i times :func:`effective_hamiltonian` before its Tr[G rho]
+shift), keeps rho~ Hermitian, so it steps the real x = (rho~00, rho~11,
+Re rho~01, Im rho~01) and returns rho = rho~ / Tr rho~ with rho10 =
+conj(rho01). Each step's real 4x4 RK4 matrix R is built in numpy for
 the whole chunk, and an interval's R_1, ..., R_n fold pairwise, in
 ceil(log2 n) levels, into its propagator P = R_n ... R_1; the state,
 lifted at the interval start, takes one product with P on Python numbers
@@ -173,38 +174,20 @@ class _Form(NamedTuple):
 
     entries: Callable  # (lx, ly, lz) -> the value ``advance`` takes for one time
     advance: Callable  # (c, c_half, c_end, y, h) -> y one nonlinear RK4 step later
-    generator: Callable  # (N, 3) rates -> the lift's generators M(t), v' = M v, as (4, 4, N)
+    generator: Callable  # (N, 3) rates -> the lift's real generators M(t), v' = M v, as (4, 4, N)
     lift: Callable  # state -> v at an interval start
     normalize: Callable  # v0, v1, v2, v3 -> state at a sample
 
 
 def _product(a, b):
-    """Stacked 4x4 products of (4, 4, ...) arrays, one per step: entry (i, j) of
-    step n is the sum over k of a[i, k, n] * b[k, j, n], added left to right
+    """Stacked 4x4 products of real (4, 4, ...) arrays, one per step: entry (i, j)
+    of step n is the sum over k of a[i, k, n] * b[k, j, n], added left to right
     in place. Steps come last so that each operation runs over rows of N.
-
-    Complex entries multiply as Python's complex numbers do,
-    (ar br - ai bi) + i (ar bi + ai br), on contiguous real and imaginary
-    parts; numpy's own complex product may fuse multiply-adds.
     """
-    if a.dtype.kind != "c":
-        total = a[:, 0, None] * b[0]
-        term = np.empty_like(total)
-        for k in 1, 2, 3:
-            total += np.multiply(a[:, k, None], b[k], out=term)
-        return total
-    ar, ai, br, bi = a.real.copy(), a.imag.copy(), b.real.copy(), b.imag.copy()
-    re, im, pr, pi, term = (np.empty(a.shape) for _ in range(5))
-    for k in range(4):
-        xr, xi, yr, yi = ar[:, k, None], ai[:, k, None], br[k], bi[k]
-        r, i = (re, im) if k == 0 else (pr, pi)
-        np.subtract(np.multiply(xr, yr, out=r), np.multiply(xi, yi, out=term), out=r)
-        np.add(np.multiply(xr, yi, out=i), np.multiply(xi, yr, out=term), out=i)
-        if k:
-            re += pr
-            im += pi
-    total = np.empty(a.shape, dtype=complex)
-    total.real, total.imag = re, im
+    total = a[:, 0, None] * b[0]
+    term = np.empty_like(total)
+    for k in 1, 2, 3:
+        total += np.multiply(a[:, k, None], b[k], out=term)
     return total
 
 
@@ -273,7 +256,7 @@ def _planned(times, k, base, rates, start, generator):
     ok = valid[:usable, : int(n[:usable].max())]
     # Each level multiplies pairs (R_2 R_1), (R_4 R_3), ...; np.where passes an unpaired last
     # R through, where an identity pad would flip signed zeros in its I + 0 terms.
-    steps = np.zeros((4, 4, *ok.shape), dtype=matrices.dtype)
+    steps = np.zeros((4, 4, *ok.shape))
     steps[:, :, ok] = matrices
     while ok.shape[1] > 1:
         even = ok.shape[1] // 2 * 2
@@ -422,9 +405,9 @@ def _bloch_form(field: CoherentField) -> _Form:
 
 
 def _density_form(field: CoherentField) -> _Form:
-    """The matrix form's parts: rho's entries, and the unnormalized rho~ with rho = rho~ / Tr rho~."""
-    h = field_matrix(field)
-    (h00, h01), (h10, h11) = h.tolist()
+    """The matrix form's parts: rho's entries, and the real coordinates of the unnormalized rho~."""
+    (h00, h01), (h10, h11) = field_matrix(field).tolist()
+    wx, wy, wz = field.wx, field.wy, field.wz
 
     def entries(rates):
         # (lx, ly, lz) followed by G's entries g00, g01, g10, g11, row-major.
@@ -485,29 +468,33 @@ def _density_form(field: CoherentField) -> _Form:
         )
 
     def generator(r):
-        # rho~' = A rho~ + rho~ A^dagger for A = -iH - G, on row-major vec(rho~):
-        # A (x) I + I (x) conj(A), entry ((i, j), (k, l)) = A_ik d_jl + d_ik conj(A_jl).
-        hx, hy, hz = 0.5 * r.T  # G = [[hz, hx - i hy], [hx + i hy, -hz]]
-        zero = np.zeros(len(r))
-        a = np.empty((4, len(r)), dtype=complex)  # A00, A01, A10, A11
-        a.real = h.imag.reshape(4, 1) - np.stack((hz, hx, hx, -hz))
-        a.imag = -h.real.reshape(4, 1) - np.stack((zero, -hy, hy, zero))
-        a00, a01, a10, a11 = a
-        c00, c01, c10, c11 = a.conj()
-        return np.stack(
-            (
-                a00 + c00, c01, a01, zero,
-                c10, a00 + c11, zero, a01,
-                a10, zero, a11 + c00, c01,
-                zero, a10, c10, a11 + c11,
-            )
-        ).reshape(4, 4, len(r))
+        # rho~' = A rho~ + rho~ A^dagger for A = -iH - G = [[a, b], [c, d]] on the real
+        # x = (rho~00, rho~11, Re rho~01, Im rho~01), with e = a + conj(d):
+        # [[2 Re a, 0, 2 Re b, 2 Im b], [0, 2 Re d, 2 Re c, -2 Im c],
+        #  [Re c, Re b, Re e, -Im e], [-Im c, Im b, Im e, Re e]].
+        # Written out in the rates, 2a = -lz - i wz, 2b = -(wy + lx) + i (ly - wx),
+        # 2c = (wy - lx) - i (wx + ly), 2d = lz + i wz, and e = -i wz exactly.
+        lx, ly, lz = r.T
+        m = np.zeros((4, 4, len(r)))
+        m[0, 0], m[1, 1] = -lz, lz
+        m[0, 2], m[0, 3] = -wy - lx, ly - wx
+        m[1, 2], m[1, 3] = wy - lx, wx + ly
+        m[2:, 0] = 0.5 * m[1, 2:]
+        m[2:, 1] = 0.5 * m[0, 2:]
+        m[2, 3], m[3, 2] = wz, -wz
+        return m
 
-    def normalize(v00, v01, v10, v11):
-        trace = v00 + v11
-        return (v00 / trace, v01 / trace, v10 / trace, v11 / trace)
+    def lift(rho):
+        r00, r01, _, r11 = rho
+        return (r00.real, r11.real, r01.real, r01.imag)
 
-    return _Form(entries, advance, generator, tuple, normalize)
+    def normalize(x0, x1, x2, x3):
+        # 0.0 - im leaves a zero Im rho10 at +0.0, as the nonlinear step does on a field along z.
+        trace = x0 + x1
+        re, im = x2 / trace, x3 / trace
+        return (complex(x0 / trace), complex(re, im), complex(re, 0.0 - im), complex(x1 / trace))
+
+    return _Form(entries, advance, generator, lift, normalize)
 
 
 def _in_ball(rows: np.ndarray) -> np.ndarray:
@@ -563,8 +550,9 @@ def integrate_density(
     one value per distinct integrator time and the same refusal of a
     non-finite rate; G = lambda_x IX + lambda_y IY + lambda_z IZ is built
     from each triple. The ramp's intervals step rho
-    itself; the planned ones past it step the unnormalized rho~ of the
-    linear non-Hermitian evolution and divide it by its trace at each
+    itself; the planned ones past it step the real coordinates (rho~00,
+    rho~11, Re rho~01, Im rho~01) of the unnormalized, Hermitian rho~ of
+    the linear non-Hermitian evolution and divide them by its trace at each
     sample (see the module docstring). Trace and Hermiticity are preserved
     by the flow; the returned trajectory re-validates both at 1e-10 on
     every sample. A state outside the Bloch ball raises :func:`integrate_bloch`'s RuntimeError.
@@ -596,15 +584,23 @@ def max_deviation(a: Trajectory, b: Trajectory) -> DeviationReport:
     )
 
 
-def fidelity_trace(theory: Trajectory, measured: Trajectory) -> np.ndarray:
-    """Per-sample state overlap of two trajectories on the same grid.
+def fidelity_trace(theory: Trajectory, measured: Trajectory, *, complement: bool = False) -> np.ndarray:
+    """Per-sample state overlap F of two trajectories on the same grid, or 1 - F.
 
     The :func:`~nhbloch.core.fidelity` of the two states, row-wise on the
     Bloch rows: Tr[rho_a rho_b] = (1 + ra.rb) / 2 and Tr[rho^2] =
-    (1 + |r|^2) / 2 give (1 + ra.rb) / sqrt((1 + |ra|^2) (1 + |rb|^2)).
+    (1 + |r|^2) / 2 give F = N / D for N = 1 + ra.rb and D = sqrt((1 +
+    |ra|^2) (1 + |rb|^2)). Where N > 0, 1 - F = (D^2 - N^2) / (D (D + N))
+    with D^2 - N^2 = |rb - ra|^2 + |ra x (rb - ra)|^2 does not cancel; elsewhere
+    (D - N) / D does not. F is 1 minus it; ``complement`` returns 1 - F
+    itself, which resolves states that F rounds to 1.
     """
     if not np.array_equal(theory.times, measured.times):
         raise ValueError("trajectories are sampled on different grids")
     ra, rb = theory.bloch, measured.bloch
+    diff = rb - ra
     overlap = 1.0 + np.sum(ra * rb, axis=1)
-    return overlap / np.sqrt((1.0 + np.sum(ra * ra, axis=1)) * (1.0 + np.sum(rb * rb, axis=1)))
+    norm = np.sqrt((1.0 + np.sum(ra * ra, axis=1)) * (1.0 + np.sum(rb * rb, axis=1)))
+    gap = np.sum(diff * diff, axis=1) + np.sum(np.cross(ra, diff) ** 2, axis=1)
+    loss = np.divide(gap, norm + overlap, out=norm - overlap, where=overlap > 0.0) / norm
+    return loss if complement else 1.0 - loss

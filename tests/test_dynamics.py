@@ -101,7 +101,7 @@ def _tuple_rk4(rhs, coefficients, y, times, base, lift=None):
     """The generic tuple RK4 that once stepped both forms: the reference for the
     written-out steps. Same step control and provider reuse as the driver.
 
-    ``lift`` = (lifted, generator, start, normalize, scalar) steps each grid
+    ``lift`` = (lifted, generator, start, normalize) steps each grid
     interval (t0, t1] with lifted(t0, t1) true on the linear lift v' = M v
     instead, as the integrators' planned intervals do: one :func:`_lift_step`
     per step on generator(c), folded pairwise by :func:`_fold` into the
@@ -114,7 +114,7 @@ def _tuple_rk4(rhs, coefficients, y, times, base, lift=None):
     for t1 in grid[1:]:
         lifted = lift is not None and lift[0](t, t1)
         if lifted:
-            _, generator, start, normalize, scalar = lift
+            _, generator, start, normalize = lift
             steps = []
         while t < t1:
             if c_time != t:
@@ -127,7 +127,7 @@ def _tuple_rk4(rhs, coefficients, y, times, base, lift=None):
             c_time = t + h
             c_end = coefficients(c_time)
             if lifted:
-                steps.append(_lift_step(generator(c), generator(c_half), generator(c_end), h, scalar))
+                steps.append(_lift_step(generator(c), generator(c_half), generator(c_end), h))
             else:
                 k1 = rhs(c, y)
                 k2 = rhs(c_half, tuple([a + half * b for a, b in zip(y, k1)]))
@@ -166,27 +166,25 @@ def _fold(steps):
     return steps[0]
 
 
-def _lift_step(m0, m_half, m_end, h, scalar):
+def _lift_step(m0, m_half, m_end, h):
     """One RK4 step of v' = M v as a 4x4 matrix, on nested lists in the driver's operation order.
 
     R = I + h/6 (K1 + 2 (K2 + K3) + K4), K1 = M0, K2 = Mh (I + h/2 K1),
     K3 = Mh (I + h/2 K2), K4 = Me (I + h K3); each product entry is summed
-    over k from left to right. ``scalar`` is float for real generators and
-    complex for complex ones, where numpy casts the real factors and the
-    identity to complex before each operation.
+    over k from left to right.
     """
-    eye = [[scalar(float(i == j)) for j in range(4)] for i in range(4)]
+    eye = [[float(i == j) for j in range(4)] for i in range(4)]
 
     def shifted(s, k):  # I + s K
-        return [[e + scalar(s) * x for e, x in zip(er, kr)] for er, kr in zip(eye, k)]
+        return [[e + s * x for e, x in zip(er, kr)] for er, kr in zip(eye, k)]
 
     half = 0.5 * h
     k2 = _product(m_half, shifted(half, m0))
     k3 = _product(m_half, shifted(half, k2))
     k4 = _product(m_end, shifted(h, k3))
-    w, two = scalar(h / 6.0), scalar(2.0)
+    w = h / 6.0
     return [
-        [e + w * ((a + two * (b + c)) + d) for e, a, b, c, d in zip(*rows)]
+        [e + w * ((a + 2.0 * (b + c)) + d) for e, a, b, c, d in zip(*rows)]
         for rows in zip(eye, m0, k2, k3, k4)
     ]
 
@@ -203,22 +201,25 @@ def bloch_generator(field):
 
 
 def density_generator(field):
-    """The matrix form's lift vec(rho~), row-major: A (x) I + I (x) conj(A) for A = -iH - G."""
-    (h00, h01), (h10, h11) = field_matrix(field).tolist()
+    """The matrix form's lift x = (rho~00, rho~11, Re rho~01, Im rho~01) of rho~' = A rho~ + rho~ A^+.
+
+    For A = -iH - G = [[a, b], [c, d]] and e = a + conj(d) = -i wz the
+    generator is [[2 Re a, 0, 2 Re b, 2 Im b], [0, 2 Re d, 2 Re c, -2 Im c],
+    [Re c, Re b, Re e, -Im e], [-Im c, Im b, Im e, Re e]], with 2 Re a =
+    -lz, 2 Re b = -(wy + lx), 2 Im b = ly - wx, 2 Re c = wy - lx and
+    -2 Im c = wx + ly.
+    """
+    wx, wy, wz = field.wx, field.wy, field.wz
 
     def generator(c):
-        hx, hy, hz = 0.5 * c[0], 0.5 * c[1], 0.5 * c[2]
-        a00 = complex(h00.imag - hz, -h00.real - 0.0)
-        a01 = complex(h01.imag - hx, -h01.real - -hy)
-        a10 = complex(h10.imag - hx, -h10.real - hy)
-        a11 = complex(h11.imag - -hz, -h11.real - 0.0)
-        c00, c01, c10, c11 = (a.conjugate() for a in (a00, a01, a10, a11))
-        zero = 0j
+        lx, ly, lz = c
+        re_b, im_b = -wy - lx, ly - wx  # doubled
+        re_c, im_c = wy - lx, wx + ly  # doubled, the second negated
         return [
-            [a00 + c00, c01, a01, zero],
-            [c10, a00 + c11, zero, a01],
-            [a10, zero, a11 + c00, c01],
-            [zero, a10, c10, a11 + c11],
+            [-lz, 0.0, re_b, im_b],
+            [0.0, lz, re_c, im_c],
+            [0.5 * re_c, 0.5 * re_b, 0.0, wz],
+            [0.5 * im_c, 0.5 * im_b, -wz, 0.0],
         ]
 
     return generator
@@ -246,15 +247,16 @@ def tuple_bloch(field, lam, r0, times, base=None, lifted=None):
     lift = None
     if lifted is not None:
         normalize = lambda u0, x, y, z: (x / u0, y / u0, z / u0)
-        lift = (lifted, bloch_generator(field), lambda r: (1.0, *r), normalize, float)
+        lift = (lifted, bloch_generator(field), lambda r: (1.0, *r), normalize)
     return _tuple_rk4(rhs, lam, tuple(r0), times, base, lift)
 
 
 def tuple_density(field, lam, rho0, times, base=None, lifted=None):
     """Matrix form on the tuple reference; returns the rho samples.
 
-    ``lifted(t0, t1)`` picks the intervals that step vec(rho~) from rho,
-    normalized as rho = rho~ / Tr rho~.
+    ``lifted(t0, t1)`` picks the intervals that step the real x = (rho~00,
+    rho~11, Re rho~01, Im rho~01) from rho, normalized as rho = rho~ / Tr rho~
+    with rho10 = conj(rho01).
     """
     (h00, h01), (h10, h11) = field_matrix(field).tolist()
 
@@ -292,12 +294,14 @@ def tuple_density(field, lam, rho0, times, base=None, lifted=None):
     lift = None
     if lifted is not None:
 
-        def normalize(v00, v01, v10, v11):
-            trace = v00 + v11
-            return (v00 / trace, v01 / trace, v10 / trace, v11 / trace)
+        def normalize(x0, x1, x2, x3):
+            trace = x0 + x1
+            re, im = x2 / trace, x3 / trace
+            return (complex(x0 / trace), complex(re, im), complex(re, 0.0 - im), complex(x1 / trace))
 
+        start = lambda rho: (rho[0].real, rho[3].real, rho[1].real, rho[1].imag)
         generator = density_generator(field)
-        lift = (lifted, lambda c: generator(c[:3]), tuple, normalize, complex)
+        lift = (lifted, lambda c: generator(c[:3]), start, normalize)
     y = tuple(np.asarray(rho0, dtype=complex).ravel().tolist())
     return _tuple_rk4(rhs, entries, y, times, base, lift).reshape(len(times), 2, 2)
 
@@ -888,6 +892,7 @@ class TestLinearLift:
     def test_generator_projects_to_the_nonlinear_rhs(self, form):
         # r = u / u0 and rho = rho~ / Tr rho~ at u0 = 1 and Tr rho~ = 1: the
         # lift's derivative, projected back, is the nonlinear right-hand side.
+        # The matrix form's lift is x = (rho~00, rho~11, Re rho~01, Im rho~01).
         rng = np.random.default_rng(26)
         for _ in range(40):
             field = CoherentField(*rng.normal(0.0, 1e5, 3))
@@ -905,10 +910,29 @@ class TestLinearLift:
                     np.testing.assert_allclose(du[1:] - r * du[0], want, rtol=0.0, atol=scale)
                 else:
                     rho = bloch_to_density(r)
-                    drho = (m[:, :, n] @ rho.ravel()).reshape(2, 2)
+                    dx = m[:, :, n] @ np.array([rho[0, 0].real, rho[1, 1].real, rho[0, 1].real, rho[0, 1].imag])
+                    drho = np.array([[dx[0], dx[2] + 1j * dx[3]], [dx[2] - 1j * dx[3], dx[1]]])
                     h_eff = effective_hamiltonian(field, lam, rho)
                     want = -1j * (h_eff @ rho - rho @ h_eff.conj().T)
                     np.testing.assert_allclose(drho - rho * np.trace(drho), want, rtol=0.0, atol=scale)
+
+    def test_density_generator_is_the_complex_lift_in_real_coordinates(self):
+        # On row-major vec(rho~) the flow rho~' = A rho~ + rho~ A^+ is
+        # A (x) I + I (x) conj(A); T takes vec(rho~) of a Hermitian rho~ to
+        # x = (rho~00, rho~11, Re rho~01, Im rho~01).
+        t = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0.5, 0.5, 0], [0, -0.5j, 0.5j, 0]])
+        t_inv = np.linalg.inv(t)
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            field = CoherentField(*rng.normal(0.0, 1e5, 3))
+            rates = rng.normal(0.0, 1e5, (8, 3))
+            m = dynamics._density_form(field).generator(rates)
+            assert m.dtype == np.float64 and m.shape == (4, 4, len(rates))
+            scale = 1e-12 * max(field.omega, np.max(np.abs(rates)))
+            for n, lam in enumerate(rates):
+                a = -1j * field_matrix(field) - g_matrix(lam)
+                want = t @ (np.kron(a, np.eye(2)) + np.kron(np.eye(2), a.conj())) @ t_inv
+                np.testing.assert_allclose(m[:, :, n], want, rtol=0.0, atol=scale)
 
     @pytest.mark.parametrize("form", ["bloch", "density"])
     @pytest.mark.parametrize(
@@ -949,6 +973,8 @@ class TestLinearLift:
         products, plans = [], []
 
         def counting_product(a, b):
+            # Both forms' lifts are real: no planned product is complex.
+            assert a.dtype == b.dtype == np.float64
             products.append(a.shape)
             return product(a, b)
 

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from nhbloch.analytic import CoherentField, DecayModel, damped_bloch, decay_f, trajectory
+from nhbloch.analytic import CoherentField, DecayModel, damped_bloch, damping_provider, decay_f, trajectory
 from nhbloch.core import Trajectory, bloch_to_density
-from nhbloch.dynamics import fidelity_trace
+from nhbloch.dynamics import fidelity_trace, integrate_bloch, integrate_density
 from nhbloch.fit import (
     DegenerateJacobianError,
     _check_rank,
@@ -305,6 +305,55 @@ class TestFidelityTrace:
         ]
         for a, b in pairs:
             assert np.max(np.abs(fidelity_trace(a, b) - matrix_fidelity_trace(a, b))) <= 1e-15
+
+    @staticmethod
+    def ode_runs(tpp, t_max, samples):
+        """The closed form and both ODE forms on one grid, as compare builds them."""
+        times = np.linspace(1e-9, t_max, samples)
+        provider, r0 = damping_provider(tpp.field, tpp.decay), damped_bloch(tpp.field, tpp.decay, times[0])
+        exact = Trajectory(times, trajectory(tpp.field, tpp.decay, times))
+        bloch = integrate_bloch(tpp.field, provider, r0, times)
+        density = integrate_density(tpp.field, provider, bloch_to_density(r0), times)
+        return exact, Trajectory(times, bloch.bloch), Trajectory(times, density.bloch)
+
+    def test_infidelity_against_a_50_digit_reference(self, tpp):
+        # An ODE cross-check's 1 - F runs from 0 to about 2e-14, where N / D
+        # has a relative error of up to 3e4; the cancellation-free form stays
+        # within 5e-16 on these rows. The rows also hold a noisy record (1 - F
+        # up to 1e-3), random states inside and outside the ball, and
+        # antiparallel ones with N <= 0.
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        exact, bloch, density = self.ode_runs(tpp, 500e-6, 251)
+        rng = np.random.default_rng(15)
+        u, v = rng.normal(size=(2, 200, 3)) * rng.uniform(0.0, 1.5, (2, 200, 1))
+        far = np.array([[1e8, 0.0, 0.0], [3.0, 4.0, 0.0], [0.5, 0.2, 0.1]])
+        near = np.array([[-1e8, 1.0, 0.0], [-3.0, -4.0, 1e-3], [-0.5, -0.2, -0.1]])
+        noisy = exact.bloch + rng.normal(0.0, 0.01, exact.bloch.shape)
+        rows_a = np.concatenate((exact.bloch, exact.bloch, exact.bloch, u, far))
+        rows_b = np.concatenate((bloch.bloch, density.bloch, noisy, v, near))
+        times = np.arange(float(len(rows_a)))
+        loss = fidelity_trace(Trajectory(times, rows_a), Trajectory(times, rows_b), complement=True)
+        for got, ra, rb in zip(loss.tolist(), rows_a.tolist(), rows_b.tolist()):
+            ra, rb = [mpmath.mpf(x) for x in ra], [mpmath.mpf(x) for x in rb]
+            overlap = 1 + sum(x * y for x, y in zip(ra, rb))
+            norm = mpmath.sqrt((1 + sum(x * x for x in ra)) * (1 + sum(y * y for y in rb)))
+            want = 1 - overlap / norm
+            assert abs(got - want) <= 2e-15 * abs(want)
+
+    @pytest.mark.parametrize("t_max, samples", [(500e-6, 251), (2e-3, 1001)], ids=["251", "2ms"])
+    def test_least_fidelity_time_is_stable_under_rounding(self, tpp, t_max, samples):
+        # Where compare reports the least fidelity of an ODE cross-check must
+        # not hinge on the last bits of the states: a 1e-15 relative
+        # perturbation of either trajectory keeps its sample.
+        runs = self.ode_runs(tpp, t_max, samples)
+        rng = np.random.default_rng(1)
+        for ode in runs[1:]:
+            at = np.argmax(fidelity_trace(runs[0], ode, complement=True))
+            for _ in range(5):
+                for a, b in ((runs[0], ode), (ode, runs[0])):
+                    moved = Trajectory(a.times, a.bloch * (1.0 + 1e-15 * rng.uniform(-1.0, 1.0, a.bloch.shape)))
+                    assert np.argmax(fidelity_trace(moved, b, complement=True)) == at
 
 
 class TestResidualMagnetizationStats:
